@@ -27,7 +27,7 @@ for spatial, t, label in [
     cls = mk.causal_class(origin, target).value
     margin = mk.cone_margin(origin, target)
     print(f"  to ({spatial:+.1f}; {t:+.1f})  [{label:>20s}]  "
-          f"class={cls:<13s} margin={margin:+.2f}  cost={c.value}")
+          f"class={cls:<13s} margin={margin:+.2f}  cost={c}")
 
 print()
 print("The cone margin dtau - |dx| tells the class at a glance:")
@@ -42,14 +42,14 @@ for t in (0.0, 0.25, 0.5, 1.0):
     print(f"  gamma({t:.2f}) = {mk.geodesic_point(x, y, t)}")
 mid = mk.geodesic_point(x, y, 0.5)
 print("  additivity on the segment:",
-      mk.cost(x, mid).value + mk.cost(mid, y).value, "==", mk.cost(x, y).value)
+      mk.cost(x, mid) + mk.cost(mid, y), "==", mk.cost(x, y))
 
 print()
 print("=== Cylinder: displacement is minimized over windings ===")
 a = cyl.make_point([4.0], 0.0)
 b = cyl.make_point([0.0], 3.0)
 print(f"  from (4;0) to (0;3): going right wraps past the seam, distance 1")
-print(f"  cost = {cyl.cost(a, b).value}   (equals -sqrt(3^2 - 1^2) = -sqrt(8))")
+print(f"  cost = {cyl.cost(a, b)}   (equals -sqrt(3^2 - 1^2) = -sqrt(8))")
 g = cyl.geodesic_point(a, b, 1 / 3)
 print(f"  a third of the way: {g}  (the short way around)")
 
@@ -65,7 +65,7 @@ for _ in range(2000):
     step2 = rng.uniform(-1, 1, 1)
     r = mk.make_point(np.asarray(q.spatial) + step2,
                       q.time + np.linalg.norm(step2) + rng.uniform(0, 1))
-    slack = mk.cost(p, q).value + mk.cost(q, r).value - mk.cost(p, r).value
+    slack = mk.cost(p, q) + mk.cost(q, r) - mk.cost(p, r)
     worst = max(worst, -slack)
 print(f"  cost(x,z) <= cost(x,y) + cost(y,z) over 2000 random causal chains;")
 print(f"  worst violation {worst:.2e} (pure rounding)")

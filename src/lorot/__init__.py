@@ -20,11 +20,9 @@ from .diagnostics import (
     strict_margin,
 )
 from .dual import (
-    ChainGraph,
     DkpReport,
     DualPotential,
     PositiveCycle,
-    build_chain_graph,
     c_transform,
     c_transform_back,
     chain_potential,
@@ -70,14 +68,9 @@ from .solver import (
 from .spacetime import (
     CausalClass,
     Cylinder,
-    ExtendedCost,
     Minkowski,
     Point,
     SpacetimeModel,
-    causal_class,
-    cone_margin,
-    cost,
-    geodesic_point,
     model_from_config,
 )
 from .transport import (

@@ -5,7 +5,6 @@ machine-readable results: a summary ``result.json`` (always) plus CSV tables
 per command. Outputs are byte-identical for identical (config, input, seed).
 
 Exit codes: 0 success, 2 infeasible transport, 3 validation errors.
-The environment variable ``LOROT_THREADS`` caps internal parallelism.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -82,23 +80,11 @@ def _load_input(source: str) -> dict:
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
 
 
-def _threads() -> int:
-    raw = os.environ.get("LOROT_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SchemaError(f"LOROT_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise SchemaError(f"LOROT_THREADS must be >= 1, got {value}")
-    return value
-
-
-def _resolved_config(args, threads) -> dict:
+def _resolved_config(args) -> dict:
     cfg = {
         "command": args.command,
         "out": str(args.out),
         "seed": args.seed,
-        "threads": threads,
     }
     for key in ("input", "tol", "n", "eps", "t", "grid"):
         if hasattr(args, key) and getattr(args, key) is not None:
@@ -130,7 +116,7 @@ def _validate_payload(obj: dict):
     return violations
 
 
-def _cmd_validate(args, out_dir, config):
+def _cmd_validate(args, out_dir):
     obj = _load_input(args.input)
     violations = _validate_payload(obj)
     result = {"ok": not violations, "violations": violations}
@@ -149,7 +135,7 @@ def _solve_from_args(args):
     return problem, coupling, duals
 
 
-def _cmd_solve(args, out_dir, config):
+def _cmd_solve(args, out_dir):
     problem, coupling, duals = _solve_from_args(args)
     C = problem.cost_matrix()
     rows = [(i, j, mass, float(C[i, j])) for i, j, mass in coupling.entries]
@@ -170,7 +156,7 @@ def _potential_rows(measure, values):
     return rows
 
 
-def _cmd_dual(args, out_dir, config):
+def _cmd_dual(args, out_dir):
     problem, coupling, duals = _solve_from_args(args)
     psi = chain_potential(problem.model, coupling)
     if isinstance(psi, PositiveCycle):
@@ -188,13 +174,13 @@ def _cmd_dual(args, out_dir, config):
     return result, 0
 
 
-def _cmd_audit(args, out_dir, config):
+def _cmd_audit(args, out_dir):
     problem, coupling, duals = _solve_from_args(args)
     report = audit(problem.model, problem, coupling, duals, seed=args.seed)
     return report.as_dict(), 0
 
 
-def _cmd_interpolate(args, out_dir, config):
+def _cmd_interpolate(args, out_dir):
     if args.t is None:
         raise SchemaError("interpolate requires --t")
     if not 0.0 <= args.t <= 1.0:
@@ -206,7 +192,7 @@ def _cmd_interpolate(args, out_dir, config):
     return result, 0
 
 
-def _cmd_monge(args, out_dir, config):
+def _cmd_monge(args, out_dir):
     problem = problem_from_json(_load_input(args.input))
     outcome = monge_map(problem.model, problem)
     if isinstance(outcome, AtomSplit):
@@ -226,19 +212,19 @@ def _report_result(report):
     }
 
 
-def _cmd_line(args, out_dir, config):
+def _cmd_line(args, out_dir):
     if args.n is None:
         raise SchemaError("counterexample-line requires --n")
     if args.n < 3:
         raise SchemaError("--n must be at least 3")
-    report = run_line_counterexample(args.n, workers=config["threads"])
+    report = run_line_counterexample(args.n)
     rows = report.tables["levels"]
     header = tuple(rows[0].keys())
     _write_csv(out_dir / "levels.csv", header, [tuple(r[k] for k in header) for r in rows])
     return _report_result(report), 0
 
 
-def _cmd_cylinder(args, out_dir, config):
+def _cmd_cylinder(args, out_dir):
     eps = args.eps if args.eps is not None else 0.25
     t = args.t if args.t is not None else 1.0
     grid = args.grid if args.grid is not None else 10000
@@ -295,13 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
-    threads = _threads()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _resolved_config(args, threads)
+    config = _resolved_config(args)
     summary = {"version": __version__, "command": args.command, "config": config}
     try:
-        result, code = _HANDLERS[args.command](args, out_dir, config)
+        result, code = _HANDLERS[args.command](args, out_dir)
     except Infeasible as exc:
         summary["error"] = {"kind": "infeasible", "message": str(exc)}
         _write_json(out_dir / "result.json", summary)

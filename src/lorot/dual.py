@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import NegativeCycleError, bellman_ford, csgraph_from_dense
 
 from .errors import UnreachableAtom
 from .solver import Coupling
@@ -56,24 +55,11 @@ class DualPotential:
 
 
 @dataclass(frozen=True)
-class ChainGraph:
-    """Support pairs of a coupling plus the arcs used by the chain construction.
-
-    Arc k runs from support pair ``pair_index[k]`` to mu-atom ``atom_index[k]``
-    and has weight ``cost(pair) - cost(atom, pair.y)``; arcs exist wherever
-    that second cost is finite.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    root: tuple[int, int]
-    pair_index: np.ndarray
-    atom_index: np.ndarray
-    weight: np.ndarray
-
-
-@dataclass(frozen=True)
 class PositiveCycle:
-    """Certificate that the coupling is not cyclically monotone."""
+    """Certificate that the coupling is not cyclically monotone.
+
+    ``atoms`` lists a chain cycle in order; ``gain`` is its total weight.
+    """
 
     atoms: tuple[int, ...]
     gain: float
@@ -127,33 +113,6 @@ def c_transform_back(model: SpacetimeModel, mu, phi, nu):
     return out
 
 
-def build_chain_graph(model: SpacetimeModel, coupling: Coupling, root=None) -> ChainGraph:
-    pairs = tuple((i, j) for i, j, _ in coupling.entries)
-    if root is None:
-        root = pairs[0]  # entries are sorted, so this is the lexicographic minimum
-    else:
-        root = (int(root[0]), int(root[1]))
-        if root not in pairs:
-            raise ValueError(f"root {root} is not a support pair")
-    C = model.cost_matrix(coupling.mu.coords_array(), coupling.nu.coords_array())
-    pair_idx = []
-    atom_idx = []
-    weight = []
-    for k, (i, j) in enumerate(pairs):
-        w = C[i, j] - C[:, j]
-        for a in np.nonzero(np.isfinite(w))[0]:
-            pair_idx.append(k)
-            atom_idx.append(int(a))
-            weight.append(float(w[a]))
-    return ChainGraph(
-        pairs,
-        root,
-        np.asarray(pair_idx, dtype=np.int64),
-        np.asarray(atom_idx, dtype=np.int64),
-        np.asarray(weight, dtype=float),
-    )
-
-
 def _atom_arc_matrix(model: SpacetimeModel, coupling: Coupling) -> np.ndarray:
     """Condense the chain graph onto mu-atoms.
 
@@ -169,47 +128,56 @@ def _atom_arc_matrix(model: SpacetimeModel, coupling: Coupling) -> np.ndarray:
     return W
 
 
-def _bellman_with_tolerance(W: np.ndarray, root: int):
-    """Longest-path Bellman relaxation with an explicit improvement pass.
+def _longest_paths(W: np.ndarray, root: int):
+    """FIFO label-correcting longest paths from ``root`` over the arc matrix W.
 
-    Runs |V| rounds, then checks for any residual improvement above
-    CYCLE_TOL; if found, extracts and returns a positive cycle, otherwise
-    returns the converged distances.
+    Taking an atom off the queue relaxes every arc out of it; an atom whose
+    label rises joins the queue unless it is already there. One pass takes
+    the atoms queued during the pass before, so without a gaining cycle the
+    labels settle within n - 1 passes.
+
+    Returns ``(dist, None)``, with dist[root] = 0 and -inf on atoms no chain
+    reaches, or ``(None, cycle)`` when some cycle gains more than CYCLE_TOL.
+    Smaller cycles are rounding noise and are cut.
     """
     n = W.shape[0]
-    us, ks = np.nonzero(np.isfinite(W))
-    ws = W[us, ks]
     dist = np.full(n, -np.inf)
     dist[root] = 0.0
+    pred = np.full(n, -1)
+    rise = np.zeros(n)
+    queued = np.zeros(n, dtype=bool)
+    queued[root] = True
+    batch = [root]
     for _ in range(n):
-        cand = dist[us] + ws
-        new = dist.copy()
-        np.maximum.at(new, ks, cand)
-        if np.array_equal(new, dist):
+        following = []
+        for u in batch:
+            queued[u] = False
+            cand = dist[u] + W[u]
+            rose = np.flatnonzero(cand > dist)
+            rise[rose] = cand[rose] - dist[rose]
+            dist[rose] = cand[rose]
+            pred[rose] = u
+            fresh = rose[~queued[rose]]
+            queued[fresh] = True
+            following.extend(fresh.tolist())
+        batch = following
+        if not batch:
             break
-        dist = new
-    gains = (dist[us] + ws) - dist[ks]
-    gains = np.where(np.isfinite(gains), gains, -np.inf)
-    worst = int(np.argmax(gains)) if len(gains) else -1
-    if worst >= 0 and gains[worst] > CYCLE_TOL:
-        # walk best predecessors until a node repeats; that loop is the cycle
-        seq = [int(us[worst])]
-        seen = {seq[0]: 0}
-        for _ in range(n + 1):
-            node = seq[-1]
-            into = np.nonzero(ks == node)[0]
-            if len(into) == 0:
-                break
-            best = into[np.argmax(dist[us[into]] + ws[into])]
-            prev = int(us[best])
-            if prev in seen:
-                cycle = seq[seen[prev]:]
-                cycle_gain = float(gains[worst])
-                return None, PositiveCycle(tuple(reversed(cycle)), cycle_gain)
-            seen[prev] = len(seq)
-            seq.append(prev)
-        return None, PositiveCycle(tuple(seq), float(gains[worst]))
-    return dist, None
+
+    if batch:
+        # Labels still rose in pass n. Such an atom has a predecessor walk of
+        # n steps, each going back at most one pass, so the walk repeats an
+        # atom before it could reach a root that never rose. Start from the
+        # atom that rose most, so a real cycle wins over rounding noise.
+        walk = [batch[int(np.argmax(rise[batch]))]]
+        while walk.count(walk[-1]) == 1:
+            walk.append(int(pred[walk[-1]]))
+        atoms = walk[walk.index(walk[-1]):-1][::-1]
+        gain = float(sum(W[a, b] for a, b in zip(atoms, atoms[1:] + atoms[:1])))
+        if gain > CYCLE_TOL:
+            return None, PositiveCycle(tuple(atoms), gain)
+    # a noise cycle through the root may have lifted its label: re-anchor it at 0
+    return dist - dist[root], None
 
 
 def chain_potential(model: SpacetimeModel, coupling: Coupling, root=None):
@@ -221,21 +189,16 @@ def chain_potential(model: SpacetimeModel, coupling: Coupling, root=None):
     :class:`UnreachableAtom` when some mu-atom cannot be reached by any chain
     from the root; the construction needs a connected support.
     """
-    graph = build_chain_graph(model, coupling, root)
-    root_atom = graph.root[0]
-    W = _atom_arc_matrix(model, coupling)
-    n = W.shape[0]
-
-    psi = None
-    try:
-        G = csgraph_from_dense(-W, null_value=np.inf)
-        dist = bellman_ford(G, directed=True, indices=root_atom)
-        psi = -np.asarray(dist).ravel()
-    except NegativeCycleError:
-        dist, cycle = _bellman_with_tolerance(W, root_atom)
-        if cycle is not None:
-            return cycle
-        psi = dist
+    pairs = [(i, j) for i, j, _ in coupling.entries]
+    if root is None:
+        root = pairs[0]  # entries are sorted, so this is the lexicographic minimum
+    else:
+        root = (int(root[0]), int(root[1]))
+        if root not in pairs:
+            raise ValueError(f"root {root} is not a support pair")
+    psi, cycle = _longest_paths(_atom_arc_matrix(model, coupling), root[0])
+    if cycle is not None:
+        return cycle
 
     unreachable = np.nonzero(~np.isfinite(psi))[0]
     if len(unreachable):

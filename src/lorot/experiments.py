@@ -19,7 +19,6 @@ Two quantitative stories ship with the toolkit:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -189,7 +188,7 @@ def _line_level(n: int) -> dict:
     }
 
 
-def run_line_counterexample(n: int, levels: int = 3, workers: int = 1) -> ExperimentReport:
+def run_line_counterexample(n: int, levels: int = 3) -> ExperimentReport:
     """Grid refinement study of the line instance.
 
     Builds endpoint grids of n, 2n, ..., 2**(levels-1) * n atoms. At each
@@ -199,12 +198,7 @@ def run_line_counterexample(n: int, levels: int = 3, workers: int = 1) -> Experi
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    ns = [n << level for level in range(levels)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_line_level, ns))
-    else:
-        rows = [_line_level(k) for k in ns]
+    rows = [_line_level(n << level) for level in range(levels)]
 
     report = ExperimentReport(name="line-counterexample")
     report.tables["levels"] = rows
@@ -410,8 +404,8 @@ def cylinder_potential(profile: ProfileFunction, y: Point, theta_grid: int = 100
         raise ValueError("target must lie at time >= 0")
 
     def objective(theta):
-        c = model.cost(model.make_point([theta], 0.0), y)
-        return profile(theta) + c.value  # +inf outside the causal past
+        # +inf outside the causal past
+        return profile(theta) + model.cost(model.make_point([theta], 0.0), y)
 
     thetas = np.concatenate([np.arange(theta_grid) * (5.0 / theta_grid), [y.spatial[0]]])
     xs = np.column_stack([thetas, np.zeros_like(thetas)])

@@ -154,8 +154,12 @@ def solve(problem: TransportProblem):
     C = problem.cost_matrix()
     n, m = C.shape
     finite = np.isfinite(C)
-    if not finite.any(axis=1).all() or not finite.any(axis=0).all():
-        raise Infeasible("an atom has no causal partner on the other side")
+    for side, other, axis in (("mu", "nu", 1), ("nu", "mu", 0)):
+        alone = np.flatnonzero(~finite.any(axis=axis))
+        if len(alone):
+            raise Infeasible(
+                f"{side}-atom {alone[0]} has no causal partner among the {other}-atoms"
+            )
 
     supplies, demands, denom = _integer_marginals(mu.weights, nu.weights)
     rem_a = list(supplies)

@@ -59,34 +59,6 @@ class CausalClass(enum.Enum):
     IDENTICAL = "identical"
 
 
-@dataclass(frozen=True)
-class ExtendedCost:
-    """Cost value on the extended real line: nonpositive or +inf.
-
-    ``math.inf`` encodes the non-causal case; finite values are <= 0.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        if math.isnan(self.value):
-            raise ValueError("cost cannot be NaN")
-        if math.isfinite(self.value) and self.value > 0:
-            raise ValueError(f"finite cost must be nonpositive, got {self.value}")
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
-    @classmethod
-    def finite(cls, value: float) -> "ExtendedCost":
-        return cls(float(value))
-
-    @classmethod
-    def infinite(cls) -> "ExtendedCost":
-        return cls(math.inf)
-
-
 class SpacetimeModel:
     """Common interface of the flat models."""
 
@@ -131,17 +103,18 @@ class SpacetimeModel:
         dist = float(np.linalg.norm(self.spatial_delta(x, y)))
         return dtau - dist
 
-    def cost(self, x: Point, y: Point, null_tol: float = DEFAULT_NULL_TOL) -> ExtendedCost:
+    def cost(self, x: Point, y: Point, null_tol: float = DEFAULT_NULL_TOL) -> float:
+        """Minus the time separation from x to y: nonpositive, or inf off the cone."""
         dtau = y.time - x.time
         dist = float(np.linalg.norm(self.spatial_delta(x, y)))
         margin = dtau - dist
         if margin < -null_tol:
-            return ExtendedCost.infinite()
+            return math.inf
         if margin <= null_tol:
             # lightlike band: the class and the value must agree, so pairs
             # classified null get cost exactly zero
-            return ExtendedCost.finite(0.0)
-        return ExtendedCost.finite(-math.sqrt(max(dtau * dtau - dist * dist, 0.0)))
+            return 0.0
+        return -math.sqrt(max(dtau * dtau - dist * dist, 0.0))
 
     def causal_class(
         self, x: Point, y: Point, null_tol: float = DEFAULT_NULL_TOL
@@ -295,21 +268,3 @@ def model_from_config(obj: dict) -> SpacetimeModel:
         return Cylinder(float(circ))
     raise SchemaError(f"unknown model kind {kind!r}")
 
-
-# Module-level forms of the model operations, for callers that prefer the
-# functional spelling.
-
-def cost(model: SpacetimeModel, x: Point, y: Point) -> ExtendedCost:
-    return model.cost(x, y)
-
-
-def causal_class(model: SpacetimeModel, x: Point, y: Point) -> CausalClass:
-    return model.causal_class(x, y)
-
-
-def geodesic_point(model: SpacetimeModel, x: Point, y: Point, t: float) -> Point:
-    return model.geodesic_point(x, y, t)
-
-
-def cone_margin(model: SpacetimeModel, x: Point, y: Point) -> float:
-    return model.cone_margin(x, y)

@@ -157,17 +157,3 @@ class TestValidateCommand:
         assert main(["validate", "--input", json.dumps(bad), "--out", str(out)]) == 3
         violations = read_result(out)["result"]["violations"]
         assert any("empty measure" in v for v in violations)
-
-
-class TestThreadsEnv:
-    def test_invalid_threads_rejected(self, problem_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("LOROT_THREADS", "zero")
-        assert main(["solve", "--input", str(problem_file), "--out", str(tmp_path)]) == 3
-        monkeypatch.setenv("LOROT_THREADS", "0")
-        assert main(["solve", "--input", str(problem_file), "--out", str(tmp_path)]) == 3
-
-    def test_threads_cap_recorded(self, problem_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("LOROT_THREADS", "2")
-        out = tmp_path / "out"
-        assert main(["counterexample-line", "--n", "8", "--out", str(out)]) == 0
-        assert read_result(out)["config"]["threads"] == 2

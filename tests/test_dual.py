@@ -7,7 +7,6 @@ from conftest import two_by_two_problem
 from lorot.dual import (
     DualPotential,
     PositiveCycle,
-    build_chain_graph,
     c_transform,
     c_transform_back,
     chain_potential,
@@ -121,6 +120,35 @@ class TestChainPotential:
         assert out.gain == pytest.approx(4 - 2 * math.sqrt(3), abs=1e-12)
         assert set(out.atoms) == {0, 1}
 
+    def test_positive_cycle_away_from_root(self):
+        # the root pair (0, 0) is vertical; atoms 1 and 2 swap their targets
+        mu = DiscreteMeasure.from_atoms([(pt(0, 0), 0.5), (pt(1, 0), 0.25), (pt(2, 0), 0.25)])
+        nu = DiscreteMeasure.from_atoms([(pt(0, 4), 0.5), (pt(1, 4), 0.25), (pt(2, 4), 0.25)])
+        crossed = Coupling.from_entries(
+            MK1, mu, nu, [(0, 0, 0.5), (1, 2, 0.25), (2, 1, 0.25)]
+        )
+        out = chain_potential(MK1, crossed)
+        assert isinstance(out, PositiveCycle)
+        assert set(out.atoms) == {1, 2}
+        # (c12 + c21) - (c11 + c22) = 8 - 2*sqrt(15)
+        assert out.gain == pytest.approx(8 - 2 * math.sqrt(15), abs=1e-12)
+
+    def test_cycle_tolerance_cut(self):
+        # crossed 2x2 coupling of width delta: its two-cycle gains
+        # 2 * (2 - sqrt(4 - delta**2)), about delta**2 / 2
+        def crossed(delta):
+            mu = DiscreteMeasure.from_atoms([(pt(0, 0), 0.5), (pt(delta, 0), 0.5)])
+            nu = DiscreteMeasure.from_atoms([(pt(0, 2), 0.5), (pt(delta, 2), 0.5)])
+            return Coupling.from_entries(MK1, mu, nu, [(0, 1, 0.5), (1, 0, 0.5)])
+
+        psi = chain_potential(MK1, crossed(1e-6))  # gain 5e-13: rounding noise
+        assert isinstance(psi, np.ndarray)
+        assert psi[0] == 0.0
+        out = chain_potential(MK1, crossed(1e-4))  # gain 5e-9: a real cycle
+        assert isinstance(out, PositiveCycle)
+        assert set(out.atoms) == {0, 1}
+        assert out.gain == pytest.approx(5e-9, rel=1e-3)
+
     def test_unreachable_atom(self):
         mu = DiscreteMeasure.from_atoms([(pt(0, 0), 0.5), (pt(100, 0), 0.5)])
         nu = DiscreteMeasure.from_atoms([(pt(0, 1), 0.5), (pt(100, 1), 0.5)])
@@ -146,15 +174,6 @@ class TestChainPotential:
         assert psi[1] == 0.0
         with pytest.raises(ValueError):
             chain_potential(MK1, coupling, root=(0, 1))
-
-    def test_chain_graph_shape(self):
-        problem = two_by_two_problem()
-        coupling, _ = solve(problem)
-        graph = build_chain_graph(MK1, coupling)
-        assert graph.root == (0, 0)
-        assert graph.pairs == ((0, 0), (1, 1))
-        assert len(graph.weight) == len(graph.pair_index) == len(graph.atom_index)
-        assert np.all(np.isfinite(graph.weight))
 
 
 class TestDkpVerify:

@@ -160,7 +160,7 @@ class TestCylinderPotential:
         f = build_profile(0.25)
         y = CYL.make_point([0.5], 1.0)
         phi = cylinder_potential(f, y, 20000)
-        vertical = f(0.5) + CYL.cost(CYL.make_point([0.5], 0.0), y).value
+        vertical = f(0.5) + CYL.cost(CYL.make_point([0.5], 0.0), y)
         assert vertical == 0.25
         assert phi <= vertical
         oracle = dense_grid_oracle(f, y, 200000)

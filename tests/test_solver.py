@@ -72,6 +72,16 @@ class TestSolveExamples:
         with pytest.raises(Infeasible):
             solve(TransportProblem(MK1, mu, nu))
 
+    def test_infeasible_names_side_and_atom(self):
+        mu = DiscreteMeasure.from_atoms([(pt(0, 1), 1.0)])
+        nu = DiscreteMeasure.from_atoms([(pt(0, 0), 1.0)])
+        with pytest.raises(Infeasible, match="^mu-atom 0 has no causal partner among the nu-atoms$"):
+            solve(TransportProblem(MK1, mu, nu))
+        mu = DiscreteMeasure.from_atoms([(pt(0, 0), 0.5), (pt(1, 0), 0.5)])
+        nu = DiscreteMeasure.from_atoms([(pt(0, 1), 0.5), (pt(5, 1), 0.5)])
+        with pytest.raises(Infeasible, match="^nu-atom 1 has no causal partner among the mu-atoms$"):
+            solve(TransportProblem(MK1, mu, nu))
+
     def test_partial_reachability_infeasible(self):
         # both nu atoms are causal from mu atom 0 only, which lacks the mass
         mu = DiscreteMeasure.from_atoms([(pt(0, 0), 0.5), (pt(50, 0), 0.5)])
