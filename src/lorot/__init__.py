@@ -57,7 +57,6 @@ from .experiments import (
 from .measures import DiscreteMeasure, grid_segment, measure_from_json, pushforward, strictify
 from .solver import (
     Coupling,
-    SolverOptions,
     TransportProblem,
     brute_force_oracle,
     dual_objective,

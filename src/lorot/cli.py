@@ -4,7 +4,8 @@ Reads a problem or experiment specification, runs it, and writes
 machine-readable results: a summary ``result.json`` (always) plus CSV tables
 per command. Outputs are byte-identical for identical (config, input, seed).
 
-Exit codes: 0 success, 2 infeasible transport, 3 validation errors.
+Exit codes: 0 success, 2 infeasible transport, 3 invalid input: a schema or
+validation error, or a bad or unknown command-line flag.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .dual import DualPotential, PositiveCycle, chain_potential, dkp_verify
 from .errors import Infeasible, LorotError, SchemaError
 from .experiments import run_cylinder_example, run_line_counterexample
 from .measures import measure_from_json
-from .solver import dual_objective, problem_from_json, solve
+from .solver import check_problem_fields, dual_objective, problem_from_json, solve
 from .spacetime import model_from_config
 from .transport import AtomSplit, interpolate, monge_map
 
@@ -81,13 +82,9 @@ def _load_input(source: str) -> dict:
 
 
 def _resolved_config(args) -> dict:
-    cfg = {
-        "command": args.command,
-        "out": str(args.out),
-        "seed": args.seed,
-    }
-    for key in ("input", "tol", "n", "eps", "t", "grid"):
-        if hasattr(args, key) and getattr(args, key) is not None:
+    cfg = {"command": args.command, "out": str(args.out)}
+    for key in ("input", "seed", "tol", "n", "eps", "t", "grid"):
+        if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
     return cfg
 
@@ -95,6 +92,10 @@ def _resolved_config(args) -> dict:
 def _validate_payload(obj: dict):
     """Schema and measure-invariant checks; returns a list of violations."""
     violations = []
+    try:
+        check_problem_fields(obj)
+    except SchemaError as exc:
+        return [f"schema: {exc}"]
     try:
         model = model_from_config(obj.get("model", {}))
     except SchemaError as exc:
@@ -125,12 +126,6 @@ def _cmd_validate(args, out_dir):
 
 def _solve_from_args(args):
     problem = problem_from_json(_load_input(args.input))
-    if args.tol is not None:
-        from .solver import SolverOptions, TransportProblem
-
-        problem = TransportProblem(
-            problem.model, problem.mu, problem.nu, SolverOptions(tolerance=args.tol)
-        )
     coupling, duals = solve(problem)
     return problem, coupling, duals
 
@@ -157,6 +152,8 @@ def _potential_rows(measure, values):
 
 
 def _cmd_dual(args, out_dir):
+    if args.tol is not None and not args.tol > 0:
+        raise SchemaError("--tol must be positive")
     problem, coupling, duals = _solve_from_args(args)
     psi = chain_potential(problem.model, coupling)
     if isinstance(psi, PositiveCycle):
@@ -256,8 +253,16 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as :class:`SchemaError` (exit 3), not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise SchemaError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lorot",
         description="Discrete optimal transport with Lorentzian (causal) costs.",
     )
@@ -268,8 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True,
                            help="problem JSON: a file path or inline JSON text")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
+        if name == "audit":
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed of the sampled monotonicity check")
+        if name == "dual":
+            p.add_argument("--tol", type=float, default=None,
+                           help="dkp_verify tolerance (default 1e-8)")
         if name == "counterexample-line":
             p.add_argument("--n", type=int, default=None, help="base grid size")
         if name == "counterexample-cylinder":
@@ -300,10 +309,8 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return run(args)
+        return run(build_parser().parse_args(argv))
     except SchemaError as exc:
         print(f"lorot: invalid input: {exc}", file=sys.stderr)
         return 3

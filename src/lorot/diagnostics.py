@@ -47,15 +47,16 @@ def _entry_margins(model: SpacetimeModel, coupling: Coupling):
     return margins[ii, jj], mm, identical
 
 
-def class_fractions(model: SpacetimeModel, coupling: Coupling, tol: float = NULL_CLASS_TOL):
+def class_fractions(model: SpacetimeModel, coupling: Coupling):
     """Mass fractions by causal class of the support entries.
 
-    The three fractions sum to one over the coupling mass.
+    Entries with |margin| <= ``NULL_CLASS_TOL`` count as lightlike. The three
+    fractions sum to one over the coupling mass.
     """
     margins, masses, identical = _entry_margins(model, coupling)
     total = masses.sum()
-    null = ~identical & (np.abs(margins) <= tol)
-    chrono = ~identical & (margins > tol)
+    null = ~identical & (np.abs(margins) <= NULL_CLASS_TOL)
+    chrono = ~identical & (margins > NULL_CLASS_TOL)
     return {
         "lightlike": float(masses[null].sum() / total),
         "chronological": float(masses[chrono].sum() / total),
@@ -63,10 +64,9 @@ def class_fractions(model: SpacetimeModel, coupling: Coupling, tol: float = NULL
     }
 
 
-def lightlike_fraction(model: SpacetimeModel, coupling: Coupling,
-                       tol: float = NULL_CLASS_TOL) -> float:
+def lightlike_fraction(model: SpacetimeModel, coupling: Coupling) -> float:
     """Fraction of mass moved along the cone boundary (x != y, margin ~ 0)."""
-    return class_fractions(model, coupling, tol)["lightlike"]
+    return class_fractions(model, coupling)["lightlike"]
 
 
 def strict_margin(model: SpacetimeModel, coupling: Coupling) -> float:
@@ -83,12 +83,11 @@ def strict_margin(model: SpacetimeModel, coupling: Coupling) -> float:
 
 
 def count_monotonicity_violations(model: SpacetimeModel, coupling: Coupling,
-                                  samples: int = 1000, tol: float = 1e-9,
-                                  seed: int = 0) -> int:
+                                  samples: int = 1000, seed: int = 0) -> int:
     """Sample pairs of support entries and count two-cycle improvements.
 
     A violation is a pair of entries (x1,y1), (x2,y2) with
-    cost(x1,y1) + cost(x2,y2) > cost(x1,y2) + cost(x2,y1) + tol; an infinite
+    cost(x1,y1) + cost(x2,y2) > cost(x1,y2) + cost(x2,y1) + 1e-9; an infinite
     right-hand side never violates.
     """
     C = model.cost_matrix(coupling.mu.coords_array(), coupling.nu.coords_array())
@@ -99,17 +98,16 @@ def count_monotonicity_violations(model: SpacetimeModel, coupling: Coupling,
     e2 = rng.integers(0, k, size=samples)
     lhs = C[ii[e1], jj[e1]] + C[ii[e2], jj[e2]]
     rhs = C[ii[e1], jj[e2]] + C[ii[e2], jj[e1]]
-    bad = np.isfinite(rhs) & (lhs > rhs + tol)
+    bad = np.isfinite(rhs) & (lhs > rhs + 1e-9)
     return int(np.count_nonzero(bad))
 
 
 def audit(model: SpacetimeModel, problem: TransportProblem, coupling: Coupling,
-          lp_duals, samples: int = 1000, seed: int = 0,
-          null_tol: float = NULL_CLASS_TOL) -> DiagnosticsReport:
+          lp_duals, samples: int = 1000, seed: int = 0) -> DiagnosticsReport:
     """Assemble the standard report for a solved instance."""
     gap = abs(coupling.total_cost - dual_objective(coupling, lp_duals))
     return DiagnosticsReport(
-        lightlike_fraction=lightlike_fraction(model, coupling, null_tol),
+        lightlike_fraction=lightlike_fraction(model, coupling),
         min_margin=strict_margin(model, coupling),
         dual_gap=float(gap),
         monotonicity_violations=count_monotonicity_violations(

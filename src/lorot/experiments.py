@@ -91,7 +91,7 @@ def line_blowup_problem(n: int) -> TransportProblem:
 def strictified_line_problem(n: int, eps: float = 0.5) -> TransportProblem:
     """The line instance with the source flowed back in time by eps."""
     p = line_blowup_problem(n)
-    return TransportProblem(p.model, strictify(p.model, p.mu, eps), p.nu, p.options)
+    return TransportProblem(p.model, strictify(p.model, p.mu, eps), p.nu)
 
 
 def random_strict_problem(seed: int, eps: float = 0.1,

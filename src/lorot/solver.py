@@ -15,7 +15,7 @@ Costs stay in binary64.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -26,18 +26,7 @@ from .measures import DiscreteMeasure, measure_from_json
 from .spacetime import SpacetimeModel, model_from_config
 
 ORACLE_CAP = 6
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tolerance: float = 1e-9
-    tie_break: str = "lexicographic"
-
-    def __post_init__(self):
-        if self.tie_break != "lexicographic":
-            raise ValueError(f"unsupported tie_break {self.tie_break!r}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+PROBLEM_FIELDS = ("model", "mu", "nu")
 
 
 @dataclass(frozen=True)
@@ -45,7 +34,6 @@ class TransportProblem:
     model: SpacetimeModel
     mu: DiscreteMeasure
     nu: DiscreteMeasure
-    options: SolverOptions = field(default_factory=SolverOptions)
 
     def cost_matrix(self) -> np.ndarray:
         return self.model.cost_matrix(self.mu.coords_array(), self.nu.coords_array())
@@ -108,10 +96,6 @@ class Coupling:
         for _, j, mass in self.entries:
             out[j] += mass
         return out
-
-    def support_points(self):
-        """(x, y) point pairs of the support, in entry order."""
-        return [(self.mu.points[i], self.nu.points[j]) for i, j, _ in self.entries]
 
     def exact_mass_fractions(self):
         if self.exact_masses is None:
@@ -208,7 +192,12 @@ def solve(problem: TransportProblem):
                         pred_s[i2] = j
 
         if target < 0:
-            raise Infeasible("marginals are not causally related at atomic level")
+            # no augmenting path: the flow is maximal and some supply is stranded
+            i = next(k for k, a in enumerate(rem_a) if a > 0)
+            raise Infeasible(
+                f"mu-atom {i} cannot place mass {Fraction(rem_a[i], denom)}: "
+                "every nu-atom it can reach is already full"
+            )
         d_target = dist_t[target]
 
         u += np.minimum(dist_s, d_target)
@@ -321,28 +310,29 @@ def brute_force_oracle(problem: TransportProblem) -> Coupling:
     return Coupling.from_entries(problem.model, mu, nu, entries)
 
 
-def problem_from_json(obj: dict) -> TransportProblem:
-    """Parse the canonical problem JSON: model, mu, nu and optional options."""
+def check_problem_fields(obj) -> None:
+    """Raise :class:`SchemaError` unless ``obj`` is an object with no field
+    outside ``PROBLEM_FIELDS``; the error names the unknown fields."""
     if not isinstance(obj, dict):
         raise SchemaError("problem must be a JSON object")
-    for key in ("model", "mu", "nu"):
+    unknown = sorted(set(obj) - set(PROBLEM_FIELDS))
+    if unknown:
+        raise SchemaError(
+            f"problem has unknown field(s) {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(PROBLEM_FIELDS)}"
+        )
+
+
+def problem_from_json(obj: dict) -> TransportProblem:
+    """Parse the canonical problem JSON: exactly the fields model, mu and nu."""
+    check_problem_fields(obj)
+    for key in PROBLEM_FIELDS:
         if key not in obj:
             raise SchemaError(f"problem is missing the {key!r} field")
     model = model_from_config(obj["model"])
     mu = measure_from_json(model, obj["mu"])
     nu = measure_from_json(model, obj["nu"])
-    opts = obj.get("options", {})
-    if not isinstance(opts, dict):
-        raise SchemaError("'options' must be an object")
-    allowed = {"tolerance", "tie_break"}
-    unknown = set(opts) - allowed
-    if unknown:
-        raise SchemaError(f"unknown options: {sorted(unknown)}")
-    try:
-        options = SolverOptions(**opts)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc)) from exc
-    return TransportProblem(model, mu, nu, options)
+    return TransportProblem(model, mu, nu)
 
 
 def problem_to_json(problem: TransportProblem) -> dict:
@@ -350,8 +340,4 @@ def problem_to_json(problem: TransportProblem) -> dict:
         "model": problem.model.to_config(),
         "mu": problem.mu.to_json_obj(),
         "nu": problem.nu.to_json_obj(),
-        "options": {
-            "tolerance": problem.options.tolerance,
-            "tie_break": problem.options.tie_break,
-        },
     }

@@ -24,7 +24,7 @@ from .errors import NotCausalPair, SchemaError
 # Pairs whose cone margin is within this tolerance of zero are classified as
 # lightlike. Grid data has exact margins, so the tolerance only matters for
 # coordinates produced by inexact arithmetic.
-DEFAULT_NULL_TOL = 1e-12
+NULL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,28 +103,26 @@ class SpacetimeModel:
         dist = float(np.linalg.norm(self.spatial_delta(x, y)))
         return dtau - dist
 
-    def cost(self, x: Point, y: Point, null_tol: float = DEFAULT_NULL_TOL) -> float:
+    def cost(self, x: Point, y: Point) -> float:
         """Minus the time separation from x to y: nonpositive, or inf off the cone."""
         dtau = y.time - x.time
         dist = float(np.linalg.norm(self.spatial_delta(x, y)))
         margin = dtau - dist
-        if margin < -null_tol:
+        if margin < -NULL_TOL:
             return math.inf
-        if margin <= null_tol:
+        if margin <= NULL_TOL:
             # lightlike band: the class and the value must agree, so pairs
             # classified null get cost exactly zero
             return 0.0
         return -math.sqrt(max(dtau * dtau - dist * dist, 0.0))
 
-    def causal_class(
-        self, x: Point, y: Point, null_tol: float = DEFAULT_NULL_TOL
-    ) -> CausalClass:
+    def causal_class(self, x: Point, y: Point) -> CausalClass:
         if x == y:
             return CausalClass.IDENTICAL
         margin = self.cone_margin(x, y)
-        if margin > null_tol:
+        if margin > NULL_TOL:
             return CausalClass.CHRONOLOGICAL
-        if margin >= -null_tol:
+        if margin >= -NULL_TOL:
             return CausalClass.NULL
         return CausalClass.NOT_CAUSAL
 
@@ -161,12 +159,10 @@ class SpacetimeModel:
         dist = self.spatial_distance_matrix(xs[:, :-1], ys[:, :-1])
         return dtau - dist
 
-    def cost_matrix(
-        self, xs: np.ndarray, ys: np.ndarray, null_tol: float = DEFAULT_NULL_TOL
-    ) -> np.ndarray:
+    def cost_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Pairwise costs, +inf on non-causal pairs; shape (n, m).
 
-        Pairs whose cone margin is within ``null_tol`` of zero are lightlike
+        Pairs whose cone margin is within ``NULL_TOL`` of zero are lightlike
         and get cost exactly zero, matching :meth:`causal_class`.
         """
         dtau = ys[None, :, -1] - xs[:, None, -1]
@@ -174,9 +170,9 @@ class SpacetimeModel:
         margin = dtau - dist
         c = np.full(margin.shape, np.inf)
         gap = np.maximum(dtau * dtau - dist * dist, 0.0)
-        chrono = margin > null_tol
+        chrono = margin > NULL_TOL
         c[chrono] = -np.sqrt(gap[chrono])
-        c[np.abs(margin) <= null_tol] = 0.0
+        c[np.abs(margin) <= NULL_TOL] = 0.0
         return c
 
 

@@ -106,13 +106,13 @@ def interpolate(model: SpacetimeModel, coupling: Coupling, t: float) -> Discrete
 
 
 def restrict(model: SpacetimeModel, coupling: Coupling, s1: float, s2: float,
-             verify: bool = True, tol: float = 1e-9):
+             verify: bool = True):
     """Intermediate transport between the s1- and s2-interpolants.
 
     Each entry's mass moves between its two interpolated points. Returns
     ``(problem, coupling)`` for the restricted transport; with ``verify`` the
     restricted coupling is checked to be optimal for its own marginals
-    against a fresh solve.
+    against a fresh solve, to a relative 1e-9.
     """
     if not 0.0 <= s1 <= s2 <= 1.0:
         raise ValueError(f"need 0 <= s1 <= s2 <= 1, got {s1}, {s2}")
@@ -133,7 +133,7 @@ def restrict(model: SpacetimeModel, coupling: Coupling, s1: float, s2: float,
     restricted = Coupling.from_entries(model, m1, m2, entries)
     if verify:
         solved, _ = solve(problem)
-        if abs(restricted.total_cost - solved.total_cost) > tol * (1 + abs(solved.total_cost)):
+        if abs(restricted.total_cost - solved.total_cost) > 1e-9 * (1 + abs(solved.total_cost)):
             raise MonotonicityViolation(
                 "restricted coupling is not optimal for its own marginals: "
                 f"{restricted.total_cost!r} vs {solved.total_cost!r}"
@@ -182,7 +182,7 @@ def contraction_check(model: SpacetimeModel, vertices, y: Point, t: float):
     return measured, predicted
 
 
-def _check_two_cycles(model: SpacetimeModel, coupling: Coupling, tol: float = 1e-9):
+def _check_two_cycles(model: SpacetimeModel, coupling: Coupling):
     """All-pairs two-cycle audit of the support; raises on a violation."""
     C = model.cost_matrix(coupling.mu.coords_array(), coupling.nu.coords_array())
     ii, jj, _ = coupling.index_arrays()
@@ -190,7 +190,7 @@ def _check_two_cycles(model: SpacetimeModel, coupling: Coupling, tol: float = 1e
     lhs = own[:, None] + own[None, :]
     cross_ef = C[ii[:, None], jj[None, :]]  # cost(x_e, y_f) for all entry pairs
     total_swap = cross_ef + cross_ef.T
-    bad = np.isfinite(total_swap) & (lhs > total_swap + tol)
+    bad = np.isfinite(total_swap) & (lhs > total_swap + 1e-9)
     if bad.any():
         e, f = np.argwhere(bad)[0]
         raise MonotonicityViolation(
@@ -313,17 +313,16 @@ def ray_decomposition(model: SpacetimeModel, coupling: Coupling):
 def _ray_rearrangement(ray: TransportRay, mu_cum, nu_cum):
     """Monotone CDF matching on one ray with exact cumulative masses.
 
-    ``mu_cum``/``nu_cum`` are cumulative masses (ints or Fractions) aligned
-    with the ray's sorted atoms. Returns atom assignment or the index of an
-    atom that must split.
+    ``mu_cum``/``nu_cum`` are exact cumulative masses (Fractions) aligned
+    with the ray's sorted atoms; both end at the ray's total, so the search
+    always lands inside ``nu_cum``. Returns atom assignment or the index of
+    an atom that must split.
     """
     assignment = {}
     for k, i in enumerate(ray.mu_atoms):
         lo = mu_cum[k - 1] if k else 0
         hi = mu_cum[k]
         b = bisect_left(nu_cum, hi)
-        if b == len(nu_cum):  # numeric guard; totals match by construction
-            b = len(nu_cum) - 1
         prev = nu_cum[b - 1] if b else 0
         if prev > lo:
             return None, i
@@ -350,26 +349,16 @@ def monge_map(model: SpacetimeModel, problem: TransportProblem):
             return AtomSplit(i, "atom mass is split across rays")
 
     exact = coupling.exact_mass_fractions()
-    entry_mass = (
-        {e: exact[idx] for idx, e in enumerate(coupling.entries)}
-        if exact is not None
-        else None
-    )
-
     assignment = np.full(problem.mu.n_atoms, -1, dtype=np.int64)
     for ray in rays:
-        if entry_mass is not None:
-            mu_m = {i: Fraction(0) for i in ray.mu_atoms}
-            nu_m = {j: Fraction(0) for j in ray.nu_atoms}
-            for e in ray.entry_indices:
-                entry = coupling.entries[e]
-                mu_m[entry[0]] += entry_mass[entry]
-                nu_m[entry[1]] += entry_mass[entry]
-            mu_cum = list(np.cumsum([mu_m[i] for i in ray.mu_atoms]))
-            nu_cum = list(np.cumsum([nu_m[j] for j in ray.nu_atoms]))
-        else:
-            mu_cum = list(np.cumsum(ray.mu_masses))
-            nu_cum = list(np.cumsum(ray.nu_masses))
+        mu_m = {i: Fraction(0) for i in ray.mu_atoms}
+        nu_m = {j: Fraction(0) for j in ray.nu_atoms}
+        for e in ray.entry_indices:
+            i, j, _ = coupling.entries[e]
+            mu_m[i] += exact[e]
+            nu_m[j] += exact[e]
+        mu_cum = list(np.cumsum([mu_m[i] for i in ray.mu_atoms]))
+        nu_cum = list(np.cumsum([nu_m[j] for j in ray.nu_atoms]))
         got, split_atom = _ray_rearrangement(ray, mu_cum, nu_cum)
         if got is None:
             return AtomSplit(int(split_atom), "mass interval straddles a nu-atom boundary")

@@ -1,9 +1,10 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from lorot.cli import main
+from lorot.cli import build_parser, main
 
 PROBLEM = {
     "model": {"kind": "minkowski", "d": 1},
@@ -74,6 +75,37 @@ class TestDeterminism:
         out = tmp_path / "out"
         main(["audit", "--input", str(problem_file), "--out", str(out), "--seed", "7"])
         assert read_result(out)["config"]["seed"] == 7
+
+
+class TestFlags:
+    def test_flag_table(self):
+        # a flag is registered only on the commands whose handler reads it
+        expected = {
+            "solve": {"--input", "--out"},
+            "dual": {"--input", "--out", "--tol"},
+            "audit": {"--input", "--out", "--seed"},
+            "interpolate": {"--input", "--out", "--t"},
+            "monge": {"--input", "--out"},
+            "counterexample-line": {"--out", "--n"},
+            "counterexample-cylinder": {"--out", "--eps", "--grid", "--t"},
+            "validate": {"--input", "--out"},
+        }
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert got == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["counterexample-line", "--n", "abc"],
+        ["dual", "--input", json.dumps(PROBLEM), "--tol", "0"],
+        ["solve", "--input", json.dumps(PROBLEM), "--tol", "1e-3"],
+    ], ids=["bad-int", "nonpositive-tol", "unknown-flag"])
+    def test_usage_errors_exit_3(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        assert "lorot: invalid input:" in capsys.readouterr().err
 
 
 class TestOtherCommands:
@@ -149,6 +181,13 @@ class TestValidateCommand:
         assert main(["validate", "--input", json.dumps(bad), "--out", str(out)]) == 3
         violations = read_result(out)["result"]["violations"]
         assert any("mass" in v for v in violations)
+
+    def test_unknown_field_violation(self, tmp_path):
+        bad = dict(PROBLEM, optoins={"tolerance": 1e-9})
+        out = tmp_path / "out"
+        assert main(["validate", "--input", json.dumps(bad), "--out", str(out)]) == 3
+        violations = read_result(out)["result"]["violations"]
+        assert any("'optoins'" in v for v in violations)
 
     def test_empty_measure_violation(self, tmp_path):
         bad = dict(PROBLEM)

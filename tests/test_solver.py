@@ -13,7 +13,6 @@ from conftest import (
 from lorot.errors import Infeasible, SchemaError, TooLarge
 from lorot.measures import DiscreteMeasure, grid_segment
 from lorot.solver import (
-    SolverOptions,
     TransportProblem,
     brute_force_oracle,
     dual_objective,
@@ -80,6 +79,14 @@ class TestSolveExamples:
         mu = DiscreteMeasure.from_atoms([(pt(0, 0), 0.5), (pt(1, 0), 0.5)])
         nu = DiscreteMeasure.from_atoms([(pt(0, 1), 0.5), (pt(5, 1), 0.5)])
         with pytest.raises(Infeasible, match="^nu-atom 1 has no causal partner among the mu-atoms$"):
+            solve(TransportProblem(MK1, mu, nu))
+
+    def test_stranded_mass_names_atom(self):
+        # every atom has a causal partner, but mu-atom 1 (mass 3/4) reaches
+        # only nu-atom 1, which holds 1/2
+        mu = DiscreteMeasure.from_atoms([(pt(0, 0), 0.25), (pt(10, 0), 0.75)])
+        nu = DiscreteMeasure.from_atoms([(pt(-3, 4), 0.5), (pt(5, 6), 0.5)])
+        with pytest.raises(Infeasible, match="^mu-atom 1 cannot place mass 1/4: "):
             solve(TransportProblem(MK1, mu, nu))
 
     def test_partial_reachability_infeasible(self):
@@ -224,7 +231,9 @@ class TestDeterminism:
 class TestProblemJson:
     def test_roundtrip(self):
         problem = two_by_two_problem()
-        back = problem_from_json(problem_to_json(problem))
+        obj = problem_to_json(problem)
+        assert sorted(obj) == ["model", "mu", "nu"]
+        back = problem_from_json(obj)
         assert back.mu == problem.mu and back.nu == problem.nu
         assert back.model == problem.model
 
@@ -241,8 +250,8 @@ class TestProblemJson:
             with pytest.raises(SchemaError):
                 problem_from_json(obj)
 
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(tolerance=-1.0)
-        with pytest.raises(ValueError):
-            SolverOptions(tie_break="arbitrary")
+    def test_unknown_field_named(self):
+        obj = problem_to_json(two_by_two_problem())
+        obj["optoins"] = {"tolerance": 1e-9}
+        with pytest.raises(SchemaError, match="unknown field.*'optoins'"):
+            problem_from_json(obj)
