@@ -84,7 +84,7 @@ def _load_input(source: str) -> dict:
 def _resolved_config(args) -> dict:
     cfg = {"command": args.command, "out": str(args.out)}
     for key in ("input", "seed", "tol", "n", "eps", "t", "grid"):
-        if getattr(args, key, None) is not None:
+        if hasattr(args, key):
             cfg[key] = getattr(args, key)
     return cfg
 
@@ -152,7 +152,7 @@ def _potential_rows(measure, values):
 
 
 def _cmd_dual(args, out_dir):
-    if args.tol is not None and not args.tol > 0:
+    if not args.tol > 0:
         raise SchemaError("--tol must be positive")
     problem, coupling, duals = _solve_from_args(args)
     psi = chain_potential(problem.model, coupling)
@@ -160,8 +160,7 @@ def _cmd_dual(args, out_dir):
         result = {"positive_cycle": {"atoms": list(psi.atoms), "gain": psi.gain}}
         return result, 0
     potential = DualPotential.from_psi(problem.model, problem.mu, psi, problem.nu)
-    tol = args.tol if args.tol is not None else 1e-8
-    report = dkp_verify(problem.model, coupling, potential, tol=tol)
+    report = dkp_verify(problem.model, coupling, potential, tol=args.tol)
     coord_names = tuple(f"x{k}" for k in range(problem.model.spatial_dim))
     header = ("index", *coord_names, "t", "value")
     _write_csv(out_dir / "psi.csv", header, _potential_rows(problem.mu, potential.psi))
@@ -178,8 +177,6 @@ def _cmd_audit(args, out_dir):
 
 
 def _cmd_interpolate(args, out_dir):
-    if args.t is None:
-        raise SchemaError("interpolate requires --t")
     if not 0.0 <= args.t <= 1.0:
         raise SchemaError("--t must lie in [0, 1]")
     problem, coupling, duals = _solve_from_args(args)
@@ -210,8 +207,6 @@ def _report_result(report):
 
 
 def _cmd_line(args, out_dir):
-    if args.n is None:
-        raise SchemaError("counterexample-line requires --n")
     if args.n < 3:
         raise SchemaError("--n must be at least 3")
     report = run_line_counterexample(args.n)
@@ -222,16 +217,13 @@ def _cmd_line(args, out_dir):
 
 
 def _cmd_cylinder(args, out_dir):
-    eps = args.eps if args.eps is not None else 0.25
-    t = args.t if args.t is not None else 1.0
-    grid = args.grid if args.grid is not None else 10000
-    if not 0.0 < eps < 0.5:
+    if not 0.0 < args.eps < 0.5:
         raise SchemaError("--eps must lie in (0, 0.5)")
-    if not 0.0 < t <= 1.0:
+    if not 0.0 < args.t <= 1.0:
         raise SchemaError("--t must lie in (0, 1]")
-    if grid < 100:
+    if args.grid < 100:
         raise SchemaError("--grid must be at least 100")
-    report = run_cylinder_example(eps, grid, t)
+    report = run_cylinder_example(args.eps, args.grid, args.t)
     rows = report.tables["subdifferential"]
     _write_csv(
         out_dir / "subdifferential.csv",
@@ -277,15 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0,
                            help="seed of the sampled monotonicity check")
         if name == "dual":
-            p.add_argument("--tol", type=float, default=None,
-                           help="dkp_verify tolerance (default 1e-8)")
+            p.add_argument("--tol", type=float, default=1e-8,
+                           help="dkp_verify tolerance (default %(default)s)")
         if name == "counterexample-line":
-            p.add_argument("--n", type=int, default=None, help="base grid size")
+            p.add_argument("--n", type=int, required=True, help="base grid size")
         if name == "counterexample-cylinder":
-            p.add_argument("--eps", type=float, default=None)
-            p.add_argument("--grid", type=int, default=None)
-        if name in ("interpolate", "counterexample-cylinder"):
-            p.add_argument("--t", type=float, default=None)
+            p.add_argument("--eps", type=float, default=0.25)
+            p.add_argument("--grid", type=int, default=10000)
+            p.add_argument("--t", type=float, default=1.0)
+        if name == "interpolate":
+            p.add_argument("--t", type=float, required=True)
     return parser
 
 

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import Coupling, TransportProblem, dual_objective
-from .spacetime import SpacetimeModel
-
-NULL_CLASS_TOL = 1e-9
+from .spacetime import NULL_TOL, SpacetimeModel
 
 
 @dataclass(frozen=True)
@@ -50,13 +48,14 @@ def _entry_margins(model: SpacetimeModel, coupling: Coupling):
 def class_fractions(model: SpacetimeModel, coupling: Coupling):
     """Mass fractions by causal class of the support entries.
 
-    Entries with |margin| <= ``NULL_CLASS_TOL`` count as lightlike. The three
-    fractions sum to one over the coupling mass.
+    Entries with |margin| <= ``spacetime.NULL_TOL`` count as lightlike, the
+    band in which :meth:`SpacetimeModel.causal_class` says NULL and the cost
+    is zero. The three fractions sum to one over the coupling mass.
     """
     margins, masses, identical = _entry_margins(model, coupling)
     total = masses.sum()
-    null = ~identical & (np.abs(margins) <= NULL_CLASS_TOL)
-    chrono = ~identical & (margins > NULL_CLASS_TOL)
+    null = ~identical & (np.abs(margins) <= NULL_TOL)
+    chrono = ~identical & (margins > NULL_TOL)
     return {
         "lightlike": float(masses[null].sum() / total),
         "chronological": float(masses[chrono].sum() / total),

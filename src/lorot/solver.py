@@ -3,8 +3,12 @@
 Pairs outside the causal cone carry infinite cost and are simply excluded
 from the arc set; the remaining problem is a plain transportation problem.
 It is solved by successive shortest paths with node potentials on the
-bipartite graph of finite arcs, which handles forbidden arcs natively and
-produces LP dual variables for free.
+bipartite graph of finite arcs (Ahuja, Magnanti and Orlin, *Network Flows*,
+ch. 9), which handles forbidden arcs natively and produces LP dual variables
+for free. Each shortest-path search is one Dijkstra over the nu-atoms: arcs
+of the current support have reduced cost zero, so a mu-atom is reached at
+the distance of the first settled nu-atom it ships to. Ties go to the lowest
+index, which makes the coupling and the duals deterministic.
 
 Marginal weights are rescaled to a common integer denominator (every
 binary64 weight is an exact dyadic rational), so row and column sums of the
@@ -148,95 +152,75 @@ def solve(problem: TransportProblem):
     supplies, demands, denom = _integer_marginals(mu.weights, nu.weights)
     rem_a = list(supplies)
     rem_b = list(demands)
-    remaining = sum(rem_b)
 
     u = np.zeros(n)
-    v = np.where(finite.any(axis=0), np.min(np.where(finite, C, np.inf), axis=0), 0.0)
-    flow: dict[tuple[int, int], int] = {}
-    col_support: list[set[int]] = [set() for _ in range(m)]
+    v = C.min(axis=0)  # finite: every nu-atom has a causal partner
+    flow: list[dict[int, int]] = [{} for _ in range(m)]  # flow[j][i]: mass i ships to j
 
-    while remaining > 0:
+    while sources := [i for i, a in enumerate(rem_a) if a > 0]:
         rc = C + u[:, None] - v[None, :]
         np.maximum(rc, 0.0, out=rc)
 
-        dist_s = np.where(np.array([a > 0 for a in rem_a]), 0.0, np.inf)
-        dist_t = np.full(m, np.inf)
-        pred_t = np.full(m, -1, dtype=np.int64)
-        pred_s = np.full(n, -1, dtype=np.int64)
-        done_s = np.zeros(n, dtype=bool)
-        done_t = np.zeros(m, dtype=bool)
-        target = -1
-
+        # Dijkstra over the nu-atoms; ``via`` maps each reached mu-atom to
+        # the settled nu-atom it ships to that reached it (-1 for a source)
+        dist = np.full(m, np.inf)
+        pred = np.full(m, -1, dtype=np.int64)
+        done = np.zeros(m, dtype=bool)
+        via = dict.fromkeys(sources, -1)
+        rows, d = sources, 0.0
         while True:
-            ds = np.where(done_s, np.inf, dist_s)
-            dt = np.where(done_t, np.inf, dist_t)
-            i = int(np.argmin(ds))
-            j = int(np.argmin(dt))
-            di, dj = ds[i], dt[j]
-            if not np.isfinite(min(di, dj)):
+            for i in rows:
+                nd = d + rc[i]
+                better = (nd < dist) & ~done
+                dist[better] = nd[better]
+                pred[better] = i
+            open_dist = np.where(done, np.inf, dist)
+            j = int(np.argmin(open_dist))
+            d = open_dist[j]
+            if d == np.inf:
+                # no augmenting path: the flow is maximal and some supply is stranded
+                raise Infeasible(
+                    f"mu-atom {sources[0]} cannot place mass "
+                    f"{Fraction(rem_a[sources[0]], denom)}: "
+                    "every nu-atom it can reach is already full"
+                )
+            done[j] = True
+            if rem_b[j] > 0:
                 break
-            if di <= dj:
-                done_s[i] = True
-                nd = di + rc[i]
-                better = (nd < dist_t) & ~done_t
-                dist_t[better] = nd[better]
-                pred_t[better] = i
-            else:
-                done_t[j] = True
-                if rem_b[j] > 0:
-                    target = j
-                    break
-                for i2 in sorted(col_support[j]):
-                    if not done_s[i2] and dj < dist_s[i2]:
-                        dist_s[i2] = dj
-                        pred_s[i2] = j
+            rows = [i for i in sorted(flow[j]) if i not in via]
+            via.update(dict.fromkeys(rows, j))
 
-        if target < 0:
-            # no augmenting path: the flow is maximal and some supply is stranded
-            i = next(k for k, a in enumerate(rem_a) if a > 0)
-            raise Infeasible(
-                f"mu-atom {i} cannot place mass {Fraction(rem_a[i], denom)}: "
-                "every nu-atom it can reach is already full"
-            )
-        d_target = dist_t[target]
+        du = np.full(n, d)
+        for i, k in via.items():
+            du[i] = dist[k] if k >= 0 else 0.0
+        u += du
+        v += np.minimum(dist, d)
 
-        u += np.minimum(dist_s, d_target)
-        v += np.minimum(dist_t, d_target)
+        # augment along the path from a source to nu-atom j: each mu-atom on
+        # it ships delta more to the nu-atom it relaxed and, unless it is the
+        # source, delta less to the nu-atom it was reached through
+        path = []
+        k = j
+        while k >= 0:
+            i = int(pred[k])
+            path.append((i, k, via[i]))
+            k = via[i]
+        # the walk ends at the source i
+        delta = min(rem_a[i], rem_b[j],
+                    *(flow[back][i2] for i2, _, back in path if back >= 0))
+        for i2, fwd, back in path:
+            flow[fwd][i2] = flow[fwd].get(i2, 0) + delta
+            if back >= 0:
+                flow[back][i2] -= delta
+                if not flow[back][i2]:
+                    del flow[back][i2]
+        rem_a[i] -= delta
+        rem_b[j] -= delta
 
-        # walk predecessors back to an unsaturated source
-        arcs_fwd = []
-        arcs_bwd = []
-        j = target
-        while True:
-            i = int(pred_t[j])
-            arcs_fwd.append((i, j))
-            j_prev = int(pred_s[i])
-            if j_prev < 0:
-                start = i
-                break
-            arcs_bwd.append((i, j_prev))
-            j = j_prev
-
-        delta = min(rem_a[start], rem_b[target])
-        for arc in arcs_bwd:
-            delta = min(delta, flow[arc])
-        for arc in arcs_fwd:
-            flow[arc] = flow.get(arc, 0) + delta
-            col_support[arc[1]].add(arc[0])
-        for arc in arcs_bwd:
-            flow[arc] -= delta
-            if flow[arc] == 0:
-                del flow[arc]
-                col_support[arc[1]].discard(arc[0])
-        rem_a[start] -= delta
-        rem_b[target] -= delta
-        remaining -= delta
-
-    keys = sorted(flow)
-    entries = [(i, j, float(Fraction(flow[i, j], denom))) for i, j in keys]
-    exact = [flow[k] for k in keys]
+    arcs = [(i, j, q) for j, col in enumerate(flow) for i, q in col.items()]
     coupling = Coupling.from_entries(
-        problem.model, mu, nu, entries, exact_masses=exact, exact_denominator=denom
+        problem.model, mu, nu, [(i, j, float(Fraction(q, denom))) for i, j, q in arcs],
+        exact_masses=[q for *_, q in arcs], exact_denominator=denom,
     )
     return coupling, (u, v)
 

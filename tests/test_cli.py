@@ -102,10 +102,23 @@ class TestFlags:
         ["counterexample-line", "--n", "abc"],
         ["dual", "--input", json.dumps(PROBLEM), "--tol", "0"],
         ["solve", "--input", json.dumps(PROBLEM), "--tol", "1e-3"],
-    ], ids=["bad-int", "nonpositive-tol", "unknown-flag"])
+        ["counterexample-line"],
+        ["interpolate", "--input", json.dumps(PROBLEM)],
+    ], ids=["bad-int", "nonpositive-tol", "unknown-flag", "missing-n", "missing-t"])
     def test_usage_errors_exit_3(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 3
         assert "lorot: invalid input:" in capsys.readouterr().err
+
+    def test_defaults_recorded(self, problem_file, tmp_path):
+        out = tmp_path / "cyl"
+        assert main(["counterexample-cylinder", "--grid", "200", "--out", str(out)]) == 0
+        assert read_result(out)["config"] == {
+            "command": "counterexample-cylinder", "out": str(out),
+            "eps": 0.25, "t": 1.0, "grid": 200,
+        }
+        out = tmp_path / "dual"
+        assert main(["dual", "--input", str(problem_file), "--out", str(out)]) == 0
+        assert read_result(out)["config"]["tol"] == 1e-8
 
 
 class TestOtherCommands:

@@ -12,7 +12,7 @@ from lorot.diagnostics import (
 from lorot.experiments import line_blowup_problem, strictified_line_problem
 from lorot.measures import DiscreteMeasure
 from lorot.solver import Coupling, solve
-from lorot.spacetime import Minkowski
+from lorot.spacetime import CausalClass, Minkowski
 
 MK1 = Minkowski(1)
 
@@ -39,6 +39,18 @@ class TestLightlikeFraction:
         mu = DiscreteMeasure.from_atoms([(pt(0, 0), 0.5), (pt(1, 0), 0.5)])
         coupling = Coupling.from_entries(MK1, mu, mu, [(0, 0, 0.5), (1, 1, 0.5)])
         assert lightlike_fraction(MK1, coupling) == 0.0
+
+    def test_same_null_band_as_causal_class(self):
+        # margin 5e-10: chronological, with a nonzero cost, for the model
+        x, y = pt(0, 0), pt(1, 1 + 5e-10)
+        assert MK1.causal_class(x, y) is CausalClass.CHRONOLOGICAL
+        assert MK1.cost(x, y) < 0.0
+        mu = DiscreteMeasure.from_atoms([(x, 1.0)])
+        nu = DiscreteMeasure.from_atoms([(y, 1.0)])
+        coupling = Coupling.from_entries(MK1, mu, nu, [(0, 0, 1.0)])
+        assert class_fractions(MK1, coupling) == {
+            "lightlike": 0.0, "chronological": 1.0, "identical": 0.0,
+        }
 
     def test_fractions_sum_to_one(self):
         _, coupling, _ = solved(line_blowup_problem(9))

@@ -90,11 +90,21 @@ class TestSolveExamples:
             solve(TransportProblem(MK1, mu, nu))
 
     def test_partial_reachability_infeasible(self):
-        # both nu atoms are causal from mu atom 0 only, which lacks the mass
-        mu = DiscreteMeasure.from_atoms([(pt(0, 0), 0.5), (pt(50, 0), 0.5)])
-        nu = DiscreteMeasure.from_atoms([(pt(0, 1), 0.5), (pt(0.5, 1), 0.5)])
-        with pytest.raises(Infeasible):
-            solve(TransportProblem(MK1, mu, nu))
+        # every atom has a causal partner, but Hall's condition fails: the
+        # mu-atoms at x=-6 and x=-5 (mass 3/4) reach only the nu-atom at
+        # x=-5 (mass 1/4), so the search must reroute through the support
+        # before it finds the stranded mass
+        mu = DiscreteMeasure.from_atoms(
+            [(pt(0, -100), 0.25), (pt(-5, 0), 0.25), (pt(-6, 0), 0.5)]
+        )
+        nu = DiscreteMeasure.from_atoms(
+            [(pt(-5, 5), 0.25), (pt(20, 1), 0.25), (pt(30, 1), 0.5)]
+        )
+        problem = TransportProblem(MK1, mu, nu)
+        finite = np.isfinite(problem.cost_matrix())
+        assert finite.any(axis=0).all() and finite.any(axis=1).all()
+        with pytest.raises(Infeasible, match="^mu-atom 0 cannot place mass 1/2: "):
+            solve(problem)
 
     def test_cylinder_wraps_through_the_seam(self):
         from lorot.spacetime import Cylinder
