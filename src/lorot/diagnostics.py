@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import Coupling, TransportProblem, dual_objective
-from .spacetime import NULL_TOL, SpacetimeModel
+from .spacetime import SpacetimeModel, causal_band
 
 
 @dataclass(frozen=True)
@@ -35,27 +35,24 @@ class DiagnosticsReport:
 
 
 def _entry_margins(model: SpacetimeModel, coupling: Coupling):
-    margins = model.margin_matrix(
-        coupling.mu.coords_array(), coupling.nu.coords_array()
-    )
-    ii, jj, mm = coupling.index_arrays()
-    identical = np.array(
-        [coupling.mu.points[i] == coupling.nu.points[j] for i, j, _ in coupling.entries]
-    )
-    return margins[ii, jj], mm, identical
+    """Cone margin, mass and stay-put flag of each support entry."""
+    xs, ys = coupling.entry_coords()
+    dtau, dist = model.separation(xs, ys)
+    return dtau - dist, coupling.index_arrays()[2], np.all(xs == ys, axis=-1)
 
 
 def class_fractions(model: SpacetimeModel, coupling: Coupling):
     """Mass fractions by causal class of the support entries.
 
-    Entries with |margin| <= ``spacetime.NULL_TOL`` count as lightlike, the
-    band in which :meth:`SpacetimeModel.causal_class` says NULL and the cost
-    is zero. The three fractions sum to one over the coupling mass.
+    Each entry is classified by :func:`spacetime.causal_band`, the band in
+    which :meth:`SpacetimeModel.causal_class` says NULL and the cost is zero.
+    The three fractions sum to one over the coupling mass.
     """
     margins, masses, identical = _entry_margins(model, coupling)
+    band = causal_band(margins)
     total = masses.sum()
-    null = ~identical & (np.abs(margins) <= NULL_TOL)
-    chrono = ~identical & (margins > NULL_TOL)
+    null = ~identical & (band == 0)
+    chrono = ~identical & (band > 0)
     return {
         "lightlike": float(masses[null].sum() / total),
         "chronological": float(masses[chrono].sum() / total),

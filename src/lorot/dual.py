@@ -87,14 +87,9 @@ def c_transform(model: SpacetimeModel, mu, psi, nu):
     explicit tagged value so it never enters float arithmetic.
     """
     C = model.cost_matrix(mu.coords_array(), nu.coords_array())
-    psi = np.asarray(psi, dtype=float)
-    vals = psi[:, None] + C
-    out = []
-    for j in range(nu.n_atoms):
-        col = vals[:, j]
-        finite = np.isfinite(col)
-        out.append(float(np.min(col[finite])) if finite.any() else None)
-    return out
+    vals = np.asarray(psi, dtype=float)[:, None] + C
+    low = np.min(vals, axis=0, initial=np.inf, where=np.isfinite(vals))
+    return [float(v) if v < np.inf else None for v in low]
 
 
 def c_transform_back(model: SpacetimeModel, mu, phi, nu):
@@ -103,14 +98,9 @@ def c_transform_back(model: SpacetimeModel, mu, phi, nu):
     Reverse transform; ``None`` marks mu-atoms with no causal target.
     """
     C = model.cost_matrix(mu.coords_array(), nu.coords_array())
-    phi = np.asarray(phi, dtype=float)
-    vals = phi[None, :] - C
-    out = []
-    for i in range(mu.n_atoms):
-        row = vals[i]
-        finite = np.isfinite(row)
-        out.append(float(np.max(row[finite])) if finite.any() else None)
-    return out
+    vals = np.asarray(phi, dtype=float)[None, :] - C
+    high = np.max(vals, axis=1, initial=-np.inf, where=np.isfinite(vals))
+    return [float(v) if v > -np.inf else None for v in high]
 
 
 def _atom_arc_matrix(model: SpacetimeModel, coupling: Coupling) -> np.ndarray:

@@ -403,14 +403,15 @@ def cylinder_potential(profile: ProfileFunction, y: Point, theta_grid: int = 100
     if y.time < 0:
         raise ValueError("target must lie at time >= 0")
 
-    def objective(theta):
-        # +inf outside the causal past
-        return profile(theta) + model.cost(model.make_point([theta], 0.0), y)
+    target = np.array([y.coords()])
+
+    def objective(thetas):
+        # +inf outside the causal past; sources are reduced onto the circle
+        xs = np.column_stack([model.normalize(thetas), np.zeros_like(thetas)])
+        return profile(thetas) + model.cost_matrix(xs, target)[:, 0]
 
     thetas = np.concatenate([np.arange(theta_grid) * (5.0 / theta_grid), [y.spatial[0]]])
-    xs = np.column_stack([thetas, np.zeros_like(thetas)])
-    C = model.cost_matrix(xs, np.array([[y.spatial[0], y.time]]))[:, 0]
-    vals = profile(thetas) + C
+    vals = objective(thetas)
     best = int(np.argmin(vals))
     if not np.isfinite(vals[best]):
         return math.inf
@@ -419,15 +420,12 @@ def cylinder_potential(profile: ProfileFunction, y: Point, theta_grid: int = 100
     while hi - lo > 1e-10:
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if objective(m1) <= objective(m2):
+        f1, f2 = objective(np.array([m1, m2]))
+        if f1 <= f2:
             hi = m2
         else:
             lo = m1
-    return float(min(vals[best], objective((lo + hi) / 2.0)))
-
-def _wrap_distance(z, circumference=5.0):
-    w = np.asarray(z, dtype=float) % circumference
-    return np.minimum(w, circumference - w)
+    return float(min(vals[best], objective(np.array([(lo + hi) / 2.0]))[0]))
 
 
 def subdifferential_field(profile: ProfileFunction, t: float, theta_grid: int):
@@ -499,8 +497,9 @@ def run_cylinder_example(eps: float, theta_grid: int, t: float,
         report.scalars[f"near_null_measure_eta_{eta}"] = ScalarResult(
             measure, window=(np.nextafter(0.0, 1.0), 5.0)
         )
-    dist_trailing = _wrap_distance(u[ok] + t)
-    dist_leading = _wrap_distance(u[ok] - t)
+    circle = Cylinder(5.0)
+    dist_trailing = np.abs(circle.displacement(0.0, u[ok] + t))
+    dist_leading = np.abs(circle.displacement(0.0, u[ok] - t))
     delta = float(np.min(dist_trailing))
     _check(delta > 0, "transport touches the trailing cone point on the grid")
     report.scalars["delta_trailing_cone"] = ScalarResult(

@@ -89,6 +89,11 @@ class Coupling:
         mm = np.array([e[2] for e in self.entries], dtype=float)
         return ii, jj, mm
 
+    def entry_coords(self):
+        """Coordinate rows (time last) of each entry's source and target."""
+        ii, jj, _ = self.index_arrays()
+        return self.mu.coords_array()[ii], self.nu.coords_array()[jj]
+
     def row_sums(self) -> np.ndarray:
         out = np.zeros(self.mu.n_atoms)
         for i, _, mass in self.entries:

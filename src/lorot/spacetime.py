@@ -7,6 +7,12 @@ is minus the time separation, ``-sqrt(dtau**2 - |dtheta|**2)``, when ``y``
 lies in the causal future of ``x`` and ``+inf`` otherwise. On the cylinder
 the spatial displacement is minimized over winding representatives.
 
+A model supplies only its spatial displacement between coordinate arrays
+(plus coordinate normalization and its configuration). Every separation,
+cone margin, cost, causal class and geodesic, for one pair or for all pairs,
+comes from that displacement through :meth:`SpacetimeModel.separation`, and
+the lightlike band is decided in one function, :func:`causal_band`.
+
 Every value here is immutable and every operation is a pure function, so
 instances can be shared freely between tasks.
 """
@@ -59,10 +65,48 @@ class CausalClass(enum.Enum):
     IDENTICAL = "identical"
 
 
+def causal_band(margin) -> np.ndarray:
+    """Side of the light cone for each cone margin: 1 inside, 0 on it, -1 outside.
+
+    A margin within ``NULL_TOL`` of zero is lightlike. This is the one place
+    the band is decided; the cost, the causal class and the lightlike
+    fraction all read it, so they agree. Elementwise on arrays.
+    """
+    margin = np.asarray(margin)
+    return (margin > NULL_TOL).astype(np.int8) - (margin < -NULL_TOL)
+
+
+def _cost(dtau, dist) -> np.ndarray:
+    """Costs from time steps and spatial distances: 0 on the null band."""
+    band = causal_band(dtau - dist)
+    timelike = -np.sqrt(np.maximum(dtau * dtau - dist * dist, 0.0))
+    return np.where(band > 0, timelike, np.where(band < 0, np.inf, 0.0))
+
+
+_CLASS_OF_BAND = {1: CausalClass.CHRONOLOGICAL, 0: CausalClass.NULL, -1: CausalClass.NOT_CAUSAL}
+
+
 class SpacetimeModel:
-    """Common interface of the flat models."""
+    """Common interface of the flat models.
+
+    A model defines :meth:`displacement`, :meth:`normalize`, ``spatial_dim``
+    and :meth:`to_config`; everything else is derived here. Coordinate arrays
+    hold the spatial coordinates followed by the time coordinate on the last
+    axis and broadcast like numpy.
+    """
 
     spatial_dim: int
+
+    def displacement(self, xs, ys) -> np.ndarray:
+        """Spatial displacement from xs to ys (winding-minimal on the cylinder)."""
+        raise NotImplementedError
+
+    def normalize(self, spatial) -> np.ndarray:
+        """Canonical form of an array of spatial coordinates."""
+        return spatial
+
+    def to_config(self) -> dict:
+        raise NotImplementedError
 
     def make_point(self, spatial, time) -> Point:
         """Build a point, validating and normalizing coordinates."""
@@ -76,55 +120,71 @@ class SpacetimeModel:
             )
         if not all(math.isfinite(c) for c in spatial) or not math.isfinite(time):
             raise ValueError("coordinates must be finite")
-        return Point(self._normalize_spatial(spatial), time)
+        return Point(tuple(self.normalize(np.array(spatial)).tolist()), time)
 
-    def _normalize_spatial(self, spatial):
-        return spatial
+    # -- the kernel -------------------------------------------------------
 
-    def spatial_delta(self, x: Point, y: Point) -> np.ndarray:
-        """Displacement from x to y (winding-minimal on the cylinder)."""
-        raise NotImplementedError
+    def separation(self, xs, ys):
+        """Time step and spatial distance ``(dtau, dist)`` from xs to ys.
 
-    def spatial_distance_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        ``xs`` and ``ys`` are coordinate arrays, time last, that broadcast
+        against each other; pass ``xs[:, None]`` and ``ys[None, :]`` for all
+        pairs.
+        """
+        delta = self.displacement(xs[..., :-1], ys[..., :-1])
+        return ys[..., -1] - xs[..., -1], np.sqrt(np.sum(delta * delta, axis=-1))
 
-    def spatial_delta_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Signed displacements from each x to each y, shape (n, m, d)."""
-        raise NotImplementedError
+    def cost_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Pairwise costs, +inf on non-causal pairs; shape (n, m).
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
+        ``xs`` and ``ys`` are coordinate arrays of shape (n, d+1) and (m, d+1).
+        """
+        return _cost(*self.separation(xs[:, None, :], ys[None, :, :]))
 
-    # -- scalar operations ------------------------------------------------
+    def geodesic_points(self, xs, ys, t: float) -> list[Point]:
+        """Points at parameter t on the minimizing segments from xs to ys.
+
+        Row k of the coordinate arrays ``xs`` and ``ys`` is one pair; see
+        :meth:`geodesic_point`. Raises :class:`NotCausalPair` naming the first
+        spacelike pair.
+        """
+        xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+        dtau, dist = self.separation(xs, ys)
+        spacelike = np.flatnonzero(causal_band(dtau - dist) < 0)
+        if len(spacelike):
+            x, y = _points(np.stack([xs[spacelike[0]], ys[spacelike[0]]]))
+            raise NotCausalPair(f"{x} does not causally precede {y}")
+        t = float(t)
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"parameter must lie in [0, 1], got {t}")
+        if t == 0.0:
+            return _points(xs)
+        if t == 1.0:
+            return _points(ys)
+        spatial = self.normalize(xs[:, :-1] + t * self.displacement(xs[:, :-1], ys[:, :-1]))
+        return _points(np.column_stack([spatial, (1.0 - t) * xs[:, -1] + t * ys[:, -1]]))
+
+    # -- one pair ---------------------------------------------------------
+
+    def _separation_of(self, x: Point, y: Point):
+        return self.separation(np.array(x.coords()), np.array(y.coords()))
 
     def cone_margin(self, x: Point, y: Point) -> float:
         """dtau - |dtheta|: positive inside the cone, zero on it, negative outside."""
-        dtau = y.time - x.time
-        dist = float(np.linalg.norm(self.spatial_delta(x, y)))
-        return dtau - dist
+        dtau, dist = self._separation_of(x, y)
+        return float(dtau - dist)
 
     def cost(self, x: Point, y: Point) -> float:
-        """Minus the time separation from x to y: nonpositive, or inf off the cone."""
-        dtau = y.time - x.time
-        dist = float(np.linalg.norm(self.spatial_delta(x, y)))
-        margin = dtau - dist
-        if margin < -NULL_TOL:
-            return math.inf
-        if margin <= NULL_TOL:
-            # lightlike band: the class and the value must agree, so pairs
-            # classified null get cost exactly zero
-            return 0.0
-        return -math.sqrt(max(dtau * dtau - dist * dist, 0.0))
+        """Minus the time separation from x to y: nonpositive, or inf off the cone.
+
+        Lightlike pairs (see :func:`causal_band`) cost exactly zero.
+        """
+        return float(_cost(*self._separation_of(x, y)))
 
     def causal_class(self, x: Point, y: Point) -> CausalClass:
         if x == y:
             return CausalClass.IDENTICAL
-        margin = self.cone_margin(x, y)
-        if margin > NULL_TOL:
-            return CausalClass.CHRONOLOGICAL
-        if margin >= -NULL_TOL:
-            return CausalClass.NULL
-        return CausalClass.NOT_CAUSAL
+        return _CLASS_OF_BAND[int(causal_band(self.cone_margin(x, y)))]
 
     def geodesic_point(self, x: Point, y: Point, t: float) -> Point:
         """Point at parameter t on the minimizing segment from x to y.
@@ -133,47 +193,12 @@ class SpacetimeModel:
         returned point is ``(1-t)*time(x) + t*time(y)``. Endpoints are
         returned exactly. Raises :class:`NotCausalPair` for spacelike pairs.
         """
-        if self.causal_class(x, y) is CausalClass.NOT_CAUSAL:
-            raise NotCausalPair(f"{x} does not causally precede {y}")
-        t = float(t)
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"parameter must lie in [0, 1], got {t}")
-        if t == 0.0:
-            return x
-        if t == 1.0:
-            return y
-        delta = self.spatial_delta(x, y)
-        spatial = tuple(xc + t * dc for xc, dc in zip(x.spatial, delta))
-        time = (1.0 - t) * x.time + t * y.time
-        return self.make_point(spatial, time)
+        return self.geodesic_points(np.array([x.coords()]), np.array([y.coords()]), t)[0]
 
-    # -- vectorized operations --------------------------------------------
 
-    def margin_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Cone margins for all ordered pairs.
-
-        ``xs`` and ``ys`` are coordinate arrays of shape (n, d+1) with the
-        time coordinate last; returns shape (n, m).
-        """
-        dtau = ys[None, :, -1] - xs[:, None, -1]
-        dist = self.spatial_distance_matrix(xs[:, :-1], ys[:, :-1])
-        return dtau - dist
-
-    def cost_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Pairwise costs, +inf on non-causal pairs; shape (n, m).
-
-        Pairs whose cone margin is within ``NULL_TOL`` of zero are lightlike
-        and get cost exactly zero, matching :meth:`causal_class`.
-        """
-        dtau = ys[None, :, -1] - xs[:, None, -1]
-        dist = self.spatial_distance_matrix(xs[:, :-1], ys[:, :-1])
-        margin = dtau - dist
-        c = np.full(margin.shape, np.inf)
-        gap = np.maximum(dtau * dtau - dist * dist, 0.0)
-        chrono = margin > NULL_TOL
-        c[chrono] = -np.sqrt(gap[chrono])
-        c[np.abs(margin) <= NULL_TOL] = 0.0
-        return c
+def _points(coords) -> list[Point]:
+    """The points whose coordinates are the rows of ``coords``, time last."""
+    return [Point(tuple(row[:-1]), row[-1]) for row in coords.tolist()]
 
 
 @dataclass(frozen=True)
@@ -190,15 +215,8 @@ class Minkowski(SpacetimeModel):
     def spatial_dim(self) -> int:
         return self.d
 
-    def spatial_delta(self, x: Point, y: Point) -> np.ndarray:
-        return np.asarray(y.spatial) - np.asarray(x.spatial)
-
-    def spatial_distance_matrix(self, xs, ys):
-        diff = ys[None, :, :] - xs[:, None, :]
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-
-    def spatial_delta_matrix(self, xs, ys):
-        return ys[None, :, :] - xs[:, None, :]
+    def displacement(self, xs, ys):
+        return ys - xs
 
     def to_config(self):
         return {"kind": "minkowski", "d": self.d}
@@ -218,30 +236,14 @@ class Cylinder(SpacetimeModel):
     def spatial_dim(self) -> int:
         return 1
 
-    def _normalize_spatial(self, spatial):
-        return (float(spatial[0] % self.circumference),)
+    def normalize(self, spatial):
+        return spatial % self.circumference
 
-    def wrap_delta(self, raw: float) -> float:
-        """Wrap a spatial displacement to (-C/2, C/2]."""
+    def displacement(self, xs, ys):
+        """Coordinate differences wrapped to (-C/2, C/2]."""
         c = self.circumference
-        w = raw % c
-        if w > c / 2.0:
-            w -= c
-        return w
-
-    def spatial_delta(self, x: Point, y: Point) -> np.ndarray:
-        return np.array([self.wrap_delta(y.spatial[0] - x.spatial[0])])
-
-    def spatial_distance_matrix(self, xs, ys):
-        c = self.circumference
-        raw = (ys[None, :, 0] - xs[:, None, 0]) % c
-        return np.minimum(raw, c - raw)
-
-    def spatial_delta_matrix(self, xs, ys):
-        c = self.circumference
-        raw = (ys[None, :, 0] - xs[:, None, 0]) % c
-        wrapped = np.where(raw > c / 2.0, raw - c, raw)
-        return wrapped[:, :, None]
+        raw = (ys - xs) % c
+        return np.where(raw > c / 2.0, raw - c, raw)
 
     def to_config(self):
         return {"kind": "cylinder", "circumference": self.circumference}

@@ -98,11 +98,13 @@ def interpolate(model: SpacetimeModel, coupling: Coupling, t: float) -> Discrete
     t=0 reproduces mu and t=1 reproduces nu exactly (atom positions are
     returned bitwise, weights re-accumulate per atom).
     """
-    atoms = []
-    for i, j, mass in coupling.entries:
-        x, y = coupling.mu.points[i], coupling.nu.points[j]
-        atoms.append((model.geodesic_point(x, y, t), mass))
-    return DiscreteMeasure.from_atoms(atoms)
+    return DiscreteMeasure.from_atoms(_entry_atoms(model, coupling, t))
+
+
+def _entry_atoms(model: SpacetimeModel, coupling: Coupling, t: float):
+    """(point at parameter t on the entry's segment, entry mass) per entry."""
+    points = model.geodesic_points(*coupling.entry_coords(), t)
+    return [(p, mass) for p, (_, _, mass) in zip(points, coupling.entries)]
 
 
 def restrict(model: SpacetimeModel, coupling: Coupling, s1: float, s2: float,
@@ -116,14 +118,8 @@ def restrict(model: SpacetimeModel, coupling: Coupling, s1: float, s2: float,
     """
     if not 0.0 <= s1 <= s2 <= 1.0:
         raise ValueError(f"need 0 <= s1 <= s2 <= 1, got {s1}, {s2}")
-    pairs1 = []
-    pairs2 = []
-    for i, j, mass in coupling.entries:
-        x, y = coupling.mu.points[i], coupling.nu.points[j]
-        pairs1.append((model.geodesic_point(x, y, s1), mass))
-        pairs2.append((model.geodesic_point(x, y, s2), mass))
-    m1, map1 = DiscreteMeasure.from_atoms_with_index_map(pairs1)
-    m2, map2 = DiscreteMeasure.from_atoms_with_index_map(pairs2)
+    m1, map1 = DiscreteMeasure.from_atoms_with_index_map(_entry_atoms(model, coupling, s1))
+    m2, map2 = DiscreteMeasure.from_atoms_with_index_map(_entry_atoms(model, coupling, s2))
     merged: dict[tuple[int, int], float] = {}
     for k, (_, _, mass) in enumerate(coupling.entries):
         key = (map1[k], map2[k])
@@ -212,9 +208,8 @@ def ray_decomposition(model: SpacetimeModel, coupling: Coupling):
     _check_two_cycles(model, coupling)
     entries = coupling.entries
     k = len(entries)
-    xs = [coupling.mu.points[i] for i, _, _ in entries]
-    ys = [coupling.nu.points[j] for _, j, _ in entries]
-    identical = np.array([x == y for x, y in zip(xs, ys)])
+    xs, ys = coupling.entry_coords()
+    identical = np.all(xs == ys, axis=1)
 
     moving = np.nonzero(~identical)[0]
     parent = list(range(k))
@@ -231,23 +226,16 @@ def ray_decomposition(model: SpacetimeModel, coupling: Coupling):
             parent[max(ra, rb)] = min(ra, rb)
 
     if len(moving):
-        xc = np.array([xs[e].coords() for e in moving])
-        yc = np.array([ys[e].coords() for e in moving])
+        xc, yc = xs[moving], ys[moving]
         # spacetime direction of each segment, wrap-aware in the spatial part
         dirs = np.concatenate(
-            [
-                np.array(
-                    [model.spatial_delta(xs[e], ys[e]) for e in moving]
-                ),
-                (yc[:, -1:] - xc[:, -1:]),
-            ],
-            axis=1,
+            [model.displacement(xc[:, :-1], yc[:, :-1]), yc[:, -1:] - xc[:, -1:]], axis=1
         )
         lens = np.linalg.norm(dirs, axis=1)
         unit = dirs / lens[:, None]
         # displacement of every segment endpoint from every base point
-        dx = model.spatial_delta_matrix(xc[:, :-1], xc[:, :-1])
-        dy = model.spatial_delta_matrix(xc[:, :-1], yc[:, :-1])
+        dx = model.displacement(xc[:, None, :-1], xc[None, :, :-1])
+        dy = model.displacement(xc[:, None, :-1], yc[None, :, :-1])
         wx = np.concatenate([dx, xc[None, :, -1:] - xc[:, None, -1:]], axis=2)
         wy = np.concatenate([dy, yc[None, :, -1:] - xc[:, None, -1:]], axis=2)
 

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from lorot.errors import NotCausalPair
+from lorot.diagnostics import class_fractions
+from lorot.errors import Infeasible, NotCausalPair
+from lorot.measures import DiscreteMeasure
+from lorot.solver import Coupling, TransportProblem, solve
 from lorot.spacetime import (
     CausalClass,
     Cylinder,
     Minkowski,
     model_from_config,
 )
+from lorot.transport import interpolate
 
 MK1 = Minkowski(1)
 MK2 = Minkowski(2)
@@ -180,8 +184,8 @@ def random_causal_pair(model, rng, base=None):
     if base is None:
         base = model.make_point(rng.uniform(-2, 2, d), rng.uniform(-1, 1))
     step = rng.uniform(-1, 1, d)
-    dist = float(np.linalg.norm(step if model is not CYL else
-                                [CYL.wrap_delta(step[0])]))
+    # winding-minimal on the cylinder
+    dist = float(np.linalg.norm(model.displacement(np.zeros(d), step)))
     # mix strictly timelike and exactly null displacements
     if rng.random() < 0.2:
         dt = dist
@@ -229,6 +233,112 @@ class TestCylinderConventions:
 
     def test_antipodal_distance(self):
         assert CYL.cone_margin(pt(CYL, 0, 0), pt(CYL, 2.5, 2.5)) == 0.0
+
+
+def kernel_draw(model, rng, n=40):
+    """n sources and 2n + 5 targets, many of them at the edges of the null band.
+
+    The targets are n random points, n points built from the sources at
+    margin -1e-12, 0 or +1e-12 plus a jitter of at most 4e-15, and five
+    copies of sources (identical pairs).
+    """
+    d = model.spatial_dim
+    xs = [model.make_point(rng.uniform(-2, 2, d), rng.uniform(-1, 1)) for _ in range(n)]
+    ys = [model.make_point(rng.uniform(-2, 2, d), rng.uniform(-1, 2)) for _ in range(n)]
+    for x in xs:
+        step = rng.uniform(-1, 1, d)
+        dist = float(np.linalg.norm(model.displacement(np.zeros(d), step)))
+        edge = rng.choice([-1e-12, 0.0, 1e-12]) + rng.uniform(-4e-15, 4e-15)
+        ys.append(model.make_point(np.asarray(x.spatial) + step, x.time + dist + edge))
+    ys += xs[:5]
+    return xs, ys
+
+
+class TestOneKernel:
+    """Scalar geometry, the all-pairs kernel and the diagnostics agree."""
+
+    MODELS = (Minkowski(1), Minkowski(2), Minkowski(3), CYL)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: repr(m))
+    def test_scalar_class_and_fractions_agree_with_kernel(self, model):
+        rng = np.random.default_rng(2024)
+        xs, ys = kernel_draw(model, rng)
+        X = np.array([p.coords() for p in xs])
+        Y = np.array([p.coords() for p in ys])
+        dtau, dist = model.separation(X[:, None], Y[None, :])
+        margins = dtau - dist
+        costs = model.cost_matrix(X, Y)
+
+        scalar_margins = np.array([[model.cone_margin(x, y) for y in ys] for x in xs])
+        scalar_costs = np.array([[model.cost(x, y) for y in ys] for x in xs])
+        for scalar, kernel in ((scalar_margins, margins), (scalar_costs, costs)):
+            differ = np.count_nonzero(scalar.view(np.int64) != kernel.view(np.int64))
+            assert differ == 0, f"{differ} of {kernel.size} pairs differ in their bits"
+        near_edge = np.abs(np.abs(margins) - 1e-12) <= 4e-15
+        assert near_edge.sum() >= 10
+
+        classes = [[model.causal_class(x, y) for y in ys] for x in xs]
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                c, cls = costs[i, j], classes[i][j]
+                if x == y:
+                    assert cls is CausalClass.IDENTICAL and c == 0.0
+                elif c == math.inf:
+                    assert cls is CausalClass.NOT_CAUSAL
+                elif c == 0.0:
+                    assert cls is CausalClass.NULL
+                else:
+                    assert c < 0.0 and cls is CausalClass.CHRONOLOGICAL
+
+        # every causal pair on the support, with distinct integer masses so
+        # that each class's mass sum is exact
+        mu, mu_index = DiscreteMeasure.from_atoms_with_index_map((x, 1.0 / len(xs)) for x in xs)
+        nu, nu_index = DiscreteMeasure.from_atoms_with_index_map((y, 1.0 / len(ys)) for y in ys)
+        pairs = [(i, j) for i in range(len(xs)) for j in range(len(ys)) if costs[i, j] < math.inf]
+        entries = [(mu_index[i], nu_index[j], float(k + 1)) for k, (i, j) in enumerate(pairs)]
+        coupling = Coupling.from_entries(model, mu, nu, entries)
+        sums = {cls: 0.0 for cls in CausalClass}
+        for k, (i, j) in enumerate(pairs):
+            sums[classes[i][j]] += float(k + 1)
+        total = sum(sums.values())
+        assert class_fractions(model, coupling) == {
+            "lightlike": sums[CausalClass.NULL] / total,
+            "chronological": sums[CausalClass.CHRONOLOGICAL] / total,
+            "identical": sums[CausalClass.IDENTICAL] / total,
+        }
+
+
+class TestBandEdgeRegressions:
+    """Pairs a hair outside the null band, where per-pair and all-pairs
+    arithmetic used to round differently."""
+
+    ORIGIN = MK2.make_point([0.0, 0.0], 0.0)
+
+    def problem(self, y):
+        mu = DiscreteMeasure.from_atoms([(self.ORIGIN, 1.0)])
+        nu = DiscreteMeasure.from_atoms([(y, 1.0)])
+        return TransportProblem(MK2, mu, nu)
+
+    def test_solved_null_arc_interpolates(self):
+        y = MK2.make_point([2.427889057357545, 0.796402388924672], 2.5551716263132547)
+        coupling, _ = solve(self.problem(y))
+        assert coupling.total_cost == 0.0
+        mid = interpolate(MK2, coupling, 0.5)
+        assert mid.n_atoms == 1
+
+    def test_class_cost_matrix_and_solve_agree(self):
+        y = MK2.make_point([2.063153711037767, 2.234057086757288], 3.0409890335634704)
+        x = self.ORIGIN
+        causal = MK2.causal_class(x, y) is not CausalClass.NOT_CAUSAL
+        assert math.isfinite(MK2.cost(x, y)) == causal
+        C = MK2.cost_matrix(np.array([x.coords()]), np.array([y.coords()]))
+        assert math.isfinite(C[0, 0]) == causal
+        if causal:
+            coupling, _ = solve(self.problem(y))
+            assert coupling.total_cost == MK2.cost(x, y)
+        else:
+            with pytest.raises(Infeasible):
+                solve(self.problem(y))
 
 
 class TestModelConfig:
