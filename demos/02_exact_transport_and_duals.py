@@ -3,8 +3,8 @@
 Mass may only move forward in time and inside the light cone; the solver
 excludes all other arcs and minimizes the (negative) total time separation.
 Because the weights are rescaled to exact integers internally, marginals
-are met exactly, and the successive-shortest-path algorithm hands back LP
-dual variables certifying optimality.
+are met exactly, and the transportation network simplex hands back LP dual
+variables, read off its final spanning tree, certifying optimality.
 """
 
 import numpy as np

@@ -1,14 +1,31 @@
 """Exact Kantorovich solver for atomic marginals with extended-real costs.
 
-Pairs outside the causal cone carry infinite cost and are simply excluded
-from the arc set; the remaining problem is a plain transportation problem.
-It is solved by successive shortest paths with node potentials on the
-bipartite graph of finite arcs (Ahuja, Magnanti and Orlin, *Network Flows*,
-ch. 9), which handles forbidden arcs natively and produces LP dual variables
-for free. Each shortest-path search is one Dijkstra over the nu-atoms: arcs
-of the current support have reduced cost zero, so a mu-atom is reached at
-the distance of the first settled nu-atom it ships to. Ties go to the lowest
-index, which makes the coupling and the duals deterministic.
+Pairs outside the causal cone carry infinite cost and are excluded from the
+arc set; the remaining problem is a plain transportation problem. It is
+solved by the transportation network simplex (Ahuja, Magnanti and Orlin,
+*Network Flows*, ch. 11; the exact solver behind POT's ``ot.emd``, Bonneel
+et al. 2011):
+
+* The basis is a spanning tree over the n + m atoms, rooted at mu-atom 0.
+  Its arcs carry exact integer flows; the potentials are read off the tree.
+* The start is the north-west-corner staircase in the canonical atom order.
+  On a tie the column advances, so every zero-flow arc points away from the
+  root and the tree is strongly feasible (Cunningham 1976).
+* Each pivot prices every finite arc with one ``argmin`` over the reduced
+  costs ``C + u - v``; the lowest flat index wins ties.
+* The leaving arc is the last blocking arc met going round the cycle from
+  its apex down to the entering arc's nu-atom, across the entering arc and
+  back up. This keeps the tree strongly feasible, so the method cannot cycle.
+* Staircase cells whose pair is not causal are artificial arcs. They cost 1
+  in a second, artificial cost that is compared before the real one, so no
+  big-M constant enters float arithmetic; other non-causal pairs are not
+  priced. An artificial arc still carrying flow at the optimum is stranded
+  mass: every non-causal pair is then priced as an artificial arc, so that
+  the least mass stays stranded, and :class:`Infeasible` names the lowest
+  mu-atom that still ships on an artificial arc and its exact mass there.
+* The returned duals are the real potentials plus lambda times the
+  artificial ones, with lambda the smallest value that makes every finite
+  arc dual feasible; lambda is 0 when no artificial arc stays in the basis.
 
 Marginal weights are rescaled to a common integer denominator (every
 binary64 weight is an exact dyadic rational), so row and column sums of the
@@ -30,6 +47,8 @@ from .measures import DiscreteMeasure, measure_from_json
 from .spacetime import SpacetimeModel, model_from_config
 
 ORACLE_CAP = 6
+#: an arc enters the basis when its reduced cost is below -PRICE_TOL * (1 + max |C|)
+PRICE_TOL = 1e-11
 PROBLEM_FIELDS = ("model", "mu", "nu")
 
 
@@ -94,18 +113,6 @@ class Coupling:
         ii, jj, _ = self.index_arrays()
         return self.mu.coords_array()[ii], self.nu.coords_array()[jj]
 
-    def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.mu.n_atoms)
-        for i, _, mass in self.entries:
-            out[i] += mass
-        return out
-
-    def col_sums(self) -> np.ndarray:
-        out = np.zeros(self.nu.n_atoms)
-        for _, j, mass in self.entries:
-            out[j] += mass
-        return out
-
     def exact_mass_fractions(self):
         if self.exact_masses is None:
             return None
@@ -134,6 +141,174 @@ def _integer_marginals(wa, wb):
     return a, b, denom
 
 
+def _staircase(supplies, demands):
+    """North-west-corner cells ``(i, j, mass)`` in staircase order.
+
+    Each cell ships what is left of row i or of column j, whichever is less.
+    On a tie the column advances, so the zero-mass cell that follows joins
+    mu-atom i to the next nu-atom.
+    """
+    cells = []
+    i = j = 0
+    a, b = supplies[0], demands[0]
+    while True:
+        q = min(a, b)
+        cells.append((i, j, q))
+        a -= q
+        b -= q
+        if b == 0 and j + 1 < len(demands):
+            j += 1
+            b = demands[j]
+        elif i + 1 < len(supplies):
+            i += 1
+            a = supplies[i]
+        else:
+            return cells
+
+
+class _Basis:
+    """Spanning-tree basis over the atoms: node i is mu-atom i, node n + j is
+    nu-atom j, and the root is mu-atom 0.
+
+    Every other node x stores the arc between it and ``parent[x]``: its
+    integer flow and whether it is artificial (its pair is not causal).
+    ``pot`` holds the real potentials (u on mu-nodes, v on nu-nodes) and
+    ``art`` the artificial ones; each makes its reduced cost
+    ``cost + u[i] - v[j]`` zero on every tree arc (i, j).
+    """
+
+    def __init__(self, C, supplies, demands):
+        self.C = C
+        n = self.n = len(supplies)
+        size = n + len(demands)
+        self.parent = [-1] * size
+        self.flow = [0] * size
+        self.artificial = [False] * size
+        self.children = [set() for _ in range(size)]
+        self.depth = [0] * size
+        self.pot = [0.0] * size
+        self.art = [0] * size
+        prev_i = 0
+        for i, j, q in _staircase(supplies, demands):
+            # each cell after the first brings in one atom: a mu-atom when
+            # the row advanced, else a nu-atom
+            x, p = (i, n + j) if i != prev_i else (n + j, i)
+            prev_i = i
+            self.parent[x], self.flow[x] = p, q
+            self.artificial[x] = not np.isfinite(C[i, j])
+            self.children[p].add(x)
+        self.n_artificial = sum(self.artificial)
+        for x in self.children[0]:
+            self._relabel(x)
+
+    def potentials(self, art=False):
+        pot = np.array(self.art if art else self.pot)
+        return pot[: self.n], pot[self.n:]
+
+    def arcs(self):
+        """``(i, j, flow, artificial)`` for every tree arc."""
+        n = self.n
+        for x, p in enumerate(self.parent):
+            if p >= 0:
+                i, j = (x, p - n) if x < n else (p, x - n)
+                yield i, j, self.flow[x], self.artificial[x]
+
+    def stranded(self):
+        """Mass each mu-atom ships on artificial arcs, where it is nonzero."""
+        out = {}
+        for i, _, q, artificial in self.arcs():
+            if artificial and q:
+                out[i] = out.get(i, 0) + q
+        return out
+
+    def _relabel(self, top):
+        """Set depth and potentials of ``top`` and its subtree."""
+        n, C = self.n, self.C
+        parent, depth, pot, art = self.parent, self.depth, self.pot, self.art
+        stack = [top]
+        while stack:
+            x = stack.pop()
+            p = parent[x]
+            depth[x] = depth[p] + 1
+            c, a = (0.0, 1) if self.artificial[x] else (C.item(min(x, p), max(x, p) - n), 0)
+            if x >= n:
+                pot[x] = pot[p] + c
+                art[x] = art[p] + a
+            else:
+                pot[x] = pot[p] - c
+                art[x] = art[p] - a
+            stack.extend(self.children[x])
+
+    def pivot(self, i, j):
+        """Bring arc (i, j) into the tree and drive one blocking arc out."""
+        n, parent, flow, depth = self.n, self.parent, self.flow, self.depth
+        # climb to the apex; the tree arcs of the cycle are those above the
+        # nodes of side_i (from mu-atom i up) and side_j (from nu-atom j up)
+        side_i, side_j = [], []
+        x, y = i, n + j
+        while depth[x] > depth[y]:
+            side_i.append(x)
+            x = parent[x]
+        while depth[y] > depth[x]:
+            side_j.append(y)
+            y = parent[y]
+        while x != y:
+            side_i.append(x)
+            x = parent[x]
+            side_j.append(y)
+            y = parent[y]
+        # walk the cycle from the apex down to nu-atom j, across to mu-atom i
+        # and back up; flow rises on (i, j), so it falls on the arcs above the
+        # nu-atoms of side_j and the mu-atoms of side_i
+        walk = [(y, y >= n) for y in reversed(side_j)] + [(x, x < n) for x in side_i]
+        delta = min(flow[x] for x, falls in walk if falls)
+        leave = next(x for x, falls in reversed(walk) if falls and flow[x] == delta)
+        if delta:
+            for x, falls in walk:
+                flow[x] += -delta if falls else delta
+        # hang the subtree cut off by the leaving arc from the entering arc,
+        # reversing the tree path in between
+        top, side, p = (i, side_i, n + j) if leave in side_i else (n + j, side_j, i)
+        q, artificial = delta, not np.isfinite(self.C[i, j])
+        self.n_artificial += artificial
+        for x in side[: side.index(leave) + 1]:
+            self.children[parent[x]].discard(x)
+            self.children[p].add(x)
+            p, parent[x] = x, p
+            q, flow[x] = flow[x], q
+            artificial, self.artificial[x] = self.artificial[x], artificial
+        self.n_artificial -= artificial
+        self._relabel(top)
+
+
+def _optimize(basis, cost, tol):
+    """Pivot until no arc prices below ``-tol``; return the final ``(u, v)``
+    and reduced costs.
+
+    Arcs where ``cost`` is finite are priced. Their artificial cost (1 on
+    non-causal pairs) is compared first, their real cost ``cost`` second.
+    """
+    m = cost.shape[1]
+    priced = np.isfinite(cost)
+    noncausal = ~np.isfinite(basis.C)
+    rc = np.empty_like(cost)
+    while True:
+        u, v = basis.potentials()
+        np.add(cost, u[:, None], out=rc)
+        rc -= v
+        key = rc
+        if basis.n_artificial:
+            ua, va = basis.potentials(art=True)
+            ra = ua[:, None] - va + noncausal
+            key = rc.copy()
+            key[ra > 0] = np.inf
+            key[(ra < 0) & priced] = -np.inf
+        k = int(np.argmin(key))
+        if not key.flat[k] < -tol:
+            return u, v, rc
+        basis.pivot(*divmod(k, m))
+
+
 def solve(problem: TransportProblem):
     """Minimize the Lorentzian cost over couplings of (mu, nu).
 
@@ -155,74 +330,29 @@ def solve(problem: TransportProblem):
             )
 
     supplies, demands, denom = _integer_marginals(mu.weights, nu.weights)
-    rem_a = list(supplies)
-    rem_b = list(demands)
+    basis = _Basis(C, supplies, demands)
+    tol = PRICE_TOL * (1.0 + float(np.max(np.abs(C[finite]))))
+    u, v, rc = _optimize(basis, C, tol)
+    if basis.stranded():
+        # so far only staircase cells could hold the stranded mass; offer it
+        # every non-causal pair, so that what stays stranded is the least
+        _optimize(basis, np.where(finite, C, 0.0), tol)
+        i, q = min(basis.stranded().items())
+        raise Infeasible(
+            f"mu-atom {i} cannot place mass {Fraction(q, denom)}: "
+            "no causal coupling carries all of mu"
+        )
 
-    u = np.zeros(n)
-    v = C.min(axis=0)  # finite: every nu-atom has a causal partner
-    flow: list[dict[int, int]] = [{} for _ in range(m)]  # flow[j][i]: mass i ships to j
+    if basis.n_artificial:
+        # lift the real duals along the artificial ones, just far enough to
+        # make every finite arc dual feasible
+        ua, va = basis.potentials(art=True)
+        ra = ua[:, None] - va
+        lift = finite & (ra > 0)
+        lam = max(0.0, float(np.max(-rc[lift] / ra[lift]))) if lift.any() else 0.0
+        u, v = u + lam * ua, v + lam * va
 
-    while sources := [i for i, a in enumerate(rem_a) if a > 0]:
-        rc = C + u[:, None] - v[None, :]
-        np.maximum(rc, 0.0, out=rc)
-
-        # Dijkstra over the nu-atoms; ``via`` maps each reached mu-atom to
-        # the settled nu-atom it ships to that reached it (-1 for a source)
-        dist = np.full(m, np.inf)
-        pred = np.full(m, -1, dtype=np.int64)
-        done = np.zeros(m, dtype=bool)
-        via = dict.fromkeys(sources, -1)
-        rows, d = sources, 0.0
-        while True:
-            for i in rows:
-                nd = d + rc[i]
-                better = (nd < dist) & ~done
-                dist[better] = nd[better]
-                pred[better] = i
-            open_dist = np.where(done, np.inf, dist)
-            j = int(np.argmin(open_dist))
-            d = open_dist[j]
-            if d == np.inf:
-                # no augmenting path: the flow is maximal and some supply is stranded
-                raise Infeasible(
-                    f"mu-atom {sources[0]} cannot place mass "
-                    f"{Fraction(rem_a[sources[0]], denom)}: "
-                    "every nu-atom it can reach is already full"
-                )
-            done[j] = True
-            if rem_b[j] > 0:
-                break
-            rows = [i for i in sorted(flow[j]) if i not in via]
-            via.update(dict.fromkeys(rows, j))
-
-        du = np.full(n, d)
-        for i, k in via.items():
-            du[i] = dist[k] if k >= 0 else 0.0
-        u += du
-        v += np.minimum(dist, d)
-
-        # augment along the path from a source to nu-atom j: each mu-atom on
-        # it ships delta more to the nu-atom it relaxed and, unless it is the
-        # source, delta less to the nu-atom it was reached through
-        path = []
-        k = j
-        while k >= 0:
-            i = int(pred[k])
-            path.append((i, k, via[i]))
-            k = via[i]
-        # the walk ends at the source i
-        delta = min(rem_a[i], rem_b[j],
-                    *(flow[back][i2] for i2, _, back in path if back >= 0))
-        for i2, fwd, back in path:
-            flow[fwd][i2] = flow[fwd].get(i2, 0) + delta
-            if back >= 0:
-                flow[back][i2] -= delta
-                if not flow[back][i2]:
-                    del flow[back][i2]
-        rem_a[i] -= delta
-        rem_b[j] -= delta
-
-    arcs = [(i, j, q) for j, col in enumerate(flow) for i, q in col.items()]
+    arcs = [(i, j, q) for i, j, q, artificial in basis.arcs() if q and not artificial]
     coupling = Coupling.from_entries(
         problem.model, mu, nu, [(i, j, float(Fraction(q, denom))) for i, j, q in arcs],
         exact_masses=[q for *_, q in arcs], exact_denominator=denom,

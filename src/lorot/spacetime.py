@@ -237,7 +237,9 @@ class Cylinder(SpacetimeModel):
         return 1
 
     def normalize(self, spatial):
-        return spatial % self.circumference
+        wrapped = spatial % self.circumference
+        # a tiny negative coordinate wraps to the circumference itself
+        return np.where(wrapped == self.circumference, 0.0, wrapped)
 
     def displacement(self, xs, ys):
         """Coordinate differences wrapped to (-C/2, C/2]."""

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     random_uniform_causal_problem,
@@ -11,6 +12,7 @@ from conftest import (
     two_by_two_problem,
 )
 from lorot.errors import Infeasible, SchemaError, TooLarge
+from lorot.experiments import line_blowup_problem
 from lorot.measures import DiscreteMeasure, grid_segment
 from lorot.solver import (
     TransportProblem,
@@ -20,7 +22,7 @@ from lorot.solver import (
     problem_to_json,
     solve,
 )
-from lorot.spacetime import Minkowski
+from lorot.spacetime import Cylinder, Minkowski
 
 MK1 = Minkowski(1)
 
@@ -126,7 +128,40 @@ class TestSolveExamples:
         TestDuals.check_duals(problem, coupling, duals)
 
 
+@st.composite
+def small_problems(draw):
+    """Up to 6 atoms a side with dyadic weights; some pairs are not causal."""
+    model = draw(st.sampled_from([Minkowski(1), Minkowski(2), Minkowski(3), Cylinder(5.0)]))
+    coord = st.floats(0.0, 1.5, allow_subnormal=False)
+
+    def measure(t_lo, t_hi):
+        n = draw(st.integers(1, 6))
+        cuts = sorted(draw(st.lists(st.integers(1, 15), min_size=n - 1, max_size=n - 1,
+                                    unique=True)))
+        weights = np.diff([0, *cuts, 16]) / 16.0
+        return DiscreteMeasure.from_atoms(
+            (model.make_point([draw(coord) for _ in range(model.spatial_dim)],
+                              draw(st.floats(t_lo, t_hi))), w)
+            for w in weights
+        )
+
+    return TransportProblem(model, measure(0.0, 0.5), measure(1.0, 2.5))
+
+
 class TestOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(small_problems())
+    def test_matches_oracle_on_small_instances(self, problem):
+        try:
+            oracle = brute_force_oracle(problem)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                solve(problem)
+            return
+        coupling, duals = solve(problem)
+        assert coupling.total_cost == pytest.approx(oracle.total_cost, abs=1e-9)
+        TestDuals.check_duals(problem, coupling, duals)
+
     def test_matches_permutation_enumeration(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
@@ -188,6 +223,28 @@ class TestDuals:
             coupling, duals = solve(problem)
             self.check_duals(problem, coupling, duals)
 
+    def test_noncausal_staircase_cell_pivoted_out(self):
+        # the north-west cell (0, 0) carries mass 1/2 at the start, but its
+        # pair is not causal: mu-atom 0 can only ship to nu-atom 1
+        mu = DiscreteMeasure.from_atoms([(pt(0, 0), 0.5), (pt(1, 0), 0.5)])
+        nu = DiscreteMeasure.from_atoms([(pt(0.9, 0.5), 0.5), (pt(1.5, 2), 0.5)])
+        problem = TransportProblem(MK1, mu, nu)
+        assert not np.isfinite(problem.cost_matrix()[0, 0])
+        coupling, duals = solve(problem)
+        assert [(i, j) for i, j, _ in coupling.entries] == [(0, 1), (1, 0)]
+        assert coupling.total_cost == pytest.approx(
+            brute_force_oracle(problem).total_cost, abs=1e-12)
+        self.check_duals(problem, coupling, duals)
+
+    def test_line_dual_spread(self):
+        # every optimal arc is lightlike (cost 0): the spread of the LP duals
+        # is sqrt(2n-3), set by the steepest finite arc alone
+        n = 400
+        problem = line_blowup_problem(n)
+        coupling, (u, v) = solve(problem)
+        assert float(np.ptp(-u)) == pytest.approx(math.sqrt(2 * n - 3), abs=1e-9)
+        self.check_duals(problem, coupling, (u, v))
+
     def test_on_line_grid(self):
         mu = grid_segment(MK1, pt(0, 0), pt(1, 0), 30)
         nu = grid_segment(MK1, pt(1, 1), pt(2, 1), 30)
@@ -202,11 +259,14 @@ class TestMarginals:
         for _ in range(20):
             problem = random_weighted_causal_problem(rng)
             coupling, _ = solve(problem)
+            ii, jj, mm = coupling.index_arrays()
             np.testing.assert_allclose(
-                coupling.row_sums(), problem.mu.weights_array(), rtol=0, atol=1e-12
+                np.bincount(ii, weights=mm, minlength=problem.mu.n_atoms),
+                problem.mu.weights_array(), rtol=0, atol=1e-12
             )
             np.testing.assert_allclose(
-                coupling.col_sums(), problem.nu.weights_array(), rtol=0, atol=1e-12
+                np.bincount(jj, weights=mm, minlength=problem.nu.n_atoms),
+                problem.nu.weights_array(), rtol=0, atol=1e-12
             )
 
     def test_exact_masses_sum_to_exact_weights(self):

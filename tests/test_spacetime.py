@@ -231,6 +231,12 @@ class TestCylinderConventions:
         assert CYL.make_point([-0.5], 0.0).spatial[0] == 4.5
         assert 0.0 <= CYL.make_point([7.3], 0.0).spatial[0] < 5.0
 
+    def test_tiny_negative_coordinate_wraps_to_zero(self):
+        # -1e-17 % 5.0 rounds to 5.0 itself, outside [0, C)
+        x = CYL.make_point([-1e-17], 0.0)
+        assert x == CYL.make_point([0.0], 0.0)
+        assert 0.0 <= x.spatial[0] < CYL.circumference
+
     def test_antipodal_distance(self):
         assert CYL.cone_margin(pt(CYL, 0, 0), pt(CYL, 2.5, 2.5)) == 0.0
 
