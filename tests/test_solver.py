@@ -15,7 +15,11 @@ from lorot.errors import Infeasible, SchemaError, TooLarge
 from lorot.experiments import line_blowup_problem
 from lorot.measures import DiscreteMeasure, grid_segment
 from lorot.solver import (
+    PRICE_TOL,
     TransportProblem,
+    _Basis,
+    _integer_marginals,
+    _optimize,
     brute_force_oracle,
     dual_objective,
     problem_from_json,
@@ -251,6 +255,35 @@ class TestDuals:
         problem = TransportProblem(MK1, mu, nu)
         coupling, duals = solve(problem)
         self.check_duals(problem, coupling, duals)
+
+
+class StrictlyCheckedBasis(_Basis):
+    """A basis that asserts strong feasibility after every pivot."""
+
+    pivots = 0
+
+    def pivot(self, i, j):
+        super().pivot(i, j)
+        self.pivots += 1
+        for x, p in enumerate(self.parent):
+            if p >= 0 and self.flow[x] == 0:
+                # a zero-flow arc must point away from the root: mu-parent, nu-child
+                assert x >= self.n, f"zero-flow arc above mu-atom {x} points to the root"
+
+
+class TestBasis:
+    def test_pivots_keep_the_tree_strongly_feasible(self):
+        # equal weights make ties in the staircase and degenerate pivots
+        rng = np.random.default_rng(3)
+        pivots = 0
+        for _ in range(60):
+            problem = random_uniform_causal_problem(rng, d=2)
+            C = problem.cost_matrix()
+            supplies, demands, _ = _integer_marginals(problem.mu.weights, problem.nu.weights)
+            basis = StrictlyCheckedBasis(C, supplies, demands)
+            _optimize(basis, C, PRICE_TOL * (1.0 + np.max(np.abs(C[np.isfinite(C)]))))
+            pivots += basis.pivots
+        assert pivots > 0
 
 
 class TestMarginals:
