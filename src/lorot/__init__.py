@@ -24,18 +24,15 @@ from .dual import (
     DualPotential,
     PositiveCycle,
     c_transform,
-    c_transform_back,
     chain_potential,
     dkp_verify,
 )
 from .errors import (
     BadGrid,
     Infeasible,
-    InsufficientMeasure,
     LorotError,
     MonotonicityViolation,
     NotCausalPair,
-    RootNotBracketed,
     SchemaError,
     TooLarge,
     UnreachableAtom,
@@ -50,11 +47,10 @@ from .experiments import (
     line_blowup_problem,
     run_cylinder_example,
     run_line_counterexample,
-    select_spaced_points,
     separated_rays_problem,
     strictified_line_problem,
 )
-from .measures import DiscreteMeasure, grid_segment, measure_from_json, pushforward, strictify
+from .measures import DiscreteMeasure, grid_segment, measure_from_json, strictify
 from .solver import (
     Coupling,
     TransportProblem,

@@ -86,7 +86,7 @@ def count_monotonicity_violations(model: SpacetimeModel, coupling: Coupling,
     cost(x1,y1) + cost(x2,y2) > cost(x1,y2) + cost(x2,y1) + 1e-9; an infinite
     right-hand side never violates.
     """
-    C = model.cost_matrix(coupling.mu.coords_array(), coupling.nu.coords_array())
+    C = coupling.cost_matrix(model)
     ii, jj, _ = coupling.index_arrays()
     rng = np.random.default_rng(seed)
     k = len(ii)

@@ -92,17 +92,6 @@ def c_transform(model: SpacetimeModel, mu, psi, nu):
     return [float(v) if v < np.inf else None for v in low]
 
 
-def c_transform_back(model: SpacetimeModel, mu, phi, nu):
-    """psi(x) = sup over nu-atoms y of phi(y) - cost(x, y).
-
-    Reverse transform; ``None`` marks mu-atoms with no causal target.
-    """
-    C = model.cost_matrix(mu.coords_array(), nu.coords_array())
-    vals = np.asarray(phi, dtype=float)[None, :] - C
-    high = np.max(vals, axis=1, initial=-np.inf, where=np.isfinite(vals))
-    return [float(v) if v > -np.inf else None for v in high]
-
-
 def _atom_arc_matrix(model: SpacetimeModel, coupling: Coupling) -> np.ndarray:
     """Condense the chain graph onto mu-atoms.
 
@@ -110,7 +99,7 @@ def _atom_arc_matrix(model: SpacetimeModel, coupling: Coupling) -> np.ndarray:
     support pairs (u, y); -inf where no step exists.
     """
     n = coupling.mu.n_atoms
-    C = model.cost_matrix(coupling.mu.coords_array(), coupling.nu.coords_array())
+    C = coupling.cost_matrix(model)
     W = np.full((n, n), -np.inf)
     for i, j, _ in coupling.entries:
         W[i] = np.maximum(W[i], C[i, j] - C[:, j])
@@ -205,7 +194,7 @@ def dkp_verify(model: SpacetimeModel, coupling: Coupling, potential: DualPotenti
     support entry. ``max_violation`` is the larger of the worst feasibility
     excess (clipped at zero) and the worst support residual.
     """
-    C = model.cost_matrix(coupling.mu.coords_array(), coupling.nu.coords_array())
+    C = coupling.cost_matrix(model)
     psi = potential.psi_array()
     phi = potential.phi_array()
     slack = phi[None, :] - psi[:, None] - C

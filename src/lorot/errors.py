@@ -33,20 +33,12 @@ class MonotonicityViolation(LorotError):
     """Coupling support is not cyclically monotone (or branches at an atom)."""
 
 
-class InsufficientMeasure(LorotError):
-    """The set has too little measure to select the requested spaced points."""
-
-
 class ValidationFailed(LorotError):
     """A profile function violated one of its defining conditions."""
 
     def __init__(self, condition, message=None):
         self.condition = condition
         super().__init__(message or f"profile condition ({condition}) violated")
-
-
-class RootNotBracketed(LorotError):
-    """The critical-point solve could not bracket a root."""
 
 
 class SchemaError(LorotError):

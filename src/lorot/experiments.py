@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .diagnostics import audit
 from .dual import chain_potential, PositiveCycle
-from .errors import InsufficientMeasure, RootNotBracketed, ValidationFailed
+from .errors import ValidationFailed
 from .measures import DiscreteMeasure, grid_segment, strictify
 from .solver import TransportProblem, solve
 from .spacetime import Cylinder, Minkowski, Point
@@ -225,76 +224,6 @@ def run_line_counterexample(n: int, levels: int = 3) -> ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# spaced point selection inside a set of positive measure
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(float(x))  # exact: every binary64 is rational
-
-
-def select_spaced_points(intervals, a, b, eps, n: int):
-    """Pick n points of B, each in B, with gaps at least eps*(b-a)/(2n).
-
-    ``intervals`` is a finite union of disjoint closed intervals B inside
-    [a, b] with total length at least eps*(b-a). The rule is deterministic:
-    with beta = eps*(b-a)/(2n), the next point is the smallest t in B that
-    accumulates measure beta/2 of B past the previous cursor, and the cursor
-    then jumps beta past it. All arithmetic is exact over the rationals, so
-    the gap guarantee holds exactly; the returned points are Fractions.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    a, b = _to_fraction(a), _to_fraction(b)
-    eps = _to_fraction(eps)
-    if not (b > a and eps > 0):
-        raise ValueError("need b > a and eps > 0")
-    ivs = sorted(
-        ((_to_fraction(lo), _to_fraction(hi)) for lo, hi in intervals),
-        key=lambda p: p[0],
-    )
-    if not ivs:
-        raise InsufficientMeasure("empty interval union")
-    prev_hi = None
-    for lo, hi in ivs:
-        if lo < a or hi > b or lo >= hi:
-            raise ValueError(f"bad interval [{lo}, {hi}] for range [{a}, {b}]")
-        if prev_hi is not None and lo < prev_hi:
-            raise ValueError("intervals must be disjoint")
-        prev_hi = hi
-    total = sum(hi - lo for lo, hi in ivs)
-    if total < eps * (b - a):
-        raise InsufficientMeasure(
-            f"measure {total} is below eps*(b-a) = {eps * (b - a)}"
-        )
-
-    beta = eps * (b - a) / (2 * n)
-    half = beta / 2
-    points = []
-    cursor = a
-    for _ in range(n):
-        acc = Fraction(0)
-        t = None
-        for lo, hi in ivs:
-            seg_lo = max(lo, cursor)
-            if seg_lo >= hi:
-                continue
-            avail = hi - seg_lo
-            if acc + avail >= half:
-                t = seg_lo + (half - acc)
-                break
-            acc += avail
-        if t is None:
-            raise InsufficientMeasure("ran out of measure while selecting points")
-        points.append(t)
-        cursor = t + beta
-    return points
-
-
-# ---------------------------------------------------------------------------
 # the cylinder profile and its subdifferential field
 
 
@@ -428,13 +357,19 @@ def cylinder_potential(profile: ProfileFunction, y: Point, theta_grid: int = 100
     return float(min(vals[best], objective(np.array([(lo + hi) / 2.0]))[0]))
 
 
+def _slope(s):
+    """u / sqrt(t**2 - u**2) in terms of s = u / t, so that t**2 never appears."""
+    return s / np.sqrt(1.0 - s * s)
+
+
 def subdifferential_field(profile: ProfileFunction, t: float, theta_grid: int):
     """Solve the critical-point equation of the potential's subdifferential.
 
     For each theta on a cell-centered grid (which provably never hits the
     cusp at 2), find the displacement u in (-t, t) with
-    u / sqrt(t**2 - u**2) = profile'(theta) by bisection on that strictly
-    increasing function, to absolute tolerance 1e-10. The matched target is
+    u / sqrt(t**2 - u**2) = profile'(theta). The bisection runs on s = u / t,
+    where the equation reads s / sqrt(1 - s**2) = profile'(theta), a strictly
+    increasing function, so tiny t cannot underflow. The matched target is
     y_theta = (theta + u, t).
 
     Returns (thetas, u, skipped) where skipped counts grid points whose root
@@ -443,24 +378,21 @@ def subdifferential_field(profile: ProfileFunction, t: float, theta_grid: int):
     if not 0.0 < t <= 1.0:
         raise ValueError("need t in (0, 1]")
     N = int(theta_grid)
+    if N < 1:
+        raise ValueError(f"theta_grid must be at least 1, got {theta_grid!r}")
     thetas = (np.arange(N) + 0.5) * (5.0 / N)
     fp = profile.derivative(thetas)
 
-    def g(u):
-        return u / np.sqrt(t * t - u * u)
-
-    lo = np.full(N, -t * (1.0 - 1e-14))
-    hi = np.full(N, t * (1.0 - 1e-14))
-    bad = ~np.isfinite(fp) | (g(lo) > fp) | (g(hi) < fp)
+    lo = np.full(N, -(1.0 - 1e-14))
+    hi = np.full(N, 1.0 - 1e-14)
+    bad = ~np.isfinite(fp) | (_slope(lo) > fp) | (_slope(hi) < fp)
     skipped = int(np.count_nonzero(bad))
-    if skipped == N:
-        raise RootNotBracketed("no grid point admits a bracketed root")
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        below = g(mid) < fp
+        below = _slope(mid) < fp
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    u = 0.5 * (lo + hi)
+    u = t * (0.5 * (lo + hi))
     u[bad] = np.nan
     return thetas, u, skipped
 
@@ -506,9 +438,7 @@ def run_cylinder_example(eps: float, theta_grid: int, t: float,
         delta, window=(np.nextafter(0.0, 1.0), math.inf)
     )
     report.scalars["delta_leading_cone"] = ScalarResult(float(np.min(dist_leading)))
-    resid = np.abs(
-        profile.derivative(thetas[ok]) - u[ok] / np.sqrt(t * t - u[ok] * u[ok])
-    )
+    resid = np.abs(profile.derivative(thetas[ok]) - _slope(u[ok] / t))
     report.scalars["critical_equation_residual"] = ScalarResult(float(np.max(resid)))
 
     # the potential's modulus of continuity across the cusp image, reported

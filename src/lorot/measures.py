@@ -125,13 +125,6 @@ def grid_segment(model: SpacetimeModel, start: Point, end: Point, n: int) -> Dis
     return DiscreteMeasure.from_atoms(atoms)
 
 
-def pushforward(model: SpacetimeModel, m: DiscreteMeasure, mapping) -> DiscreteMeasure:
-    """Image measure under a point-to-point map; equal images are merged."""
-    return DiscreteMeasure.from_atoms(
-        (mapping(p), w) for p, w in zip(m.points, m.weights)
-    )
-
-
 def strictify(model: SpacetimeModel, m: DiscreteMeasure, eps: float) -> DiscreteMeasure:
     """Flow every atom backwards in time by eps.
 

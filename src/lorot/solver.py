@@ -59,12 +59,22 @@ class TransportProblem:
     nu: DiscreteMeasure
 
     def cost_matrix(self) -> np.ndarray:
-        return self.model.cost_matrix(self.mu.coords_array(), self.nu.coords_array())
+        """The n x m costs of mu against nu, +inf on non-causal pairs.
+
+        Computed on the first call; every later call returns the same
+        read-only array, so every layer prices this problem alike.
+        """
+        if "_cost" not in self.__dict__:
+            C = self.model.cost_matrix(self.mu.coords_array(), self.nu.coords_array())
+            C.setflags(write=False)
+            object.__setattr__(self, "_cost", C)
+        return self._cost
 
 
 @dataclass(frozen=True)
 class Coupling:
-    """Sparse nonnegative coupling of mu and nu, supported on finite arcs.
+    """Sparse nonnegative coupling of the marginals of ``problem``, supported
+    on finite arcs.
 
     ``entries`` is sorted by (i, j). When the coupling comes out of the exact
     solver, ``exact_masses``/``exact_denominator`` carry the masses as
@@ -72,15 +82,30 @@ class Coupling:
     correctly rounded.
     """
 
-    mu: DiscreteMeasure
-    nu: DiscreteMeasure
+    problem: TransportProblem
     entries: tuple[tuple[int, int, float], ...]
     total_cost: float
     exact_masses: tuple[int, ...] | None = None
     exact_denominator: int | None = None
 
+    @property
+    def mu(self) -> DiscreteMeasure:
+        return self.problem.mu
+
+    @property
+    def nu(self) -> DiscreteMeasure:
+        return self.problem.nu
+
+    def cost_matrix(self, model) -> np.ndarray:
+        """The problem's cost matrix; ``model`` must be the problem's own."""
+        if model != self.problem.model:
+            raise ValueError(
+                f"coupling is priced under {self.problem.model!r}, not {model!r}"
+            )
+        return self.problem.cost_matrix()
+
     @classmethod
-    def from_entries(cls, model, mu, nu, entries, exact_masses=None, exact_denominator=None):
+    def from_entries(cls, problem, entries, exact_masses=None, exact_denominator=None):
         order = sorted(range(len(entries)), key=lambda k: (entries[k][0], entries[k][1]))
         entries = tuple(
             (int(entries[k][0]), int(entries[k][1]), float(entries[k][2])) for k in order
@@ -89,14 +114,14 @@ class Coupling:
             exact_masses = tuple(exact_masses[k] for k in order)
         if not entries:
             raise ValueError("coupling must have at least one entry")
-        C = model.cost_matrix(mu.coords_array(), nu.coords_array())
+        C = problem.cost_matrix()
         for i, j, mass in entries:
             if not mass > 0:
                 raise ValueError(f"entry ({i},{j}) has nonpositive mass {mass}")
             if not np.isfinite(C[i, j]):
                 raise ValueError(f"entry ({i},{j}) pairs non-causal atoms")
         total = float(sum(mass * C[i, j] for i, j, mass in entries))
-        return cls(mu, nu, entries, total, exact_masses, exact_denominator)
+        return cls(problem, entries, total, exact_masses, exact_denominator)
 
     @property
     def n_entries(self) -> int:
@@ -354,7 +379,7 @@ def solve(problem: TransportProblem):
 
     arcs = [(i, j, q) for i, j, q, artificial in basis.arcs() if q and not artificial]
     coupling = Coupling.from_entries(
-        problem.model, mu, nu, [(i, j, float(Fraction(q, denom))) for i, j, q in arcs],
+        problem, [(i, j, float(Fraction(q, denom))) for i, j, q in arcs],
         exact_masses=[q for *_, q in arcs], exact_denominator=denom,
     )
     return coupling, (u, v)
@@ -405,7 +430,7 @@ def brute_force_oracle(problem: TransportProblem) -> Coupling:
         if best_sigma is None:
             raise Infeasible("no permutation avoids the forbidden arcs")
         entries = [(i, best_sigma[i], wa[i]) for i in range(n)]
-        return Coupling.from_entries(problem.model, mu, nu, entries)
+        return Coupling.from_entries(problem, entries)
 
     from scipy.optimize import linprog
 
@@ -426,7 +451,7 @@ def brute_force_oracle(problem: TransportProblem) -> Coupling:
     entries = [
         (arcs[k][0], arcs[k][1], res.x[k]) for k in range(len(arcs)) if res.x[k] > 1e-13
     ]
-    return Coupling.from_entries(problem.model, mu, nu, entries)
+    return Coupling.from_entries(problem, entries)
 
 
 def check_problem_fields(obj) -> None:

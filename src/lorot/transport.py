@@ -126,7 +126,7 @@ def restrict(model: SpacetimeModel, coupling: Coupling, s1: float, s2: float,
         merged[key] = merged.get(key, 0.0) + mass
     entries = [(i, j, m) for (i, j), m in merged.items()]
     problem = TransportProblem(model, m1, m2)
-    restricted = Coupling.from_entries(model, m1, m2, entries)
+    restricted = Coupling.from_entries(problem, entries)
     if verify:
         solved, _ = solve(problem)
         if abs(restricted.total_cost - solved.total_cost) > 1e-9 * (1 + abs(solved.total_cost)):
@@ -180,7 +180,7 @@ def contraction_check(model: SpacetimeModel, vertices, y: Point, t: float):
 
 def _check_two_cycles(model: SpacetimeModel, coupling: Coupling):
     """All-pairs two-cycle audit of the support; raises on a violation."""
-    C = model.cost_matrix(coupling.mu.coords_array(), coupling.nu.coords_array())
+    C = coupling.cost_matrix(model)
     ii, jj, _ = coupling.index_arrays()
     own = C[ii, jj]
     lhs = own[:, None] + own[None, :]
@@ -357,7 +357,7 @@ def monge_map(model: SpacetimeModel, problem: TransportProblem):
         missing = int(np.nonzero(assignment < 0)[0][0])
         return AtomSplit(missing, "atom not covered by any ray")
 
-    C = model.cost_matrix(problem.mu.coords_array(), problem.nu.coords_array())
+    C = coupling.cost_matrix(model)
     w = problem.mu.weights_array()
     map_cost = float(np.dot(w, C[np.arange(len(w)), assignment]))
     if not math.isfinite(map_cost):

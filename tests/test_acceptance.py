@@ -207,7 +207,7 @@ def test_criterion_08_on_ray_cost_invariance():
     for _ in range(100):
         sigma = rng.permutation(n)
         coupling = Coupling.from_entries(
-            model, mu, nu, [(i, int(sigma[i]), 1.0 / n) for i in range(n)]
+            TransportProblem(model, mu, nu), [(i, int(sigma[i]), 1.0 / n) for i in range(n)]
         )
         costs.append(coupling.total_cost)
     span = max(costs) - min(costs)

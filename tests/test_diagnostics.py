@@ -11,7 +11,7 @@ from lorot.diagnostics import (
 )
 from lorot.experiments import line_blowup_problem, strictified_line_problem
 from lorot.measures import DiscreteMeasure
-from lorot.solver import Coupling, solve
+from lorot.solver import Coupling, TransportProblem, solve
 from lorot.spacetime import CausalClass, Minkowski
 
 MK1 = Minkowski(1)
@@ -37,7 +37,7 @@ class TestLightlikeFraction:
 
     def test_identity_coupling_excluded(self):
         mu = DiscreteMeasure.from_atoms([(pt(0, 0), 0.5), (pt(1, 0), 0.5)])
-        coupling = Coupling.from_entries(MK1, mu, mu, [(0, 0, 0.5), (1, 1, 0.5)])
+        coupling = Coupling.from_entries(TransportProblem(MK1, mu, mu), [(0, 0, 0.5), (1, 1, 0.5)])
         assert lightlike_fraction(MK1, coupling) == 0.0
 
     def test_same_null_band_as_causal_class(self):
@@ -47,7 +47,7 @@ class TestLightlikeFraction:
         assert MK1.cost(x, y) < 0.0
         mu = DiscreteMeasure.from_atoms([(x, 1.0)])
         nu = DiscreteMeasure.from_atoms([(y, 1.0)])
-        coupling = Coupling.from_entries(MK1, mu, nu, [(0, 0, 1.0)])
+        coupling = Coupling.from_entries(TransportProblem(MK1, mu, nu), [(0, 0, 1.0)])
         assert class_fractions(MK1, coupling) == {
             "lightlike": 0.0, "chronological": 1.0, "identical": 0.0,
         }
@@ -75,7 +75,7 @@ class TestStrictMargin:
 
     def test_identity_sentinel(self):
         mu = DiscreteMeasure.from_atoms([(pt(0, 0), 1.0)])
-        coupling = Coupling.from_entries(MK1, mu, mu, [(0, 0, 1.0)])
+        coupling = Coupling.from_entries(TransportProblem(MK1, mu, mu), [(0, 0, 1.0)])
         assert strict_margin(MK1, coupling) == math.inf
 
 

@@ -1,10 +1,9 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lorot.errors import InsufficientMeasure, ValidationFailed
+from lorot.errors import ValidationFailed
 from lorot.experiments import (
     ProfileFunction,
     _validate_profile,
@@ -12,7 +11,6 @@ from lorot.experiments import (
     cylinder_potential,
     run_cylinder_example,
     run_line_counterexample,
-    select_spaced_points,
     subdifferential_field,
 )
 from lorot.spacetime import Cylinder
@@ -53,54 +51,6 @@ class TestLineCounterexample:
         problem = line_blowup_problem(40)
         finite = np.isfinite(problem.cost_matrix())
         assert np.array_equal(finite, np.tril(np.ones((40, 40), dtype=bool)))
-
-
-class TestSelectSpacedPoints:
-    def test_unit_interval_two_points(self):
-        pts = select_spaced_points([(0, 1)], 0, 1, 1, 2)
-        assert pts == [Fraction(1, 8), Fraction(1, 2)]
-        assert pts[1] - pts[0] >= Fraction(1, 4)
-
-    def test_half_interval_single_point(self):
-        pts = select_spaced_points(
-            [(0, Fraction(1, 2))], 0, Fraction(1, 2), Fraction(1, 2), 1
-        )
-        assert pts == [Fraction(1, 16)]
-
-    def test_insufficient_measure(self):
-        with pytest.raises(InsufficientMeasure):
-            select_spaced_points([(0, Fraction(1, 4))], 0, 1, Fraction(1, 2), 3)
-
-    def test_gap_guarantee_exact_on_random_unions(self):
-        rng = np.random.default_rng(61)
-        for _ in range(40):
-            # random disjoint rational intervals in [0, 1]
-            cuts = sorted(rng.integers(0, 1000, size=8))
-            ivs = []
-            for k in range(0, 8, 2):
-                lo, hi = Fraction(int(cuts[k]), 1000), Fraction(int(cuts[k + 1]), 1000)
-                if lo < hi:
-                    ivs.append((lo, hi))
-            if not ivs:
-                continue
-            total = sum(hi - lo for lo, hi in ivs)
-            n = int(rng.integers(1, 5))
-            eps = total  # eps*(b-a) == measure, the tightest admissible choice
-            pts = select_spaced_points(ivs, 0, 1, eps, n)
-            beta = eps / (2 * n)
-            assert len(pts) == n
-            for a, b in zip(pts, pts[1:]):
-                assert b - a >= beta  # exact rational comparison
-            for p in pts:
-                assert any(lo <= p <= hi for lo, hi in ivs)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            select_spaced_points([(0, 2)], 0, 1, 1, 1)
-        with pytest.raises(ValueError):
-            select_spaced_points([(0, 0.6), (0.5, 1)], 0, 1, 1, 1)
-        with pytest.raises(ValueError):
-            select_spaced_points([(0, 1)], 0, 1, 1, 0)
 
 
 class TestProfile:
@@ -209,6 +159,19 @@ class TestSubdifferentialField:
         with pytest.raises(ValueError):
             subdifferential_field(build_profile(0.25), 0.0, 100)
 
+    def test_grid_size_named(self):
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match=f"got {bad}$"):
+                subdifferential_field(build_profile(0.25), 1.0, bad)
+
+    def test_tiny_t_scales_the_unit_field(self):
+        # the equation depends on u / t only, but t * t underflows at t = 1e-200
+        f = build_profile(0.25)
+        _, unit, _ = subdifferential_field(f, 1.0, 1000)
+        _, u, skipped = subdifferential_field(f, 1e-200, 1000)
+        assert skipped == 0
+        np.testing.assert_allclose(u / 1e-200, unit, rtol=1e-15, atol=0)
+
 
 class TestRunCylinderExample:
     def test_report_contents(self):
@@ -219,6 +182,10 @@ class TestRunCylinderExample:
         # the leading-cone distance is grid stable: t * (1 - pi/sqrt(1+pi^2))
         stable = 1.0 * (1 - math.pi / math.sqrt(1 + math.pi**2))
         assert rep.scalars["delta_leading_cone"].value == pytest.approx(stable, abs=1e-3)
+        assert rep.scalars["critical_equation_residual"].value < 1e-9
+
+    def test_tiny_t_residual_finite(self):
+        rep = run_cylinder_example(0.25, 1000, 1e-200)
         assert rep.scalars["critical_equation_residual"].value < 1e-9
 
     def test_flat_piece_margin_full(self):

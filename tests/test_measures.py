@@ -8,7 +8,6 @@ from lorot.measures import (
     DiscreteMeasure,
     grid_segment,
     measure_from_json,
-    pushforward,
     strictify,
 )
 from lorot.spacetime import Cylinder, Minkowski
@@ -49,30 +48,40 @@ class TestGridSegment:
             grid_segment(MK1, pt(MK1, 0, 0), pt(MK1, 0, 0), 3)
 
 
+def push(m, mapping):
+    """Image of m under a point map, built the way interpolate and restrict
+    push a coupling's entries forward: equal images merge."""
+    return DiscreteMeasure.from_atoms_with_index_map(
+        (mapping(p), w) for p, w in zip(m.points, m.weights)
+    )
+
+
 class TestPushforward:
     def test_shift_map(self):
         m = grid_segment(MK1, pt(MK1, 0, 0), pt(MK1, 1, 0), 3)
-        shifted = pushforward(
-            MK1, m, lambda p: MK1.make_point([p.spatial[0] + 1], p.time + 1)
-        )
+        shifted, index = push(m, lambda p: MK1.make_point([p.spatial[0] + 1], p.time + 1))
         assert [p.coords() for p in shifted.points] == [(1.0, 1.0), (1.5, 1.0), (2.0, 1.0)]
         assert shifted.weights == m.weights
+        assert index == [0, 1, 2]
 
     def test_identity(self):
         m = grid_segment(MK1, pt(MK1, 0, 0), pt(MK1, 1, 0), 4)
-        assert pushforward(MK1, m, lambda p: p) == m
+        assert push(m, lambda p: p) == (m, [0, 1, 2, 3])
 
     def test_constant_map_merges(self):
         m = grid_segment(MK1, pt(MK1, 0, 0), pt(MK1, 1, 0), 5)
         target = pt(MK1, 0, 9)
-        collapsed = pushforward(MK1, m, lambda p: target)
+        collapsed, index = push(m, lambda p: target)
         assert collapsed.n_atoms == 1
         assert collapsed.weights[0] == pytest.approx(1.0, abs=1e-15)
+        assert index == [0] * 5
 
     def test_mass_preserved(self):
         m = grid_segment(MK1, pt(MK1, 0, 0), pt(MK1, 1, 0), 9)
-        out = pushforward(MK1, m, lambda p: MK1.make_point([p.spatial[0] ** 2], p.time))
+        out, index = push(m, lambda p: MK1.make_point([p.spatial[0] ** 2], p.time))
         assert float(np.sum(out.weights_array())) == pytest.approx(1.0, abs=1e-12)
+        # x -> x**2 keeps the order of [0, 1], so atom k lands on atom k
+        assert index == list(range(9))
 
 
 class TestStrictify:

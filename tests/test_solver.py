@@ -11,8 +11,15 @@ from conftest import (
     random_weighted_causal_problem,
     two_by_two_problem,
 )
+from lorot.diagnostics import audit
+from lorot.dual import DualPotential, PositiveCycle, chain_potential, dkp_verify
 from lorot.errors import Infeasible, SchemaError, TooLarge
-from lorot.experiments import line_blowup_problem
+from lorot.experiments import (
+    line_blowup_problem,
+    random_strict_problem,
+    run_line_counterexample,
+    separated_rays_problem,
+)
 from lorot.measures import DiscreteMeasure, grid_segment
 from lorot.solver import (
     PRICE_TOL,
@@ -26,7 +33,8 @@ from lorot.solver import (
     problem_to_json,
     solve,
 )
-from lorot.spacetime import Cylinder, Minkowski
+from lorot.spacetime import Cylinder, Minkowski, SpacetimeModel
+from lorot.transport import MongeMap, monge_map, ray_decomposition
 
 MK1 = Minkowski(1)
 
@@ -317,6 +325,60 @@ class TestMarginals:
         for _ in range(10):
             coupling, _ = solve(random_weighted_causal_problem(rng))
             assert all(mass > 0 for _, _, mass in coupling.entries)
+
+
+@pytest.fixture
+def cost_matrix_calls(monkeypatch):
+    """Shapes of every cost matrix a model builds while the test runs."""
+    calls = []
+    build = SpacetimeModel.cost_matrix
+
+    def counted(self, xs, ys):
+        calls.append((len(xs), len(ys)))
+        return build(self, xs, ys)
+
+    monkeypatch.setattr(SpacetimeModel, "cost_matrix", counted)
+    return calls
+
+
+class TestOneCostMatrix:
+    def test_line_study_builds_one_matrix_per_level(self, cost_matrix_calls):
+        run_line_counterexample(25, levels=2)
+        assert cost_matrix_calls == [(25, 25), (50, 50)]
+
+    def test_every_layer_reads_the_problem_matrix(self, cost_matrix_calls):
+        problem = separated_rays_problem(0)
+        model = problem.model
+        coupling, (u, v) = solve(problem)
+        assert not isinstance(chain_potential(model, coupling), PositiveCycle)
+        assert dkp_verify(model, coupling, DualPotential.from_arrays(u, v)).feasible
+        assert audit(model, problem, coupling, (u, v)).monotonicity_violations == 0
+        assert ray_decomposition(model, coupling)
+        assert isinstance(monge_map(model, problem), MongeMap)
+        assert len(cost_matrix_calls) == 1
+
+    def test_read_only_and_equal_to_a_fresh_build(self):
+        problem = random_strict_problem(3)
+        coupling, _ = solve(problem)
+        C = problem.cost_matrix()
+        fresh = problem.model.cost_matrix(problem.mu.coords_array(), problem.nu.coords_array())
+        assert C.tobytes() == fresh.tobytes()
+        assert coupling.cost_matrix(problem.model) is C
+        with pytest.raises(ValueError, match="read-only"):
+            C[0, 0] = 0.0
+
+    def test_other_model_rejected(self):
+        problem = two_by_two_problem()
+        coupling, (u, v) = solve(problem)
+        layers = (
+            lambda model: chain_potential(model, coupling),
+            lambda model: dkp_verify(model, coupling, DualPotential.from_arrays(u, v)),
+            lambda model: audit(model, problem, coupling, (u, v)),
+            lambda model: ray_decomposition(model, coupling),
+        )
+        for layer in layers:
+            with pytest.raises(ValueError, match=r"Minkowski\(d=1\), not Cylinder\("):
+                layer(Cylinder(5.0))
 
 
 class TestDeterminism:

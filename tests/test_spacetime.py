@@ -302,7 +302,7 @@ class TestOneKernel:
         nu, nu_index = DiscreteMeasure.from_atoms_with_index_map((y, 1.0 / len(ys)) for y in ys)
         pairs = [(i, j) for i in range(len(xs)) for j in range(len(ys)) if costs[i, j] < math.inf]
         entries = [(mu_index[i], nu_index[j], float(k + 1)) for k, (i, j) in enumerate(pairs)]
-        coupling = Coupling.from_entries(model, mu, nu, entries)
+        coupling = Coupling.from_entries(TransportProblem(model, mu, nu), entries)
         sums = {cls: 0.0 for cls in CausalClass}
         for k, (i, j) in enumerate(pairs):
             sums[classes[i][j]] += float(k + 1)

@@ -38,7 +38,7 @@ class TestInterpolate:
     def test_single_entry_midpoint(self):
         mu = DiscreteMeasure.from_atoms([(pt(MK1, 0, 0), 1.0)])
         nu = DiscreteMeasure.from_atoms([(pt(MK1, 0, 2), 1.0)])
-        coupling = Coupling.from_entries(MK1, mu, nu, [(0, 0, 1.0)])
+        coupling = Coupling.from_entries(TransportProblem(MK1, mu, nu), [(0, 0, 1.0)])
         mid = interpolate(MK1, coupling, 0.5)
         assert mid.points == (pt(MK1, 0, 1),)
 
@@ -162,13 +162,13 @@ class TestRayDecomposition:
     def test_single_entry_single_ray(self):
         mu = DiscreteMeasure.from_atoms([(pt(MK1, 0, 0), 1.0)])
         nu = DiscreteMeasure.from_atoms([(pt(MK1, 0.5, 2), 1.0)])
-        coupling = Coupling.from_entries(MK1, mu, nu, [(0, 0, 1.0)])
+        coupling = Coupling.from_entries(TransportProblem(MK1, mu, nu), [(0, 0, 1.0)])
         assert len(ray_decomposition(MK1, coupling)) == 1
 
     def test_collinear_overlapping_merge(self):
         mu = DiscreteMeasure.from_atoms([(pt(MK1, 0, 0), 0.5), (pt(MK1, 0, 1), 0.5)])
         nu = DiscreteMeasure.from_atoms([(pt(MK1, 0, 2), 0.5), (pt(MK1, 0, 3), 0.5)])
-        coupling = Coupling.from_entries(MK1, mu, nu, [(0, 0, 0.5), (1, 1, 0.5)])
+        coupling = Coupling.from_entries(TransportProblem(MK1, mu, nu), [(0, 0, 0.5), (1, 1, 0.5)])
         rays = ray_decomposition(MK1, coupling)
         assert len(rays) == 1
         assert rays[0].mu_taus == (0.0, 1.0)
@@ -176,7 +176,7 @@ class TestRayDecomposition:
 
     def test_identical_entries_are_singletons(self):
         mu = DiscreteMeasure.from_atoms([(pt(MK1, 0, 0), 0.5), (pt(MK1, 3, 0), 0.5)])
-        coupling = Coupling.from_entries(MK1, mu, mu, [(0, 0, 0.5), (1, 1, 0.5)])
+        coupling = Coupling.from_entries(TransportProblem(MK1, mu, mu), [(0, 0, 0.5), (1, 1, 0.5)])
         rays = ray_decomposition(MK1, coupling)
         assert len(rays) == 2
         assert all(r.identical for r in rays)
@@ -184,7 +184,7 @@ class TestRayDecomposition:
     def test_crossed_coupling_rejected(self):
         problem = two_by_two_problem()
         crossed = Coupling.from_entries(
-            MK1, problem.mu, problem.nu, [(0, 1, 0.5), (1, 0, 0.5)]
+            problem, [(0, 1, 0.5), (1, 0, 0.5)]
         )
         with pytest.raises(MonotonicityViolation):
             ray_decomposition(MK1, crossed)
@@ -192,7 +192,7 @@ class TestRayDecomposition:
     def test_branching_atom_rejected(self):
         mu = DiscreteMeasure.from_atoms([(pt(MK1, 0, 0), 1.0)])
         nu = DiscreteMeasure.from_atoms([(pt(MK1, -1, 2), 0.5), (pt(MK1, 1, 2), 0.5)])
-        coupling = Coupling.from_entries(MK1, mu, nu, [(0, 0, 0.5), (0, 1, 0.5)])
+        coupling = Coupling.from_entries(TransportProblem(MK1, mu, nu), [(0, 0, 0.5), (0, 1, 0.5)])
         with pytest.raises(MonotonicityViolation):
             ray_decomposition(MK1, coupling)
 
@@ -226,7 +226,9 @@ class TestRayDecomposition:
     def test_ray_cdf_shape(self):
         mu = DiscreteMeasure.from_atoms([(pt(MK1, 0, 0), 0.75), (pt(MK1, 0, 1), 0.25)])
         nu = DiscreteMeasure.from_atoms([(pt(MK1, 0, 2), 1.0)])
-        coupling = Coupling.from_entries(MK1, mu, nu, [(0, 0, 0.75), (1, 0, 0.25)])
+        coupling = Coupling.from_entries(
+            TransportProblem(MK1, mu, nu), [(0, 0, 0.75), (1, 0, 0.25)]
+        )
         ray = ray_decomposition(MK1, coupling)[0]
         cdf = ray.cdf_mu()
         assert cdf(-1.0) == 0.0
@@ -297,7 +299,7 @@ class TestOnRayCostInvariance:
         for _ in range(100):
             sigma = rng.permutation(n)
             coupling = Coupling.from_entries(
-                MK1, mu, nu, [(i, int(sigma[i]), 1.0 / n) for i in range(n)]
+                TransportProblem(MK1, mu, nu), [(i, int(sigma[i]), 1.0 / n) for i in range(n)]
             )
             costs.append(coupling.total_cost)
         assert max(costs) - min(costs) <= 1e-12
