@@ -199,13 +199,6 @@ def _cmd_monge(args, out_dir):
     return result, 0
 
 
-def _report_result(report):
-    return {
-        "name": report.name,
-        "scalars": {k: v.as_dict() for k, v in report.scalars.items()},
-    }
-
-
 def _cmd_line(args, out_dir):
     if args.n < 3:
         raise SchemaError("--n must be at least 3")
@@ -213,7 +206,7 @@ def _cmd_line(args, out_dir):
     rows = report.tables["levels"]
     header = tuple(rows[0].keys())
     _write_csv(out_dir / "levels.csv", header, [tuple(r[k] for k in header) for r in rows])
-    return _report_result(report), 0
+    return report.as_dict(), 0
 
 
 def _cmd_cylinder(args, out_dir):
@@ -230,7 +223,7 @@ def _cmd_cylinder(args, out_dir):
         ("theta", "y_theta", "margin"),
         [(r["theta"], r["y_theta"], r["margin"]) for r in rows],
     )
-    return _report_result(report), 0
+    return report.as_dict(), 0
 
 
 _HANDLERS = {

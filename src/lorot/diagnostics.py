@@ -10,12 +10,15 @@ discrete form of strict timelikeness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .solver import Coupling, TransportProblem, dual_objective
 from .spacetime import SpacetimeModel, causal_band
+
+#: a two-cycle improves the cost when it gains more than this
+TWO_CYCLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -26,12 +29,7 @@ class DiagnosticsReport:
     monotonicity_violations: int
 
     def as_dict(self):
-        return {
-            "lightlike_fraction": self.lightlike_fraction,
-            "min_margin": self.min_margin,
-            "dual_gap": self.dual_gap,
-            "monotonicity_violations": self.monotonicity_violations,
-        }
+        return asdict(self)
 
 
 def _entry_margins(model: SpacetimeModel, coupling: Coupling):
@@ -78,13 +76,24 @@ def strict_margin(model: SpacetimeModel, coupling: Coupling) -> float:
     return float(np.min(moving))
 
 
+def _two_cycle_violations(C, ii, jj, e, f):
+    """``(bad, lhs, rhs)`` for entries e against f (broadcast index arrays
+    into the support ``ii``, ``jj``): lhs = cost(x_e, y_e) + cost(x_f, y_f),
+    rhs = cost(x_e, y_f) + cost(x_f, y_e), and swapping improves (``bad``)
+    when lhs > rhs + TWO_CYCLE_TOL with rhs finite."""
+    own = C[ii, jj]
+    lhs = own[e] + own[f]
+    rhs = C[ii[e], jj[f]] + C[ii[f], jj[e]]
+    return np.isfinite(rhs) & (lhs > rhs + TWO_CYCLE_TOL), lhs, rhs
+
+
 def count_monotonicity_violations(model: SpacetimeModel, coupling: Coupling,
                                   samples: int = 1000, seed: int = 0) -> int:
     """Sample pairs of support entries and count two-cycle improvements.
 
     A violation is a pair of entries (x1,y1), (x2,y2) with
-    cost(x1,y1) + cost(x2,y2) > cost(x1,y2) + cost(x2,y1) + 1e-9; an infinite
-    right-hand side never violates.
+    cost(x1,y1) + cost(x2,y2) > cost(x1,y2) + cost(x2,y1) + TWO_CYCLE_TOL;
+    an infinite right-hand side never violates.
     """
     C = coupling.cost_matrix(model)
     ii, jj, _ = coupling.index_arrays()
@@ -92,9 +101,7 @@ def count_monotonicity_violations(model: SpacetimeModel, coupling: Coupling,
     k = len(ii)
     e1 = rng.integers(0, k, size=samples)
     e2 = rng.integers(0, k, size=samples)
-    lhs = C[ii[e1], jj[e1]] + C[ii[e2], jj[e2]]
-    rhs = C[ii[e1], jj[e2]] + C[ii[e2], jj[e1]]
-    bad = np.isfinite(rhs) & (lhs > rhs + 1e-9)
+    bad, _, _ = _two_cycle_violations(C, ii, jj, e1, e2)
     return int(np.count_nonzero(bad))
 
 

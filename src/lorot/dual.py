@@ -11,7 +11,7 @@ cyclically monotone, in which case no such potential exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,11 +72,7 @@ class DkpReport:
     max_violation: float
 
     def as_dict(self):
-        return {
-            "feasible": self.feasible,
-            "support_tight": self.support_tight,
-            "max_violation": self.max_violation,
-        }
+        return asdict(self)
 
 
 def c_transform(model: SpacetimeModel, mu, psi, nu):

@@ -63,10 +63,10 @@ class ExperimentReport:
     tables: dict[str, list[dict]] = field(default_factory=dict)
 
     def as_dict(self):
+        """The ``result`` block of the CLI's ``result.json``; tables go to CSV."""
         return {
             "name": self.name,
             "scalars": {k: v.as_dict() for k, v in self.scalars.items()},
-            "tables": {k: len(v) for k, v in self.tables.items()},
         }
 
 
@@ -328,6 +328,8 @@ def cylinder_potential(profile: ProfileFunction, y: Point, theta_grid: int = 100
     the only causal source when y lies on the slice t=0), refined by ternary
     search around the grid argmin to width 1e-10.
     """
+    if theta_grid < 1:
+        raise ValueError(f"theta_grid must be at least 1, got {theta_grid!r}")
     model = Cylinder(5.0)
     if y.time < 0:
         raise ValueError("target must lie at time >= 0")

@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -77,8 +77,8 @@ class Coupling:
     on finite arcs.
 
     ``entries`` is sorted by (i, j). When the coupling comes out of the exact
-    solver, ``exact_masses``/``exact_denominator`` carry the masses as
-    integers over a common denominator; the float masses are these rationals
+    solver, ``exact_masses`` are its masses as Python integers over the one
+    ``exact_denominator``; each float mass is ``q / exact_denominator``,
     correctly rounded.
     """
 
@@ -138,32 +138,30 @@ class Coupling:
         ii, jj, _ = self.index_arrays()
         return self.mu.coords_array()[ii], self.nu.coords_array()[jj]
 
-    def exact_mass_fractions(self):
-        if self.exact_masses is None:
-            return None
-        d = self.exact_denominator
-        return [Fraction(m, d) for m in self.exact_masses]
-
 
 def _integer_marginals(wa, wb):
-    """Scale both weight vectors to integers over a common denominator.
+    """Put both weight vectors over their least common denominator.
 
     Floats are exact dyadic rationals, so this is lossless. When the two
     exact totals differ (each is only within 1e-12 of one), the demand side
     is rescaled by the ratio of totals so supply and demand balance exactly;
-    the relative adjustment is below 1e-11.
+    the relative adjustment is below 1e-11. Returns ``(a, b, denom)``.
     """
-    fa = [Fraction(w) for w in wa]
-    fb = [Fraction(w) for w in wb]
-    sa, sb = sum(fa), sum(fb)
+    ra = [w.as_integer_ratio() for w in wa]
+    rb = [w.as_integer_ratio() for w in wb]
+    denom = lcm(*[d for _, d in itertools.chain(ra, rb)])
+    a = [p * (denom // d) for p, d in ra]
+    b = [p * (denom // d) for p, d in rb]
+    sa, sb = sum(a), sum(b)
     if sa != sb:
-        scale = sa / sb
-        fb = [w * scale for w in fb]
-    denom = lcm(*[f.denominator for f in itertools.chain(fa, fb)])
-    a = [int(f * denom) for f in fa]
-    b = [int(f * denom) for f in fb]
+        # b scaled by sa / sb, with a and b over denom * (sb / g)
+        g = gcd(sa, sb)
+        a = [q * (sb // g) for q in a]
+        b = [q * (sa // g) for q in b]
+        denom *= sb // g
     assert sum(a) == sum(b)
-    return a, b, denom
+    g = gcd(denom, *a, *b)
+    return [q // g for q in a], [q // g for q in b], denom // g
 
 
 def _staircase(supplies, demands):
@@ -379,7 +377,7 @@ def solve(problem: TransportProblem):
 
     arcs = [(i, j, q) for i, j, q, artificial in basis.arcs() if q and not artificial]
     coupling = Coupling.from_entries(
-        problem, [(i, j, float(Fraction(q, denom))) for i, j, q in arcs],
+        problem, [(i, j, q / denom) for i, j, q in arcs],
         exact_masses=[q for *_, q in arcs], exact_denominator=denom,
     )
     return coupling, (u, v)

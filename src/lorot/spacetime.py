@@ -242,10 +242,11 @@ class Cylinder(SpacetimeModel):
         return np.where(wrapped == self.circumference, 0.0, wrapped)
 
     def displacement(self, xs, ys):
-        """Coordinate differences wrapped to (-C/2, C/2]."""
+        """Coordinate differences wrapped to (-C/2, C/2]; only ys - xs rounds
+        (``fmod`` is exact, and so is the one shift by C, by Sterbenz)."""
         c = self.circumference
-        raw = (ys - xs) % c
-        return np.where(raw > c / 2.0, raw - c, raw)
+        r = np.fmod(ys - xs, c)
+        return np.where(r > c / 2.0, r - c, np.where(r <= -c / 2.0, r + c, r))
 
     def to_config(self):
         return {"kind": "cylinder", "circumference": self.circumference}

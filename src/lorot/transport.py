@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
+from .diagnostics import _two_cycle_violations
 from .errors import MonotonicityViolation, NotCausalPair
 from .measures import DiscreteMeasure
 from .solver import Coupling, TransportProblem, solve
@@ -180,18 +181,16 @@ def contraction_check(model: SpacetimeModel, vertices, y: Point, t: float):
 
 def _check_two_cycles(model: SpacetimeModel, coupling: Coupling):
     """All-pairs two-cycle audit of the support; raises on a violation."""
-    C = coupling.cost_matrix(model)
     ii, jj, _ = coupling.index_arrays()
-    own = C[ii, jj]
-    lhs = own[:, None] + own[None, :]
-    cross_ef = C[ii[:, None], jj[None, :]]  # cost(x_e, y_f) for all entry pairs
-    total_swap = cross_ef + cross_ef.T
-    bad = np.isfinite(total_swap) & (lhs > total_swap + 1e-9)
+    k = np.arange(len(ii))
+    bad, lhs, rhs = _two_cycle_violations(
+        coupling.cost_matrix(model), ii, jj, k[:, None], k[None, :]
+    )
     if bad.any():
         e, f = np.argwhere(bad)[0]
         raise MonotonicityViolation(
             f"two-cycle improvement between entries {int(e)} and {int(f)}: "
-            f"{lhs[e, f]!r} > {total_swap[e, f]!r}"
+            f"{lhs[e, f]!r} > {rhs[e, f]!r}"
         )
 
 
@@ -301,10 +300,10 @@ def ray_decomposition(model: SpacetimeModel, coupling: Coupling):
 def _ray_rearrangement(ray: TransportRay, mu_cum, nu_cum):
     """Monotone CDF matching on one ray with exact cumulative masses.
 
-    ``mu_cum``/``nu_cum`` are exact cumulative masses (Fractions) aligned
-    with the ray's sorted atoms; both end at the ray's total, so the search
-    always lands inside ``nu_cum``. Returns atom assignment or the index of
-    an atom that must split.
+    ``mu_cum``/``nu_cum`` are exact cumulative masses, integers over the
+    coupling's one denominator, aligned with the ray's sorted atoms; both end
+    at the ray's total, so the search always lands inside ``nu_cum``.
+    Returns atom assignment or the index of an atom that must split.
     """
     assignment = {}
     for k, i in enumerate(ray.mu_atoms):
@@ -336,18 +335,18 @@ def monge_map(model: SpacetimeModel, problem: TransportProblem):
         if len(rs) > 1:
             return AtomSplit(i, "atom mass is split across rays")
 
-    exact = coupling.exact_mass_fractions()
+    exact = coupling.exact_masses
     assignment = np.full(problem.mu.n_atoms, -1, dtype=np.int64)
     for ray in rays:
-        mu_m = {i: Fraction(0) for i in ray.mu_atoms}
-        nu_m = {j: Fraction(0) for j in ray.nu_atoms}
+        mu_m = dict.fromkeys(ray.mu_atoms, 0)
+        nu_m = dict.fromkeys(ray.nu_atoms, 0)
         for e in ray.entry_indices:
             i, j, _ = coupling.entries[e]
             mu_m[i] += exact[e]
             nu_m[j] += exact[e]
-        mu_cum = list(np.cumsum([mu_m[i] for i in ray.mu_atoms]))
-        nu_cum = list(np.cumsum([nu_m[j] for j in ray.nu_atoms]))
-        got, split_atom = _ray_rearrangement(ray, mu_cum, nu_cum)
+        got, split_atom = _ray_rearrangement(
+            ray, list(accumulate(mu_m.values())), list(accumulate(nu_m.values()))
+        )
         if got is None:
             return AtomSplit(int(split_atom), "mass interval straddles a nu-atom boundary")
         for i, j in got.items():

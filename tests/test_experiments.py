@@ -128,6 +128,12 @@ class TestCylinderPotential:
         with pytest.raises(ValueError):
             cylinder_potential(f, CYL.make_point([0.0], -1.0), 1000)
 
+    def test_grid_size_named(self):
+        y = CYL.make_point([1.0], 0.5)
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match=f"got {bad}$"):
+                cylinder_potential(build_profile(0.25), y, bad)
+
 
 def dense_grid_oracle(profile, y, n):
     """Plain dense minimization of the potential objective."""
@@ -171,6 +177,12 @@ class TestSubdifferentialField:
         _, u, skipped = subdifferential_field(f, 1e-200, 1000)
         assert skipped == 0
         np.testing.assert_allclose(u / 1e-200, unit, rtol=1e-15, atol=0)
+
+    def test_tiny_t_keeps_the_leading_cone_distance(self):
+        # the distances to the cone points are of order t, far below an
+        # ulp of the circumference
+        report = run_cylinder_example(0.25, 1000, 1e-200)
+        assert report.scalars["delta_leading_cone"].value > 0
 
 
 class TestRunCylinderExample:

@@ -294,7 +294,40 @@ class TestBasis:
         assert pivots > 0
 
 
+def fraction_marginals(wa, wb):
+    """Reference for ``_integer_marginals`` in ``Fraction`` arithmetic: the
+    demand side rescaled to the supply total, then both sides over their
+    least common denominator."""
+    fa = [Fraction(w) for w in wa]
+    fb = [Fraction(w) for w in wb]
+    scale = sum(fa) / sum(fb)
+    fb = [w * scale for w in fb]
+    denom = math.lcm(*[f.denominator for f in fa + fb])
+    return [int(f * denom) for f in fa], [int(f * denom) for f in fb], denom
+
+
+@st.composite
+def weight_vectors(draw):
+    """Uniform 1/n, normalised random (whose totals miss 1 by an ulp or so),
+    or dyadic with atoms down to 2**-1000."""
+    kind = draw(st.sampled_from(["uniform", "normalised", "dyadic"]))
+    n = draw(st.integers(1, 40))
+    if kind == "uniform":
+        return [1.0 / n] * n
+    if kind == "normalised":
+        w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+        return list(w / w.sum())
+    exponents = draw(st.lists(st.integers(2, 1000), max_size=n - 1, unique=True))
+    tiny = [2.0 ** -e for e in exponents]
+    return [1.0 - sum(tiny), *tiny]
+
+
 class TestMarginals:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(weight_vectors(), weight_vectors())
+    def test_integer_marginals_match_fraction_reference(self, wa, wb):
+        assert _integer_marginals(wa, wb) == fraction_marginals(wa, wb)
+
     def test_row_col_sums(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
@@ -313,10 +346,9 @@ class TestMarginals:
     def test_exact_masses_sum_to_exact_weights(self):
         problem = two_by_two_problem()
         coupling, _ = solve(problem)
-        fracs = coupling.exact_mass_fractions()
         by_row = {}
-        for (i, _, _), f in zip(coupling.entries, fracs):
-            by_row[i] = by_row.get(i, Fraction(0)) + f
+        for (i, _, _), q in zip(coupling.entries, coupling.exact_masses):
+            by_row[i] = by_row.get(i, Fraction(0)) + Fraction(q, coupling.exact_denominator)
         for i, w in enumerate(problem.mu.weights):
             assert by_row[i] == Fraction(w)
 

@@ -237,6 +237,11 @@ class TestCylinderConventions:
         assert x == CYL.make_point([0.0], 0.0)
         assert 0.0 <= x.spatial[0] < CYL.circumference
 
+    def test_negative_displacement_is_exact(self):
+        # a difference just below 0 must not round at the scale of C
+        assert CYL.displacement(0.0, -0.1) == -0.1
+        assert CYL.displacement(0.0, -1e-17) == -1e-17
+
     def test_antipodal_distance(self):
         assert CYL.cone_margin(pt(CYL, 0, 0), pt(CYL, 2.5, 2.5)) == 0.0
 
