@@ -12,9 +12,8 @@ Lipschitz control.
 
 import numpy as np
 
-from lorot import Cylinder, build_profile, cylinder_potential, run_cylinder_example
+from lorot import build_profile, cylinder_potential, run_cylinder_example
 
-cyl = Cylinder(5.0)
 eps = 0.25
 
 print("=== The cusp profile ===")
@@ -26,9 +25,9 @@ print("  f has a square-root cusp through zero at x = 2 (derivative -> -inf).")
 
 print()
 print("=== The induced potential on the cylinder ===")
-for theta, t in ((0.5, 1.0), (2.0, 0.5), (3.3, 0.8)):
-    y = cyl.make_point([theta], t)
-    print(f"  phi(({theta}; {t})) = {cylinder_potential(f, y, 20000):+.6f}")
+targets = np.array([[0.5, 1.0], [2.0, 0.5], [3.3, 0.8]])
+for (theta, t), phi in zip(targets, cylinder_potential(f, targets, 20000)):
+    print(f"  phi(({theta}; {t})) = {phi:+.6f}")
 
 print()
 print("=== The subdifferential transport field at t = 1 ===")
@@ -42,9 +41,8 @@ print(f"  min distance to the leading cone point:  "
       f"{report.scalars['delta_leading_cone'].value:.3g}  "
       f"(stable as the grid refines)")
 
-rows = report.tables["subdifferential"]
-margins = np.array([r["margin"] for r in rows])
-thetas = np.array([r["theta"] for r in rows])
+table = report.tables["subdifferential"]
+margins, thetas = table["margin"], table["theta"]
 print()
 print("Margin profile along the circle (min over bands of width 0.5):")
 for lo in np.arange(0.0, 5.0, 0.5):

@@ -16,6 +16,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .diagnostics import audit
 from .dual import DualPotential, PositiveCycle, chain_potential, dkp_verify
@@ -38,17 +40,16 @@ COMMANDS = (
 )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, table: np.recarray):
+    """One line per record under a header of the field names; floats as
+    ``%.17g``, which round-trips, and integers as ``%d``."""
+    names = table.dtype.names
+    template = ",".join("%.17g" if table.dtype[name].kind == "f" else "%d" for name in names)
+    values = [None] * (len(table) * len(names))
+    for k, name in enumerate(names):
+        values[k::len(names)] = table[name].tolist()
+    body = ((template + "\n") * len(table)) % tuple(values)
+    path.write_text(",".join(names) + "\n" + body, encoding="utf-8")
 
 
 def _sanitize(obj):
@@ -132,9 +133,9 @@ def _solve_from_args(args):
 
 def _cmd_solve(args, out_dir):
     problem, coupling, duals = _solve_from_args(args)
-    C = problem.cost_matrix()
-    rows = [(i, j, mass, float(C[i, j])) for i, j, mass in coupling.entries]
-    _write_csv(out_dir / "coupling.csv", ("i", "j", "mass", "cost"), rows)
+    ii, jj, mass = coupling.index_arrays()
+    table = np.rec.fromarrays([ii, jj, mass, problem.cost_matrix()[ii, jj]], names="i,j,mass,cost")
+    _write_csv(out_dir / "coupling.csv", table)
     gap = abs(coupling.total_cost - dual_objective(coupling, duals))
     result = {
         "cost": coupling.total_cost,
@@ -142,13 +143,6 @@ def _cmd_solve(args, out_dir):
         "n_arcs": coupling.n_entries,
     }
     return result, 0
-
-
-def _potential_rows(measure, values):
-    rows = []
-    for k, (p, v) in enumerate(zip(measure.points, values)):
-        rows.append((k, *p.spatial, p.time, float(v)))
-    return rows
 
 
 def _cmd_dual(args, out_dir):
@@ -161,10 +155,12 @@ def _cmd_dual(args, out_dir):
         return result, 0
     potential = DualPotential.from_psi(problem.model, problem.mu, psi, problem.nu)
     report = dkp_verify(problem.model, coupling, potential, tol=args.tol)
-    coord_names = tuple(f"x{k}" for k in range(problem.model.spatial_dim))
-    header = ("index", *coord_names, "t", "value")
-    _write_csv(out_dir / "psi.csv", header, _potential_rows(problem.mu, potential.psi))
-    _write_csv(out_dir / "phi.csv", header, _potential_rows(problem.nu, potential.phi))
+    coord_names = [f"x{k}" for k in range(problem.model.spatial_dim)]
+    names = ["index", *coord_names, "t", "value"]
+    for name, measure, values in (("psi", problem.mu, potential.psi),
+                                  ("phi", problem.nu, potential.phi)):
+        columns = [np.arange(measure.n_atoms), *measure.coords_array().T, np.array(values)]
+        _write_csv(out_dir / f"{name}.csv", np.rec.fromarrays(columns, names=names))
     result = report.as_dict()
     result["spread"] = float(max(potential.psi) - min(potential.psi))
     return result, 0
@@ -194,7 +190,9 @@ def _cmd_monge(args, out_dir):
             "atom_split": {"mu_index": outcome.mu_index, "detail": outcome.detail}
         }
         return result, 0
-    _write_csv(out_dir / "monge.csv", ("mu_index", "nu_index"), outcome.as_rows())
+    nu_index = np.array(outcome.assignment, dtype=np.int64)
+    table = np.rec.fromarrays([np.arange(len(nu_index)), nu_index], names="mu_index,nu_index")
+    _write_csv(out_dir / "monge.csv", table)
     result = {"cost": outcome.total_cost, "n_rays": len(outcome.rays)}
     return result, 0
 
@@ -203,26 +201,19 @@ def _cmd_line(args, out_dir):
     if args.n < 3:
         raise SchemaError("--n must be at least 3")
     report = run_line_counterexample(args.n)
-    rows = report.tables["levels"]
-    header = tuple(rows[0].keys())
-    _write_csv(out_dir / "levels.csv", header, [tuple(r[k] for k in header) for r in rows])
+    _write_csv(out_dir / "levels.csv", report.tables["levels"])
     return report.as_dict(), 0
 
 
 def _cmd_cylinder(args, out_dir):
     if not 0.0 < args.eps < 0.5:
         raise SchemaError("--eps must lie in (0, 0.5)")
-    if not 0.0 < args.t <= 1.0:
-        raise SchemaError("--t must lie in (0, 1]")
+    if not sys.float_info.min <= args.t <= 1.0:
+        raise SchemaError(f"--t must lie in [{sys.float_info.min!r}, 1], got {args.t!r}")
     if args.grid < 100:
         raise SchemaError("--grid must be at least 100")
     report = run_cylinder_example(args.eps, args.grid, args.t)
-    rows = report.tables["subdifferential"]
-    _write_csv(
-        out_dir / "subdifferential.csv",
-        ("theta", "y_theta", "margin"),
-        [(r["theta"], r["y_theta"], r["margin"]) for r in rows],
-    )
+    _write_csv(out_dir / "subdifferential.csv", report.tables["subdifferential"])
     return report.as_dict(), 0
 
 

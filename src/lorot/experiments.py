@@ -19,6 +19,7 @@ Two quantitative stories ship with the toolkit:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ from .dual import chain_potential, PositiveCycle
 from .errors import ValidationFailed
 from .measures import DiscreteMeasure, grid_segment, strictify
 from .solver import TransportProblem, solve
-from .spacetime import Cylinder, Minkowski, Point
+from .spacetime import Cylinder, Minkowski
 
 
 @dataclass(frozen=True)
@@ -58,9 +59,15 @@ class ScalarResult:
 
 @dataclass
 class ExperimentReport:
+    """Named scalars and tables of one experiment run.
+
+    Each table is a numpy record array: ``table["margin"]`` is a column,
+    ``table[k]`` a record, and ``for row in table: row["n"]`` reads rows.
+    """
+
     name: str
     scalars: dict[str, ScalarResult] = field(default_factory=dict)
-    tables: dict[str, list[dict]] = field(default_factory=dict)
+    tables: dict[str, np.recarray] = field(default_factory=dict)
 
     def as_dict(self):
         """The ``result`` block of the CLI's ``result.json``; tables go to CSV."""
@@ -162,7 +169,7 @@ SHIPPED_FAMILIES = {
 # the line counterexample
 
 
-def _line_level(n: int) -> dict:
+def _line_level(n: int) -> tuple:
     problem = line_blowup_problem(n)
     coupling, duals = solve(problem)
     shift = [(i, j) for i, j, _ in coupling.entries]
@@ -177,14 +184,7 @@ def _line_level(n: int) -> dict:
     _check(abs(spread - expected) <= 1e-6,
            f"spread at n={n} is {spread!r}, expected {expected!r}")
     report = audit(problem.model, problem, coupling, duals)
-    return {
-        "n": n,
-        "spread": spread,
-        "expected_spread": expected,
-        "total_cost": coupling.total_cost,
-        "lightlike_fraction": report.lightlike_fraction,
-        "dual_gap": report.dual_gap,
-    }
+    return n, spread, expected, coupling.total_cost, report.lightlike_fraction, report.dual_gap
 
 
 def run_line_counterexample(n: int, levels: int = 3) -> ExperimentReport:
@@ -195,30 +195,24 @@ def run_line_counterexample(n: int, levels: int = 3) -> ExperimentReport:
     zero cost, and the chain-potential spread must equal sqrt(2n-3) within
     1e-6. Reports the spread growth ratios and the fitted log-log slope.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    rows = [_line_level(n << level) for level in range(levels)]
+    if n < 3 or levels < 1:
+        raise ValueError(f"need n >= 3 and levels >= 1, got n={n!r}, levels={levels!r}")
+    table = np.rec.fromrecords(
+        [_line_level(n << level) for level in range(levels)],
+        names="n,spread,expected_spread,total_cost,lightlike_fraction,dual_gap",
+    )
 
     report = ExperimentReport(name="line-counterexample")
-    report.tables["levels"] = rows
-    for row in rows:
-        report.scalars[f"spread_n{row['n']}"] = ScalarResult(
-            row["spread"], tolerance=1e-6, target=row["expected_spread"]
-        )
-        report.scalars[f"cost_n{row['n']}"] = ScalarResult(
-            row["total_cost"], tolerance=1e-12, target=0.0
-        )
-        report.scalars[f"lightlike_fraction_n{row['n']}"] = ScalarResult(
-            row["lightlike_fraction"]
-        )
-    for a, b in zip(rows, rows[1:]):
-        ratio = b["spread"] / a["spread"]
-        report.scalars[f"ratio_n{a['n']}_to_n{b['n']}"] = ScalarResult(
-            ratio, window=(1.30, 1.48)
-        )
-    if len(rows) >= 2:
-        slope = float(np.polyfit(np.log([r["n"] for r in rows]),
-                                 np.log([r["spread"] for r in rows]), 1)[0])
+    report.tables["levels"] = table
+    for size, spread, expected, cost, lightlike, _ in table.tolist():
+        report.scalars[f"spread_n{size}"] = ScalarResult(spread, tolerance=1e-6, target=expected)
+        report.scalars[f"cost_n{size}"] = ScalarResult(cost, tolerance=1e-12, target=0.0)
+        report.scalars[f"lightlike_fraction_n{size}"] = ScalarResult(lightlike)
+    sizes, spreads = table["n"].tolist(), table["spread"].tolist()
+    for a, b, sa, sb in zip(sizes, sizes[1:], spreads, spreads[1:]):
+        report.scalars[f"ratio_n{a}_to_n{b}"] = ScalarResult(sb / sa, window=(1.30, 1.48))
+    if levels >= 2:
+        slope = float(np.polyfit(np.log(table["n"]), np.log(table["spread"]), 1)[0])
         report.scalars["log_log_slope"] = ScalarResult(slope, window=(0.45, 0.55))
     return report
 
@@ -321,42 +315,47 @@ def build_profile(eps: float) -> ProfileFunction:
     return f
 
 
-def cylinder_potential(profile: ProfileFunction, y: Point, theta_grid: int = 100000) -> float:
-    """inf over the circle of profile(theta) + cost((theta, 0), y).
+def cylinder_potential(profile: ProfileFunction, ys, theta_grid: int = 100000) -> np.ndarray:
+    """inf over the circle of profile(theta) + cost((theta, 0), y), per target.
 
-    Grid infimum over equispaced theta values (plus y's own angle, which is
-    the only causal source when y lies on the slice t=0), refined by ternary
-    search around the grid argmin to width 1e-10.
+    ``ys`` is a (k, 2) coordinate array of targets, time last, as for
+    :meth:`SpacetimeModel.cost_matrix`; returns the k values. Each infimum is
+    taken over theta_grid equispaced angles plus the target's own angle
+    (the only causal source when y lies on the slice t=0), then refined by
+    ternary search around the grid argmin to width 1e-10. All k searches run
+    in lockstep, each until its own width is reached.
     """
     if theta_grid < 1:
         raise ValueError(f"theta_grid must be at least 1, got {theta_grid!r}")
+    ys = np.asarray(ys, dtype=float)
+    if np.any(ys[:, -1] < 0):
+        raise ValueError("targets must lie at time >= 0")
     model = Cylinder(5.0)
-    if y.time < 0:
-        raise ValueError("target must lie at time >= 0")
 
-    target = np.array([y.coords()])
-
-    def objective(thetas):
+    def objective(thetas, targets):
         # +inf outside the causal past; sources are reduced onto the circle
-        xs = np.column_stack([model.normalize(thetas), np.zeros_like(thetas)])
-        return profile(thetas) + model.cost_matrix(xs, target)[:, 0]
+        xs = np.stack([model.normalize(thetas), np.zeros_like(thetas)], axis=-1)
+        return profile(thetas) + model.costs(xs, targets)
 
-    thetas = np.concatenate([np.arange(theta_grid) * (5.0 / theta_grid), [y.spatial[0]]])
-    vals = objective(thetas)
-    best = int(np.argmin(vals))
-    if not np.isfinite(vals[best]):
-        return math.inf
     h = 5.0 / theta_grid
+    grid = np.arange(theta_grid) * h
+    thetas = np.vstack([np.broadcast_to(grid[:, None], (theta_grid, len(ys))), ys[:, 0]])
+    vals = objective(thetas, ys)
+    best = (np.argmin(vals, axis=0), np.arange(len(ys)))
+    phi = vals[best]
     lo, hi = thetas[best] - h, thetas[best] + h
-    while hi - lo > 1e-10:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        f1, f2 = objective(np.array([m1, m2]))
-        if f1 <= f2:
-            hi = m2
-        else:
-            lo = m1
-    return float(min(vals[best], objective(np.array([(lo + hi) / 2.0]))[0]))
+    active = np.flatnonzero(np.isfinite(phi) & (hi - lo > 1e-10))
+    while len(active):
+        a, b = lo[active], hi[active]
+        m1 = a + (b - a) / 3.0
+        m2 = b - (b - a) / 3.0
+        f1, f2 = objective(np.stack([m1, m2]), ys[active])
+        left = f1 <= f2
+        hi[active] = np.where(left, m2, b)
+        lo[active] = np.where(left, a, m1)
+        active = active[hi[active] - lo[active] > 1e-10]
+    mid = objective((lo + hi) / 2.0, ys)
+    return np.where(np.isfinite(phi) & (mid < phi), mid, phi)
 
 
 def _slope(s):
@@ -377,8 +376,9 @@ def subdifferential_field(profile: ProfileFunction, t: float, theta_grid: int):
     Returns (thetas, u, skipped) where skipped counts grid points whose root
     could not be bracketed (reported, never silently dropped).
     """
-    if not 0.0 < t <= 1.0:
-        raise ValueError("need t in (0, 1]")
+    if not sys.float_info.min <= t <= 1.0:
+        # below the normal range u = t * s keeps too few bits, and u + t rounds to 0
+        raise ValueError(f"t must lie in [{sys.float_info.min!r}, 1], got {t!r}")
     N = int(theta_grid)
     if N < 1:
         raise ValueError(f"theta_grid must be at least 1, got {theta_grid!r}")
@@ -446,23 +446,13 @@ def run_cylinder_example(eps: float, theta_grid: int, t: float,
     # the potential's modulus of continuity across the cusp image, reported
     # only: |phi(2+h) - phi(2-h)| / sqrt(h) over dyadic offsets
     hs = 2.0 ** -np.arange(3, 11)
-    modulus = max(
-        abs(
-            cylinder_potential(profile, Point((float(2.0 + h),), t), 4000)
-            - cylinder_potential(profile, Point((float(2.0 - h),), t), 4000)
-        )
-        / math.sqrt(h)
-        for h in hs
-    )
+    cusp = np.column_stack([np.concatenate([2.0 + hs, 2.0 - hs]), np.full(2 * len(hs), t)])
+    phi = cylinder_potential(profile, cusp, 4000)
+    modulus = np.max(np.abs(phi[:len(hs)] - phi[len(hs):]) / np.sqrt(hs))
     report.scalars["potential_sqrt_modulus_at_cusp"] = ScalarResult(float(modulus))
 
-    rows = [
-        {
-            "theta": float(th),
-            "y_theta": float((th + uu) % 5.0),
-            "margin": float(t - abs(uu)),
-        }
-        for th, uu in zip(thetas[ok], u[ok])
-    ]
-    report.tables["subdifferential"] = rows
+    theta = thetas[ok]
+    report.tables["subdifferential"] = np.rec.fromarrays(
+        [theta, (theta + u[ok]) % 5.0, margins], names="theta,y_theta,margin"
+    )
     return report

@@ -134,12 +134,17 @@ class SpacetimeModel:
         delta = self.displacement(xs[..., :-1], ys[..., :-1])
         return ys[..., -1] - xs[..., -1], np.sqrt(np.sum(delta * delta, axis=-1))
 
+    def costs(self, xs, ys) -> np.ndarray:
+        """Costs from xs to ys, +inf on non-causal pairs; broadcasts like
+        :meth:`separation`."""
+        return _cost(*self.separation(xs, ys))
+
     def cost_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Pairwise costs, +inf on non-causal pairs; shape (n, m).
 
         ``xs`` and ``ys`` are coordinate arrays of shape (n, d+1) and (m, d+1).
         """
-        return _cost(*self.separation(xs[:, None, :], ys[None, :, :]))
+        return self.costs(xs[:, None, :], ys[None, :, :])
 
     def geodesic_points(self, xs, ys, t: float) -> list[Point]:
         """Points at parameter t on the minimizing segments from xs to ys.

@@ -77,9 +77,6 @@ class MongeMap:
     total_cost: float
     rays: tuple[TransportRay, ...]
 
-    def as_rows(self):
-        return [(i, j) for i, j in enumerate(self.assignment)]
-
 
 @dataclass(frozen=True)
 class AtomSplit:

@@ -2,9 +2,12 @@ import argparse
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lorot import cli, problem_to_json
 from lorot.cli import build_parser, main
+from lorot.experiments import separated_rays_problem
 
 PROBLEM = {
     "model": {"kind": "minkowski", "d": 1},
@@ -104,7 +107,10 @@ class TestFlags:
         ["solve", "--input", json.dumps(PROBLEM), "--tol", "1e-3"],
         ["counterexample-line"],
         ["interpolate", "--input", json.dumps(PROBLEM)],
-    ], ids=["bad-int", "nonpositive-tol", "unknown-flag", "missing-n", "missing-t"])
+        ["counterexample-cylinder", "--t", "1e-320"],
+        ["counterexample-cylinder", "--t", "5e-324"],
+    ], ids=["bad-int", "nonpositive-tol", "unknown-flag", "missing-n", "missing-t",
+            "subnormal-t", "least-subnormal-t"])
     def test_usage_errors_exit_3(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 3
         assert "lorot: invalid input:" in capsys.readouterr().err
@@ -179,6 +185,78 @@ class TestOtherCommands:
         table = (out / "subdifferential.csv").read_text().splitlines()
         assert table[0] == "theta,y_theta,margin"
         assert len(table) == 501
+
+    @pytest.mark.parametrize("t", ["2.2250738585072014e-308", "1e-200"])
+    def test_counterexample_cylinder_tiny_normal_t(self, t, tmp_path):
+        out = tmp_path / "out"
+        assert main(["counterexample-cylinder", "--t", t, "--grid", "1000",
+                     "--out", str(out)]) == 0
+        assert read_result(out)["result"]["scalars"]["delta_trailing_cone"]["value"] > 0
+
+
+def reference_format(x) -> str:
+    """The per-value rule every CSV value follows: 17 significant digits
+    for a float, ``str`` for anything else."""
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
+
+
+def reference_csv(table) -> bytes:
+    lines = [",".join(table.dtype.names)]
+    lines += [",".join(reference_format(v) for v in row) for row in table.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestCsvWriter:
+    @pytest.fixture
+    def written(self, monkeypatch):
+        """Every (path, table) the CLI writes as CSV."""
+        calls = []
+        write = cli._write_csv
+
+        def spy(path, table):
+            calls.append((path, table))
+            write(path, table)
+
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        return calls
+
+    @pytest.mark.parametrize("problem", [PROBLEM, problem_to_json(separated_rays_problem(0))],
+                             ids=["fixture", "rays0"])
+    @pytest.mark.parametrize("command, files", [
+        ("solve", ["coupling.csv"]),
+        ("dual", ["psi.csv", "phi.csv"]),
+        ("monge", ["monge.csv"]),
+    ])
+    def test_problem_tables_match_the_per_value_rule(self, problem, command, files,
+                                                     written, tmp_path):
+        main([command, "--input", json.dumps(problem), "--out", str(tmp_path)])
+        assert [path.name for path, _ in written] == files
+        for path, table in written:
+            assert path.read_bytes() == reference_csv(table)
+
+    @pytest.mark.parametrize("argv, name", [
+        (["counterexample-line", "--n", "51"], "levels.csv"),
+        (["counterexample-cylinder", "--grid", "500"], "subdifferential.csv"),
+    ])
+    def test_experiment_tables_match_the_per_value_rule(self, argv, name, written, tmp_path):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        [(path, table)] = written
+        assert path.name == name
+        assert path.read_bytes() == reference_csv(table)
+
+    def test_edge_values(self, tmp_path):
+        table = np.rec.fromarrays(
+            [np.array([-0.0, 5e-324, 0.1, 1 / 3, 1e300]), np.array([0, -7, 2**62, 1, 10])],
+            names="x,k",
+        )
+        cli._write_csv(tmp_path / "t.csv", table)
+        text = (tmp_path / "t.csv").read_bytes()
+        assert text == reference_csv(table)
+        assert text.decode().splitlines()[1:3] == ["-0,0", "4.9406564584124654e-324,-7"]
+        assert [float(line.split(",")[0]) for line in text.decode().splitlines()[1:]] == \
+            table["x"].tolist()
 
 
 class TestValidateCommand:

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -99,9 +101,10 @@ class TestProfile:
 class TestCylinderPotential:
     def test_slice_value_is_profile(self):
         f = build_profile(0.25)
-        for theta in (0.0, 1.3, 2.7, 4.9):
-            y = CYL.make_point([theta], 0.0)
-            assert cylinder_potential(f, y, 5000) == pytest.approx(f(theta), abs=1e-12)
+        thetas = (0.0, 1.3, 2.7, 4.9)
+        phi = cylinder_potential(f, [[theta, 0.0] for theta in thetas], 5000)
+        for theta, value in zip(thetas, phi):
+            assert value == pytest.approx(f(theta), abs=1e-12)
 
     def test_flat_piece_vertical_is_critical_but_seam_wins(self):
         # above the flat piece the vertical value f - t = 0.25 is a critical
@@ -109,7 +112,7 @@ class TestCylinderPotential:
         # undercut it, so the infimum is strictly smaller
         f = build_profile(0.25)
         y = CYL.make_point([0.5], 1.0)
-        phi = cylinder_potential(f, y, 20000)
+        phi = cylinder_potential(f, [y.coords()], 20000)[0]
         vertical = f(0.5) + CYL.cost(CYL.make_point([0.5], 0.0), y)
         assert vertical == 0.25
         assert phi <= vertical
@@ -118,21 +121,63 @@ class TestCylinderPotential:
 
     def test_generic_point_matches_dense_grid(self):
         f = build_profile(0.25)
-        for theta, t in ((2.0, 0.5), (3.3, 0.8), (1.1, 0.2)):
-            y = CYL.make_point([theta], t)
-            got = cylinder_potential(f, y, 10000)
-            assert got == pytest.approx(dense_grid_oracle(f, y, 200000), abs=1e-6)
+        ys = [CYL.make_point([theta], t) for theta, t in ((2.0, 0.5), (3.3, 0.8), (1.1, 0.2))]
+        got = cylinder_potential(f, [y.coords() for y in ys], 10000)
+        for y, value in zip(ys, got):
+            assert value == pytest.approx(dense_grid_oracle(f, y, 200000), abs=1e-6)
 
     def test_negative_time_rejected(self):
         f = build_profile(0.25)
         with pytest.raises(ValueError):
-            cylinder_potential(f, CYL.make_point([0.0], -1.0), 1000)
+            cylinder_potential(f, [[0.0, -1.0]], 1000)
 
     def test_grid_size_named(self):
-        y = CYL.make_point([1.0], 0.5)
         for bad in (0, -3):
             with pytest.raises(ValueError, match=f"got {bad}$"):
-                cylinder_potential(build_profile(0.25), y, bad)
+                cylinder_potential(build_profile(0.25), [[1.0, 0.5]], bad)
+
+    @pytest.mark.parametrize("t", [1.0, 0.5, 1e-200])
+    def test_cusp_targets_match_per_target_search(self, t):
+        f = build_profile(0.25)
+        hs = 2.0 ** -np.arange(3, 11)
+        ys = np.column_stack([np.concatenate([2.0 + hs, 2.0 - hs]), np.full(16, t)])
+        expected = np.array([reference_potential(f, y, 4000) for y in ys])
+        assert cylinder_potential(f, ys, 4000).tobytes() == expected.tobytes()
+
+    def test_mixed_targets_match_per_target_search(self):
+        # one batch of targets on and off the slice t = 0, across the circle
+        f = build_profile(0.25)
+        ys = np.array([[1.3, 0.0], [2.0 + 2.0**-5, 1.0], [4.9, 0.3], [0.5, 1.0], [2.0, 1e-9]])
+        expected = np.array([reference_potential(f, y, 4000) for y in ys])
+        assert cylinder_potential(f, ys, 4000).tobytes() == expected.tobytes()
+        assert cylinder_potential(f, ys[:1], 4000).tobytes() == expected[:1].tobytes()
+
+
+def reference_potential(profile, y, theta_grid):
+    """One target's potential by its own grid pass and ternary search: the
+    per-target loop the batched :func:`cylinder_potential` replaced."""
+    target = np.array([y])
+
+    def objective(thetas):
+        xs = np.column_stack([CYL.normalize(thetas), np.zeros_like(thetas)])
+        return profile(thetas) + CYL.cost_matrix(xs, target)[:, 0]
+
+    thetas = np.concatenate([np.arange(theta_grid) * (5.0 / theta_grid), [y[0]]])
+    vals = objective(thetas)
+    best = int(np.argmin(vals))
+    if not np.isfinite(vals[best]):
+        return math.inf
+    h = 5.0 / theta_grid
+    lo, hi = thetas[best] - h, thetas[best] + h
+    while hi - lo > 1e-10:
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        f1, f2 = objective(np.array([m1, m2]))
+        if f1 <= f2:
+            hi = m2
+        else:
+            lo = m1
+    return float(min(vals[best], objective(np.array([(lo + hi) / 2.0]))[0]))
 
 
 def dense_grid_oracle(profile, y, n):
@@ -164,6 +209,18 @@ class TestSubdifferentialField:
     def test_t_range(self):
         with pytest.raises(ValueError):
             subdifferential_field(build_profile(0.25), 0.0, 100)
+
+    @pytest.mark.parametrize("t", [1e-320, 5e-324])
+    def test_subnormal_t_named(self, t):
+        # u = t * s keeps too few bits there, and u + t rounds to 0
+        with pytest.raises(ValueError, match=re.escape(f"got {t!r}")):
+            subdifferential_field(build_profile(0.25), t, 100)
+        with pytest.raises(ValueError, match=re.escape(f"got {t!r}")):
+            run_cylinder_example(0.25, 10000, t)
+
+    def test_smallest_normal_t_runs(self):
+        report = run_cylinder_example(0.25, 1000, sys.float_info.min)
+        assert report.scalars["delta_trailing_cone"].value > 0
 
     def test_grid_size_named(self):
         for bad in (0, -3):
@@ -202,8 +259,8 @@ class TestRunCylinderExample:
 
     def test_flat_piece_margin_full(self):
         rep = run_cylinder_example(0.25, 2000, 1.0)
-        rows = rep.tables["subdifferential"]
-        near_half = min(rows, key=lambda r: abs(r["theta"] - 0.5))
+        table = rep.tables["subdifferential"]
+        near_half = table[np.argmin(np.abs(table["theta"] - 0.5))]
         assert near_half["margin"] == pytest.approx(1.0, abs=1e-9)
         assert near_half["y_theta"] == pytest.approx(near_half["theta"], abs=1e-9)
 
