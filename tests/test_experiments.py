@@ -189,21 +189,64 @@ def dense_grid_oracle(profile, y, n):
     return float(np.min(vals))
 
 
+def reference_bisection(fp, t):
+    """u in (-t, t) with u / sqrt(t^2 - u^2) = fp by 64 rounds of bisection
+    in s = u / t: the loop the closed form in :func:`subdifferential_field`
+    replaced. NaN where the root cannot be bracketed."""
+    def slope(s):
+        return s / np.sqrt(1.0 - s * s)
+
+    lo = np.full(len(fp), -(1.0 - 1e-14))
+    hi = np.full(len(fp), 1.0 - 1e-14)
+    bad = ~np.isfinite(fp) | (slope(lo) > fp) | (slope(hi) < fp)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = slope(mid) < fp
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.where(bad, np.nan, t * (0.5 * (lo + hi)))
+
+
+class StubProfile:
+    """Stands in for a profile whose derivative is the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def derivative(self, x):
+        assert len(x) == len(self.values)
+        return self.values
+
+
 class TestSubdifferentialField:
-    def test_bisection_matches_closed_form(self):
-        # the critical equation u / sqrt(t^2 - u^2) = f'(theta) has the
-        # closed-form solution u = t f' / sqrt(1 + f'^2)
+    def test_closed_form_matches_reference_bisection(self):
         f = build_profile(0.25)
-        t = 1.0
-        thetas, u, skipped = subdifferential_field(f, t, 4000)
-        assert skipped == 0
-        fp = f.derivative(thetas)
-        expected = t * fp / np.sqrt(1.0 + fp * fp)
-        np.testing.assert_allclose(u, expected, rtol=0, atol=1e-9)
+        for t in (1.0, 0.5, 1e-200):
+            thetas, fp, u, skipped = subdifferential_field(f, t, 4000)
+            assert skipped == 0
+            assert fp.tobytes() == f.derivative(thetas).tobytes()
+            # both solve in s = u / t to about an ulp of 1
+            np.testing.assert_allclose(u, reference_bisection(fp, t), rtol=0,
+                                       atol=2 * np.finfo(float).eps * t)
+
+    def test_skip_rule(self):
+        # the largest slope solved is that of |s| = 1 - 1e-14, about 7.07e6
+        fp = [np.nan, np.inf, -np.inf, 1e7, -1e7, 7e6, 0.0]
+        _, _, u, skipped = subdifferential_field(StubProfile(fp), 1.0, len(fp))
+        assert skipped == 5
+        assert np.array_equal(np.isnan(u), [True] * 5 + [False] * 2)
+        assert u[5] == pytest.approx(1.0, abs=1e-13) and u[6] == 0.0
+        assert np.array_equal(np.isnan(u), np.isnan(reference_bisection(np.array(fp), 1.0)))
+
+    def test_field_is_odd(self):
+        fp = np.concatenate([np.geomspace(1e-300, 7e6, 997), [0.0, 1.0, 2.5]])
+        _, _, up, _ = subdifferential_field(StubProfile(fp), 0.5, len(fp))
+        _, _, un, _ = subdifferential_field(StubProfile(-fp), 0.5, len(fp))
+        assert (-un).tobytes() == up.tobytes()
 
     def test_offset_grid_avoids_cusp(self):
         for n in (100, 1234, 10000):
-            thetas, _, _ = subdifferential_field(build_profile(0.2), 0.5, n)
+            thetas, _, _, _ = subdifferential_field(build_profile(0.2), 0.5, n)
             assert not np.any(thetas == 2.0)
 
     def test_t_range(self):
@@ -230,8 +273,8 @@ class TestSubdifferentialField:
     def test_tiny_t_scales_the_unit_field(self):
         # the equation depends on u / t only, but t * t underflows at t = 1e-200
         f = build_profile(0.25)
-        _, unit, _ = subdifferential_field(f, 1.0, 1000)
-        _, u, skipped = subdifferential_field(f, 1e-200, 1000)
+        _, _, unit, _ = subdifferential_field(f, 1.0, 1000)
+        _, _, u, skipped = subdifferential_field(f, 1e-200, 1000)
         assert skipped == 0
         np.testing.assert_allclose(u / 1e-200, unit, rtol=1e-15, atol=0)
 
@@ -258,11 +301,20 @@ class TestRunCylinderExample:
         assert rep.scalars["critical_equation_residual"].value < 1e-9
 
     def test_flat_piece_margin_full(self):
+        # f' = 0 on [0, 1] and [3, 4]: the transport there is exactly vertical
         rep = run_cylinder_example(0.25, 2000, 1.0)
         table = rep.tables["subdifferential"]
-        near_half = table[np.argmin(np.abs(table["theta"] - 0.5))]
-        assert near_half["margin"] == pytest.approx(1.0, abs=1e-9)
-        assert near_half["y_theta"] == pytest.approx(near_half["theta"], abs=1e-9)
+        theta = table["theta"]
+        flat = ((theta >= 0) & (theta <= 1)) | ((theta >= 3) & (theta <= 4))
+        assert np.count_nonzero(flat) == 800
+        assert np.all(table["margin"][flat] == 1.0)
+        assert np.all(table["y_theta"][flat] == theta[flat])
+
+    @pytest.mark.parametrize("eps,t", [(0.1, 0.5), (0.25, 1.0), (0.4, 1.0)])
+    def test_benchmark_pairs_residual(self, eps, t):
+        rep = run_cylinder_example(eps, 100000, t)
+        assert rep.scalars["skipped_thetas"].value == 0
+        assert rep.scalars["critical_equation_residual"].value < 1e-9
 
     def test_near_null_measure_shrinks_with_eta(self):
         rep = run_cylinder_example(0.25, 4000, 1.0)
