@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import audit
-from .dual import DualPotential, PositiveCycle, chain_potential, dkp_verify
+from .dual import DualPotential, PositiveCycle, c_transform_costs, chain_potential, dkp_verify
 from .errors import Infeasible, LorotError, SchemaError
 from .experiments import run_cylinder_example, run_line_counterexample
 from .measures import measure_from_json
@@ -153,7 +153,7 @@ def _cmd_dual(args, out_dir):
     if isinstance(psi, PositiveCycle):
         result = {"positive_cycle": {"atoms": list(psi.atoms), "gain": psi.gain}}
         return result, 0
-    potential = DualPotential.from_psi(problem.model, problem.mu, psi, problem.nu)
+    potential = DualPotential.from_arrays(psi, c_transform_costs(psi, problem.cost_matrix()))
     report = dkp_verify(problem.model, coupling, potential, tol=args.tol)
     coord_names = [f"x{k}" for k in range(problem.model.spatial_dim)]
     names = ["index", *coord_names, "t", "value"]

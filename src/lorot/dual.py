@@ -38,14 +38,14 @@ class DualPotential:
 
     @classmethod
     def from_arrays(cls, psi, phi) -> "DualPotential":
+        """Raises ``ValueError`` on a ``None`` in phi (see :func:`c_transform`)."""
+        if any(p is None for p in phi):
+            raise ValueError("some nu-atom has no causal source; phi is -inf there")
         return cls(tuple(float(x) for x in psi), tuple(float(x) for x in phi))
 
     @classmethod
     def from_psi(cls, model, mu, psi, nu) -> "DualPotential":
-        phi = c_transform(model, mu, psi, nu)
-        if any(p is None for p in phi):
-            raise ValueError("some nu-atom has no causal source; phi is -inf there")
-        return cls.from_arrays(psi, phi)
+        return cls.from_arrays(psi, c_transform(model, mu, psi, nu))
 
     def psi_array(self) -> np.ndarray:
         return np.asarray(self.psi, dtype=float)
@@ -82,7 +82,11 @@ def c_transform(model: SpacetimeModel, mu, psi, nu):
     source at all (the infimum is minus infinity there). The sentinel is an
     explicit tagged value so it never enters float arithmetic.
     """
-    C = model.cost_matrix(mu.coords_array(), nu.coords_array())
+    return c_transform_costs(psi, model.cost_matrix(mu.coords_array(), nu.coords_array()))
+
+
+def c_transform_costs(psi, C):
+    """:func:`c_transform` over a built cost matrix, e.g. ``problem.cost_matrix()``."""
     vals = np.asarray(psi, dtype=float)[:, None] + C
     low = np.min(vals, axis=0, initial=np.inf, where=np.isfinite(vals))
     return [float(v) if v < np.inf else None for v in low]

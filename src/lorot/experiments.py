@@ -142,18 +142,14 @@ def separated_rays_problem(seed: int) -> TransportProblem:
     cuts = np.sort(rng.choice(np.arange(1, M), size=n_rays - 1, replace=False))
     per_ray = np.diff(np.concatenate([[0], cuts, [M]])).astype(int)
     N = k * M
-    mu_atoms = []
-    nu_atoms = []
+    mu_rows, nu_rows = [], []
     for r, m_r in enumerate(per_ray):
-        pos = [r * 0.25]
         lo_times = np.sort(rng.uniform(0.0, 0.2, size=k * int(m_r)))
         hi_times = np.sort(rng.uniform(1.0, 1.2, size=int(m_r)))
-        for t in lo_times:
-            mu_atoms.append((model.make_point(pos, float(t)), 1.0 / N))
-        for t in hi_times:
-            nu_atoms.append((model.make_point(pos, float(t)), 1.0 / M))
-    mu = DiscreteMeasure.from_atoms(mu_atoms)
-    nu = DiscreteMeasure.from_atoms(nu_atoms)
+        mu_rows += [(r * 0.25, t) for t in lo_times.tolist()]
+        nu_rows += [(r * 0.25, t) for t in hi_times.tolist()]
+    mu, _ = DiscreteMeasure.from_arrays(mu_rows, np.full(N, 1.0 / N))
+    nu, _ = DiscreteMeasure.from_arrays(nu_rows, np.full(M, 1.0 / M))
     return TransportProblem(model, mu, nu)
 
 

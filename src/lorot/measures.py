@@ -1,76 +1,111 @@
 """Finite atomic probability measures on a model spacetime.
 
-A :class:`DiscreteMeasure` is a list of (point, weight) atoms with positive
-weights summing to one. Atoms at exactly equal coordinates are merged on
-construction and the atom order is canonical (lexicographic by coordinates),
-so two measures with the same atoms compare equal and serialize identically.
+A :class:`DiscreteMeasure` holds a read-only ``(n, d+1)`` coordinate array
+(time last) and a read-only array of positive weights summing to one.
+:meth:`DiscreteMeasure.from_arrays` merges atoms at exactly equal coordinates
+and sorts them lexicographically, so two measures with the same atoms compare
+equal and serialize identically. ``points`` and ``weights`` build
+:class:`Point` objects and Python floats on access, for the API edge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BadGrid, SchemaError
-from .spacetime import Point, SpacetimeModel
+from .spacetime import Point, SpacetimeModel, _points
 
 MASS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class DiscreteMeasure:
-    points: tuple[Point, ...]
-    weights: tuple[float, ...]
+    """Validated atoms, kept in the given order; see :meth:`from_arrays`."""
 
-    def __post_init__(self):
-        if len(self.points) == 0:
-            raise ValueError("measure must have at least one atom")
-        if len(self.points) != len(self.weights):
-            raise ValueError("points and weights must have equal length")
-        if any(not w > 0 for w in self.weights):
+    def __init__(self, coords, weights):
+        coords, weights = np.array(coords, dtype=float), np.array(weights, dtype=float)
+        if coords.ndim != 2 or len(coords) == 0 or weights.shape != coords.shape[:1]:
+            raise ValueError("need n >= 1 coordinate rows (time last) and one weight per row")
+        if not np.isfinite(coords).all():
+            raise ValueError("coordinates must be finite")
+        if not (weights > 0).all():
             raise ValueError("weights must be positive")
-        total = float(np.sum(np.asarray(self.weights)))
+        total = float(np.sum(weights))
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"weights must sum to 1 within {MASS_TOL}, got {total!r}")
+        coords.setflags(write=False)
+        weights.setflags(write=False)
+        self._coords, self._weights = coords, weights
+
+    @classmethod
+    def from_arrays(cls, coords, weights):
+        """Canonical measure of the rows of ``coords`` weighted by ``weights``.
+
+        Rows are sorted lexicographically, spatial coordinates first and time
+        last. Equal rows merge onto their first input occurrence, and their
+        weights add in input order. Returns ``(measure, index)``, where
+        ``index[k]`` is the atom row k landed on.
+        """
+        coords = np.asarray(coords, dtype=float)
+        if not len(coords):
+            raise ValueError("measure must have at least one atom")
+        order = np.lexsort(coords.T[::-1])
+        ranked = coords[order]
+        first = np.ones(len(ranked), dtype=bool)
+        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        index = np.empty(len(ranked), dtype=np.int64)
+        index[order] = np.cumsum(first) - 1
+        merged = np.bincount(index, weights=np.asarray(weights, dtype=float))
+        return cls(ranked[first], merged), index
 
     @classmethod
     def from_atoms(cls, atoms) -> "DiscreteMeasure":
         """Build from (point, weight) pairs: merge duplicates, sort canonically."""
-        measure, _ = cls.from_atoms_with_index_map(atoms)
-        return measure
-
-    @classmethod
-    def from_atoms_with_index_map(cls, atoms):
-        """Like :meth:`from_atoms` but also return the atom index each input
-        pair landed on (useful when rebuilding couplings after a pushforward)."""
         atoms = list(atoms)
-        merged: dict[Point, float] = {}
-        for p, w in atoms:
-            merged[p] = merged.get(p, 0.0) + float(w)
-        order = sorted(merged, key=lambda p: p.key())
-        index = {p: i for i, p in enumerate(order)}
-        measure = cls(tuple(order), tuple(merged[p] for p in order))
-        return measure, [index[p] for p, _ in atoms]
+        return cls.from_arrays([p.coords() for p, _ in atoms], [w for _, w in atoms])[0]
 
     @property
     def n_atoms(self) -> int:
-        return len(self.points)
+        return len(self._weights)
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        return _points(self._coords)
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(self._weights.tolist())
 
     def coords_array(self) -> np.ndarray:
-        """Coordinates as an (n, d+1) array, time last."""
-        return np.array([p.coords() for p in self.points], dtype=float)
+        """Coordinates as a read-only (n, d+1) array, time last."""
+        return self._coords
 
     def weights_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+        return self._weights
+
+    def __eq__(self, other):
+        if not isinstance(other, DiscreteMeasure):
+            return NotImplemented
+        return (np.array_equal(self._coords, other._coords)
+                and np.array_equal(self._weights, other._weights))
+
+    def __hash__(self):
+        return hash((self.points, self.weights))
+
+    def __repr__(self):
+        return f"DiscreteMeasure(points={self.points!r}, weights={self.weights!r})"
 
     def to_json_obj(self) -> dict:
         return {
             "atoms": [
-                {"x": list(p.spatial), "t": p.time, "w": w}
-                for p, w in zip(self.points, self.weights)
+                {"x": row[:-1], "t": row[-1], "w": w}
+                for row, w in zip(self._coords.tolist(), self._weights.tolist())
             ]
         }
+
+
+def _is_number(value) -> bool:
+    """A JSON number: ``true`` and ``false`` are not (``bool`` subclasses ``int``)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def measure_from_json(model: SpacetimeModel, obj: dict) -> DiscreteMeasure:
@@ -79,25 +114,26 @@ def measure_from_json(model: SpacetimeModel, obj: dict) -> DiscreteMeasure:
     atoms = obj["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise SchemaError("empty measure")
-    pairs = []
+    rows, weights = [], []
     for a in atoms:
         if not isinstance(a, dict) or not {"x", "t", "w"} <= set(a):
             raise SchemaError("each atom needs 'x', 't' and 'w' fields")
         x, t, w = a["x"], a["t"], a["w"]
-        if not isinstance(x, list) or not all(isinstance(c, (int, float)) for c in x):
+        if not isinstance(x, list) or not all(_is_number(c) for c in x):
             raise SchemaError("atom 'x' must be a list of numbers")
-        if not isinstance(t, (int, float)) or not isinstance(w, (int, float)):
+        if not _is_number(t) or not _is_number(w):
             raise SchemaError("atom 't' and 'w' must be numbers")
         if not np.isfinite(x).all() or not np.isfinite([t, w]).all():
             raise SchemaError("atom coordinates and weight must be finite")
         if not w > 0:
             raise SchemaError("atom weight must be positive")
         try:
-            pairs.append((model.make_point(x, t), float(w)))
+            rows.append(model.make_point(x, t).coords())
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
+        weights.append(float(w))
     try:
-        return DiscreteMeasure.from_atoms(pairs)
+        return DiscreteMeasure.from_arrays(rows, weights)[0]
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -113,16 +149,10 @@ def grid_segment(model: SpacetimeModel, start: Point, end: Point, n: int) -> Dis
         raise BadGrid(f"grid needs at least 2 atoms, got {n}")
     if start == end:
         raise BadGrid("grid endpoints must differ")
-    w = 1.0 / n
-    atoms = []
-    for i in range(n):
-        s = i / (n - 1)
-        spatial = tuple(
-            (1.0 - s) * a + s * b for a, b in zip(start.spatial, end.spatial)
-        )
-        time = (1.0 - s) * start.time + s * end.time
-        atoms.append((model.make_point(spatial, time), w))
-    return DiscreteMeasure.from_atoms(atoms)
+    s = (np.arange(n) / (n - 1))[:, None]
+    coords = (1.0 - s) * np.array(start.coords()) + s * np.array(end.coords())
+    coords[:, :-1] = model.normalize(coords[:, :-1])
+    return DiscreteMeasure.from_arrays(coords, np.full(n, 1.0 / n))[0]
 
 
 def strictify(model: SpacetimeModel, m: DiscreteMeasure, eps: float) -> DiscreteMeasure:
@@ -134,7 +164,6 @@ def strictify(model: SpacetimeModel, m: DiscreteMeasure, eps: float) -> Discrete
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    return DiscreteMeasure.from_atoms(
-        (model.make_point(p.spatial, p.time - eps), w)
-        for p, w in zip(m.points, m.weights)
-    )
+    coords = m.coords_array().copy()
+    coords[:, -1] -= eps
+    return DiscreteMeasure.from_arrays(coords, m.weights_array())[0]

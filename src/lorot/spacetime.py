@@ -46,10 +46,6 @@ class Point:
     spatial: tuple[float, ...]
     time: float
 
-    def key(self):
-        """Lexicographic sort key: spatial coordinates first, then time."""
-        return self.spatial + (self.time,)
-
     def coords(self):
         return self.spatial + (self.time,)
 
@@ -146,8 +142,8 @@ class SpacetimeModel:
         """
         return self.costs(xs[:, None, :], ys[None, :, :])
 
-    def geodesic_points(self, xs, ys, t: float) -> list[Point]:
-        """Points at parameter t on the minimizing segments from xs to ys.
+    def geodesic_points(self, xs, ys, t: float) -> np.ndarray:
+        """Coordinates at parameter t on the minimizing segments from xs to ys.
 
         Row k of the coordinate arrays ``xs`` and ``ys`` is one pair; see
         :meth:`geodesic_point`. Raises :class:`NotCausalPair` naming the first
@@ -163,11 +159,11 @@ class SpacetimeModel:
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"parameter must lie in [0, 1], got {t}")
         if t == 0.0:
-            return _points(xs)
+            return xs
         if t == 1.0:
-            return _points(ys)
+            return ys
         spatial = self.normalize(xs[:, :-1] + t * self.displacement(xs[:, :-1], ys[:, :-1]))
-        return _points(np.column_stack([spatial, (1.0 - t) * xs[:, -1] + t * ys[:, -1]]))
+        return np.column_stack([spatial, (1.0 - t) * xs[:, -1] + t * ys[:, -1]])
 
     # -- one pair ---------------------------------------------------------
 
@@ -198,12 +194,12 @@ class SpacetimeModel:
         returned point is ``(1-t)*time(x) + t*time(y)``. Endpoints are
         returned exactly. Raises :class:`NotCausalPair` for spacelike pairs.
         """
-        return self.geodesic_points(np.array([x.coords()]), np.array([y.coords()]), t)[0]
+        return _points(self.geodesic_points(np.array([x.coords()]), np.array([y.coords()]), t))[0]
 
 
-def _points(coords) -> list[Point]:
+def _points(coords) -> tuple[Point, ...]:
     """The points whose coordinates are the rows of ``coords``, time last."""
-    return [Point(tuple(row[:-1]), row[-1]) for row in coords.tolist()]
+    return tuple(Point(tuple(row[:-1]), row[-1]) for row in coords.tolist())
 
 
 @dataclass(frozen=True)
@@ -264,12 +260,12 @@ def model_from_config(obj: dict) -> SpacetimeModel:
     kind = obj["kind"]
     if kind == "minkowski":
         d = obj.get("d", 1)
-        if not isinstance(d, int) or d < 1:
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise SchemaError("minkowski 'd' must be a positive integer")
         return Minkowski(d)
     if kind == "cylinder":
         circ = obj.get("circumference", 5.0)
-        if not isinstance(circ, (int, float)) or not circ > 0:
+        if not isinstance(circ, (int, float)) or isinstance(circ, bool) or not circ > 0:
             raise SchemaError("cylinder 'circumference' must be a positive number")
         return Cylinder(float(circ))
     raise SchemaError(f"unknown model kind {kind!r}")

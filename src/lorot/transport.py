@@ -19,10 +19,10 @@ from itertools import accumulate
 import numpy as np
 
 from .diagnostics import _two_cycle_violations
-from .errors import MonotonicityViolation, NotCausalPair
+from .errors import MonotonicityViolation
 from .measures import DiscreteMeasure
 from .solver import Coupling, TransportProblem, solve
-from .spacetime import CausalClass, Point, SpacetimeModel
+from .spacetime import Point, SpacetimeModel
 
 COLLINEARITY_RTOL = 1e-10
 
@@ -96,13 +96,8 @@ def interpolate(model: SpacetimeModel, coupling: Coupling, t: float) -> Discrete
     t=0 reproduces mu and t=1 reproduces nu exactly (atom positions are
     returned bitwise, weights re-accumulate per atom).
     """
-    return DiscreteMeasure.from_atoms(_entry_atoms(model, coupling, t))
-
-
-def _entry_atoms(model: SpacetimeModel, coupling: Coupling, t: float):
-    """(point at parameter t on the entry's segment, entry mass) per entry."""
-    points = model.geodesic_points(*coupling.entry_coords(), t)
-    return [(p, mass) for p, (_, _, mass) in zip(points, coupling.entries)]
+    coords = model.geodesic_points(*coupling.entry_coords(), t)
+    return DiscreteMeasure.from_arrays(coords, coupling.index_arrays()[2])[0]
 
 
 def restrict(model: SpacetimeModel, coupling: Coupling, s1: float, s2: float,
@@ -116,13 +111,16 @@ def restrict(model: SpacetimeModel, coupling: Coupling, s1: float, s2: float,
     """
     if not 0.0 <= s1 <= s2 <= 1.0:
         raise ValueError(f"need 0 <= s1 <= s2 <= 1, got {s1}, {s2}")
-    m1, map1 = DiscreteMeasure.from_atoms_with_index_map(_entry_atoms(model, coupling, s1))
-    m2, map2 = DiscreteMeasure.from_atoms_with_index_map(_entry_atoms(model, coupling, s2))
-    merged: dict[tuple[int, int], float] = {}
-    for k, (_, _, mass) in enumerate(coupling.entries):
-        key = (map1[k], map2[k])
-        merged[key] = merged.get(key, 0.0) + mass
-    entries = [(i, j, m) for (i, j), m in merged.items()]
+    xs, ys = coupling.entry_coords()
+    mass = coupling.index_arrays()[2]
+    (m1, map1), (m2, map2) = (
+        DiscreteMeasure.from_arrays(model.geodesic_points(xs, ys, s), mass) for s in (s1, s2)
+    )
+    # entries landing on one (atom of m1, atom of m2) pair merge, masses added in entry order
+    pairs, merged_at = np.unique(map1 * m2.n_atoms + map2, return_inverse=True)
+    merged = np.bincount(merged_at, weights=mass)
+    entries = list(zip((pairs // m2.n_atoms).tolist(), (pairs % m2.n_atoms).tolist(),
+                       merged.tolist()))
     problem = TransportProblem(model, m1, m2)
     restricted = Coupling.from_entries(problem, entries)
     if verify:
@@ -135,11 +133,11 @@ def restrict(model: SpacetimeModel, coupling: Coupling, s1: float, s2: float,
     return problem, restricted
 
 
-def polytope_volume(model: SpacetimeModel, vertices) -> float:
-    """Volume of the convex hull of slice points, in the slice dimension."""
-    spatial = np.array([v.spatial for v in vertices], dtype=float)
-    d = model.spatial_dim
-    if d == 1:
+def polytope_volume(model: SpacetimeModel, spatial) -> float:
+    """Volume of the convex hull of the rows of ``spatial`` (spatial
+    coordinates of slice points), in the slice dimension."""
+    spatial = np.asarray(spatial, dtype=float)
+    if model.spatial_dim == 1:
         return float(spatial[:, 0].max() - spatial[:, 0].min())
     from scipy.spatial import ConvexHull
 
@@ -157,23 +155,16 @@ def contraction_check(model: SpacetimeModel, vertices, y: Point, t: float):
     On the cylinder the polytope must not straddle the seam (volumes are
     taken in the stored coordinates). Returns ``(measured, predicted)``.
     """
-    vertices = list(vertices)
-    if len(vertices) < 2:
+    xs = np.array([v.coords() for v in vertices], dtype=float)
+    if len(xs) < 2:
         raise ValueError("polytope needs at least two vertices")
-    times = {v.time for v in vertices}
-    if len(times) != 1:
+    if (xs[:, -1] != xs[0, -1]).any():
         raise ValueError("polytope vertices must lie in a single time slice")
-    for v in vertices:
-        if model.causal_class(v, y) is CausalClass.NOT_CAUSAL:
-            raise NotCausalPair(f"vertex {v} does not causally precede {y}")
-    d = model.spatial_dim
-    vol = polytope_volume(model, vertices)
-    predicted = (1.0 - t) ** d * vol
+    image = model.geodesic_points(xs, np.array(y.coords()), t)
+    predicted = (1.0 - t) ** model.spatial_dim * polytope_volume(model, xs[:, :-1])
     if t == 1.0:
         return 0.0, predicted
-    image = [model.geodesic_point(v, y, t) for v in vertices]
-    measured = polytope_volume(model, image)
-    return measured, predicted
+    return polytope_volume(model, image[:, :-1]), predicted
 
 
 def _check_two_cycles(model: SpacetimeModel, coupling: Coupling):
@@ -191,36 +182,35 @@ def _check_two_cycles(model: SpacetimeModel, coupling: Coupling):
         )
 
 
+def _components(join: np.ndarray) -> np.ndarray:
+    """Smallest node of each node's connected component in the symmetric
+    boolean matrix ``join``: min-label propagation with pointer jumping."""
+    label = np.arange(len(join))
+    while True:
+        step = np.where(join, label, label[:, None]).min(axis=1)
+        step = step[step]
+        if (step == label).all():
+            return label
+        label = step
+
+
 def ray_decomposition(model: SpacetimeModel, coupling: Coupling):
     """Group support entries into transport rays.
 
     Entries whose segments are collinear (cross-displacement below
     ``COLLINEARITY_RTOL`` times the segment length) and whose time intervals
-    intersect share a ray; stay-put entries form singleton rays. Raises
+    intersect share a ray; stay-put entries form singleton rays. Rays are
+    ordered by their smallest entry index, and the atoms of a ray by time,
+    equal times in order of first appearance among its entries. Raises
     :class:`MonotonicityViolation` when the support fails the two-cycle
     audit, or when one mu-atom feeds two non-collinear moving segments (a
     branch, for which no discrete prescription exists).
     """
     _check_two_cycles(model, coupling)
-    entries = coupling.entries
-    k = len(entries)
+    ii, jj, mass = coupling.index_arrays()
     xs, ys = coupling.entry_coords()
-    identical = np.all(xs == ys, axis=1)
-
-    moving = np.nonzero(~identical)[0]
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    root = np.arange(len(ii))
+    moving = np.flatnonzero(~np.all(xs == ys, axis=1))
     if len(moving):
         xc, yc = xs[moving], ys[moving]
         # spacetime direction of each segment, wrap-aware in the spatial part
@@ -244,74 +234,65 @@ def ray_decomposition(model: SpacetimeModel, coupling: Coupling):
         collinear = off_line <= COLLINEARITY_RTOL * lens[:, None]
         lo = np.maximum(xc[:, -1][:, None], xc[:, -1][None, :])
         hi = np.minimum(yc[:, -1][:, None], yc[:, -1][None, :])
-        overlap = lo <= hi
-        join = collinear & collinear.T & overlap
-        for a in range(len(moving)):
-            for b in np.nonzero(join[a, a + 1:])[0]:
-                union(moving[a], moving[a + b + 1])
+        join = collinear & collinear.T & (lo <= hi)
+        root[moving] = moving[_components(join)]
+    roots, ray_of = np.unique(root, return_inverse=True)
+    identical = np.all(xs[roots] == ys[roots], axis=1)
 
-    groups: dict[int, list[int]] = {}
-    for e in range(k):
-        groups.setdefault(find(e) if not identical[e] else -1 - e, []).append(e)
+    def side(atoms, measure):
+        """Ray, atom, time and mass of each (ray, atom) pair, sorted by ray,
+        then time, then first appearance; masses add in entry order."""
+        n = measure.n_atoms
+        keys, first, at = np.unique(ray_of * n + atoms, return_index=True, return_inverse=True)
+        ray, atom = keys // n, keys % n
+        tau = measure.coords_array()[atom, -1]
+        order = np.lexsort((first, tau, ray))
+        return ray[order], atom[order], tau[order], np.bincount(at, weights=mass)[order]
 
-    rays = []
-    for key in sorted(groups, key=lambda g: min(groups[g])):
-        members = groups[key]
-        is_identical = key < 0
-        mu_mass: dict[int, float] = {}
-        nu_mass: dict[int, float] = {}
-        for e in members:
-            i, j, mass = entries[e]
-            mu_mass[i] = mu_mass.get(i, 0.0) + mass
-            nu_mass[j] = nu_mass.get(j, 0.0) + mass
-        mu_atoms = sorted(mu_mass, key=lambda i: coupling.mu.points[i].time)
-        nu_atoms = sorted(nu_mass, key=lambda j: coupling.nu.points[j].time)
-        rays.append(
-            TransportRay(
-                entry_indices=tuple(members),
-                mu_atoms=tuple(mu_atoms),
-                nu_atoms=tuple(nu_atoms),
-                mu_taus=tuple(coupling.mu.points[i].time for i in mu_atoms),
-                nu_taus=tuple(coupling.nu.points[j].time for j in nu_atoms),
-                mu_masses=tuple(mu_mass[i] for i in mu_atoms),
-                nu_masses=tuple(nu_mass[j] for j in nu_atoms),
-                identical=is_identical,
-            )
+    def per_ray(ray, *columns):
+        """Each column, grouped by the sorted ``ray``, as one tuple per ray."""
+        cuts = np.searchsorted(ray, np.arange(len(roots) + 1)).tolist()
+        return [[tuple(col[a:b]) for a, b in zip(cuts, cuts[1:])]
+                for col in (c.tolist() for c in columns)]
+
+    mu_ray, mu_atom, mu_tau, mu_mass = side(ii, coupling.mu)
+    nu_ray, nu_atom, nu_tau, nu_mass = side(jj, coupling.nu)
+    on_moving = ~identical[mu_ray]
+    feeds = np.bincount(mu_atom[on_moving], minlength=coupling.mu.n_atoms)
+    branch = np.flatnonzero(on_moving & (feeds[mu_atom] > 1))
+    if len(branch):
+        i = mu_atom[branch[0]]
+        rs = mu_ray[on_moving & (mu_atom == i)].tolist()
+        raise MonotonicityViolation(
+            f"mu-atom {i} feeds non-collinear segments (rays {rs}); "
+            "branching support has no discrete ray decomposition"
         )
-
-    moving_rays_of_atom: dict[int, list[int]] = {}
-    for r, ray in enumerate(rays):
-        if ray.identical:
-            continue
-        for i in ray.mu_atoms:
-            moving_rays_of_atom.setdefault(i, []).append(r)
-    for i, rs in moving_rays_of_atom.items():
-        if len(rs) > 1:
-            raise MonotonicityViolation(
-                f"mu-atom {i} feeds non-collinear segments (rays {rs}); "
-                "branching support has no discrete ray decomposition"
-            )
-    return tuple(rays)
+    members = np.argsort(ray_of, kind="stable")
+    (entry_indices,) = per_ray(ray_of[members], members)
+    mu_atoms, mu_taus, mu_masses = per_ray(mu_ray, mu_atom, mu_tau, mu_mass)
+    nu_atoms, nu_taus, nu_masses = per_ray(nu_ray, nu_atom, nu_tau, nu_mass)
+    return tuple(map(TransportRay, entry_indices, mu_atoms, nu_atoms, mu_taus, nu_taus,
+                     mu_masses, nu_masses, identical.tolist()))
 
 
-def _ray_rearrangement(ray: TransportRay, mu_cum, nu_cum):
+def _ray_rearrangement(ray: TransportRay, mu_cum, nu_cum, assignment):
     """Monotone CDF matching on one ray with exact cumulative masses.
 
     ``mu_cum``/``nu_cum`` are exact cumulative masses, integers over the
     coupling's one denominator, aligned with the ray's sorted atoms; both end
     at the ray's total, so the search always lands inside ``nu_cum``.
-    Returns atom assignment or the index of an atom that must split.
+    Writes the nu-atom of each mu-atom into ``assignment``; returns the index
+    of an atom that must split, or None.
     """
-    assignment = {}
     for k, i in enumerate(ray.mu_atoms):
         lo = mu_cum[k - 1] if k else 0
         hi = mu_cum[k]
         b = bisect_left(nu_cum, hi)
         prev = nu_cum[b - 1] if b else 0
         if prev > lo:
-            return None, i
+            return i
         assignment[i] = ray.nu_atoms[b]
-    return assignment, None
+    return None
 
 
 def monge_map(model: SpacetimeModel, problem: TransportProblem):
@@ -323,14 +304,11 @@ def monge_map(model: SpacetimeModel, problem: TransportProblem):
     """
     coupling, _ = solve(problem)
     rays = ray_decomposition(model, coupling)
-
-    rays_of_atom: dict[int, set[int]] = {}
-    for r, ray in enumerate(rays):
-        for i in ray.mu_atoms:
-            rays_of_atom.setdefault(i, set()).add(r)
-    for i, rs in sorted(rays_of_atom.items()):
-        if len(rs) > 1:
-            return AtomSplit(i, "atom mass is split across rays")
+    # a ray lists each of its mu-atoms once, so an atom listed twice is split
+    atom = np.sort(np.concatenate([ray.mu_atoms for ray in rays]))
+    split = atom[1:][atom[1:] == atom[:-1]]
+    if len(split):
+        return AtomSplit(int(split[0]), "atom mass is split across rays")
 
     exact = coupling.exact_masses
     assignment = np.full(problem.mu.n_atoms, -1, dtype=np.int64)
@@ -341,17 +319,11 @@ def monge_map(model: SpacetimeModel, problem: TransportProblem):
             i, j, _ = coupling.entries[e]
             mu_m[i] += exact[e]
             nu_m[j] += exact[e]
-        got, split_atom = _ray_rearrangement(
-            ray, list(accumulate(mu_m.values())), list(accumulate(nu_m.values()))
+        split_atom = _ray_rearrangement(
+            ray, list(accumulate(mu_m.values())), list(accumulate(nu_m.values())), assignment
         )
-        if got is None:
+        if split_atom is not None:
             return AtomSplit(int(split_atom), "mass interval straddles a nu-atom boundary")
-        for i, j in got.items():
-            assignment[i] = j
-
-    if (assignment < 0).any():
-        missing = int(np.nonzero(assignment < 0)[0][0])
-        return AtomSplit(missing, "atom not covered by any ray")
 
     C = coupling.cost_matrix(model)
     w = problem.mu.weights_array()

@@ -1,8 +1,10 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders and fixtures for the test suite."""
+
+import pytest
 
 from lorot.measures import DiscreteMeasure
 from lorot.solver import TransportProblem
-from lorot.spacetime import Minkowski
+from lorot.spacetime import Minkowski, SpacetimeModel
 
 
 def point(model, *coords):
@@ -61,3 +63,17 @@ def random_weighted_causal_problem(rng, n_max=6):
          for j in range(m)]
     )
     return TransportProblem(model, mu, nu)
+
+
+@pytest.fixture
+def cost_matrix_calls(monkeypatch):
+    """Shapes of every cost matrix a model builds while the test runs."""
+    calls = []
+    build = SpacetimeModel.cost_matrix
+
+    def counted(self, xs, ys):
+        calls.append((len(xs), len(ys)))
+        return build(self, xs, ys)
+
+    monkeypatch.setattr(SpacetimeModel, "cost_matrix", counted)
+    return calls

@@ -135,6 +135,11 @@ class TestOtherCommands:
         assert result["feasible"] and result["support_tight"]
         assert (out / "psi.csv").exists() and (out / "phi.csv").exists()
 
+    def test_dual_builds_one_cost_matrix(self, problem_file, tmp_path, cost_matrix_calls):
+        # phi is the c-transform over the problem's own matrix, not a second build
+        assert main(["dual", "--input", str(problem_file), "--out", str(tmp_path)]) == 0
+        assert cost_matrix_calls == [(2, 2)]
+
     def test_audit(self, problem_file, tmp_path):
         out = tmp_path / "out"
         assert main(["audit", "--input", str(problem_file), "--out", str(out)]) == 0
@@ -279,6 +284,13 @@ class TestValidateCommand:
         assert main(["validate", "--input", json.dumps(bad), "--out", str(out)]) == 3
         violations = read_result(out)["result"]["violations"]
         assert any("'optoins'" in v for v in violations)
+
+    @pytest.mark.parametrize("model", [{"kind": "minkowski", "d": True},
+                                       {"kind": "cylinder", "circumference": True}])
+    def test_boolean_model_field_exits_3(self, model, tmp_path):
+        bad = dict(PROBLEM, model=model)
+        for command in ("validate", "solve"):
+            assert main([command, "--input", json.dumps(bad), "--out", str(tmp_path)]) == 3
 
     def test_empty_measure_violation(self, tmp_path):
         bad = dict(PROBLEM)

@@ -51,9 +51,10 @@ class TestGridSegment:
 def push(m, mapping):
     """Image of m under a point map, built the way interpolate and restrict
     push a coupling's entries forward: equal images merge."""
-    return DiscreteMeasure.from_atoms_with_index_map(
-        (mapping(p), w) for p, w in zip(m.points, m.weights)
+    measure, index = DiscreteMeasure.from_arrays(
+        [mapping(p).coords() for p in m.points], m.weights_array()
     )
+    return measure, index.tolist()
 
 
 class TestPushforward:
@@ -190,6 +191,46 @@ class TestJson:
             {"atoms": [{"x": [0.0], "t": 0.0, "w": 0.0}]},
             {"atoms": [{"x": [0.0], "t": float("nan"), "w": 1.0}]},
             {"atoms": [{"x": "zero", "t": 0.0, "w": 1.0}]},
+            # JSON true and false are not numbers, though bool subclasses int
+            {"atoms": [{"x": [True], "t": 0.0, "w": 1.0}]},
+            {"atoms": [{"x": [0.0], "t": False, "w": 1.0}]},
+            {"atoms": [{"x": [0.0], "t": 0.0, "w": True}]},
+            {"atoms": [{"x": [True], "t": False, "w": True}]},
         ):
             with pytest.raises(SchemaError):
                 measure_from_json(MK1, obj)
+
+
+class TestFromArrays:
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zeros_merge_onto_the_first_occurrence(self, first, second):
+        m, index = DiscreteMeasure.from_arrays([[first, 1.0], [second, 1.0]], [0.25, 0.75])
+        assert index.tolist() == [0, 0]
+        assert m.weights == (1.0,)
+        assert np.signbit(m.coords_array()[0, 0]) == np.signbit(first)
+        assert m == DiscreteMeasure.from_atoms([(pt(MK1, second, 1.0), 1.0)])
+
+    def test_first_occurrence_among_later_rows(self):
+        # the duplicate of the second row comes last; weights add in input order
+        m, index = DiscreteMeasure.from_arrays(
+            [[1.0, 0.0], [-0.0, 0.0], [0.5, 0.0], [0.0, 0.0]], [0.1, 0.2, 0.3, 0.4]
+        )
+        assert index.tolist() == [2, 0, 1, 0]
+        assert np.signbit(m.coords_array()[0, 0])
+        assert m.weights == (0.2 + 0.4, 0.3, 0.1)
+
+    def test_stored_arrays_are_read_only_and_not_rebuilt(self):
+        source = np.array([[0.0, 0.0], [1.0, 0.0]])
+        m, _ = DiscreteMeasure.from_arrays(source, [0.5, 0.5])
+        source[0, 0] = 7.0
+        assert m.coords_array() is m.coords_array()
+        assert m.coords_array()[0, 0] == 0.0
+        for array in (m.coords_array(), m.weights_array()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_points_and_weights_are_python_values(self):
+        m = grid_segment(MK1, pt(MK1, 0, 0), pt(MK1, 1, 0), 3)
+        assert all(type(c) is float for p in m.points for c in p.coords())
+        assert all(type(w) is float for w in m.weights)
+        assert m.points[1] == pt(MK1, 0.5, 0.0)

@@ -11,15 +11,34 @@ import lorot
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported lazily, only by the oracle and polytope_volume
-    code = "import sys, lorot; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def loaded_modules(code, prefix):
+    """Modules under ``prefix`` loaded once ``code`` has run in a fresh interpreter."""
+    code += f"\nimport sys; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     src = str(Path(lorot.__file__).resolve().parent.parent)
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported lazily, only by the oracle and polytope_volume
+    assert loaded_modules("import lorot", "scipy") == "[]"
+
+
+def test_rays_path_leaves_scipy_sparse_unloaded():
+    # the ray components are plain numpy; scipy.sparse would add ~30 MB of RSS
+    code = """
+import lorot
+p = lorot.separated_rays_problem(0)
+c, _ = lorot.solve(p)
+lorot.ray_decomposition(p.model, c)
+assert isinstance(lorot.monge_map(p.model, p), lorot.MongeMap)
+lorot.interpolate(p.model, c, 0.5)
+lorot.restrict(p.model, c, 0.25, 0.75)
+"""
+    assert loaded_modules(code, "scipy.sparse") == "[]"
 
 
 def test_demos_found():

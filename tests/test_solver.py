@@ -33,7 +33,7 @@ from lorot.solver import (
     problem_to_json,
     solve,
 )
-from lorot.spacetime import Cylinder, Minkowski, SpacetimeModel
+from lorot.spacetime import Cylinder, Minkowski
 from lorot.transport import MongeMap, monge_map, ray_decomposition
 
 MK1 = Minkowski(1)
@@ -357,20 +357,6 @@ class TestMarginals:
         for _ in range(10):
             coupling, _ = solve(random_weighted_causal_problem(rng))
             assert all(mass > 0 for _, _, mass in coupling.entries)
-
-
-@pytest.fixture
-def cost_matrix_calls(monkeypatch):
-    """Shapes of every cost matrix a model builds while the test runs."""
-    calls = []
-    build = SpacetimeModel.cost_matrix
-
-    def counted(self, xs, ys):
-        calls.append((len(xs), len(ys)))
-        return build(self, xs, ys)
-
-    monkeypatch.setattr(SpacetimeModel, "cost_matrix", counted)
-    return calls
 
 
 class TestOneCostMatrix:

@@ -303,8 +303,10 @@ class TestOneKernel:
 
         # every causal pair on the support, with distinct integer masses so
         # that each class's mass sum is exact
-        mu, mu_index = DiscreteMeasure.from_atoms_with_index_map((x, 1.0 / len(xs)) for x in xs)
-        nu, nu_index = DiscreteMeasure.from_atoms_with_index_map((y, 1.0 / len(ys)) for y in ys)
+        mu, mu_index = DiscreteMeasure.from_arrays([x.coords() for x in xs],
+                                                   np.full(len(xs), 1.0 / len(xs)))
+        nu, nu_index = DiscreteMeasure.from_arrays([y.coords() for y in ys],
+                                                   np.full(len(ys), 1.0 / len(ys)))
         pairs = [(i, j) for i in range(len(xs)) for j in range(len(ys)) if costs[i, j] < math.inf]
         entries = [(mu_index[i], nu_index[j], float(k + 1)) for k, (i, j) in enumerate(pairs)]
         coupling = Coupling.from_entries(TransportProblem(model, mu, nu), entries)
@@ -360,8 +362,11 @@ class TestModelConfig:
     def test_bad_configs(self):
         from lorot.errors import SchemaError
 
+        # JSON true and false are not numbers, though bool subclasses int
         for obj in ({}, {"kind": "klein"}, {"kind": "minkowski", "d": 0},
-                    {"kind": "cylinder", "circumference": -1}):
+                    {"kind": "cylinder", "circumference": -1},
+                    {"kind": "minkowski", "d": True}, {"kind": "minkowski", "d": False},
+                    {"kind": "cylinder", "circumference": True}):
             with pytest.raises(SchemaError):
                 model_from_config(obj)
 

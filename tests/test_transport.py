@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from conftest import two_by_two_problem
+from conftest import random_weighted_causal_problem, two_by_two_problem
 from lorot.diagnostics import lightlike_fraction
 from lorot.dual import DualPotential, chain_potential, dkp_verify
 from lorot.errors import MonotonicityViolation, NotCausalPair
-from lorot.experiments import line_blowup_problem, separated_rays_problem
+from lorot.experiments import line_blowup_problem, random_strict_problem, separated_rays_problem
 from lorot.measures import DiscreteMeasure
 from lorot.solver import Coupling, TransportProblem, solve
-from lorot.spacetime import Minkowski
+from lorot.spacetime import Minkowski, Point
 from lorot.transport import (
+    COLLINEARITY_RTOL,
     AtomSplit,
     MongeMap,
+    TransportRay,
+    _check_two_cycles,
     contraction_check,
     interpolate,
     monge_map,
@@ -269,6 +272,14 @@ class TestMongeMap:
         assert isinstance(out, MongeMap)
         assert out.assignment == (0, 0)
 
+    def test_stay_put_and_moving_parts_split_the_atom(self):
+        # atom 0 keeps half its mass in place and sends half up the line:
+        # it sits on a stay-put ray and on a moving ray
+        mu = DiscreteMeasure.from_atoms([(pt(MK1, 0, 0), 1.0)])
+        nu = DiscreteMeasure.from_atoms([(pt(MK1, 0, 0), 0.5), (pt(MK1, 0, 2), 0.5)])
+        out = monge_map(MK1, TransportProblem(MK1, mu, nu))
+        assert out == AtomSplit(0, "atom mass is split across rays")
+
     def test_engineered_instances_match_solver_cost(self):
         for seed in range(8):
             problem = separated_rays_problem(seed)
@@ -303,3 +314,203 @@ class TestOnRayCostInvariance:
             )
             costs.append(coupling.total_cost)
         assert max(costs) - min(costs) <= 1e-12
+
+
+# -- the pre-array implementations, kept as references -----------------------
+
+
+def reference_measure(atoms):
+    """The dict-merge constructor measures used before they held arrays:
+    (coordinates, weights, atom of each input pair) of the canonical measure."""
+    atoms = list(atoms)
+    merged = {}
+    for p, w in atoms:
+        merged[p] = merged.get(p, 0.0) + float(w)
+    order = sorted(merged, key=lambda p: p.coords())
+    index = {p: i for i, p in enumerate(order)}
+    coords = np.array([p.coords() for p in order], dtype=float)
+    return coords, np.array([merged[p] for p in order]), [index[p] for p, _ in atoms]
+
+
+def reference_entry_atoms(model, coupling, t):
+    points = [Point(tuple(row[:-1]), row[-1])
+              for row in model.geodesic_points(*coupling.entry_coords(), t).tolist()]
+    return [(p, mass) for p, (_, _, mass) in zip(points, coupling.entries)]
+
+
+def reference_restrict(model, coupling, s1, s2):
+    """(m1 arrays, m2 arrays, entries sorted by (i, j)) merged through a dict."""
+    c1, w1, map1 = reference_measure(reference_entry_atoms(model, coupling, s1))
+    c2, w2, map2 = reference_measure(reference_entry_atoms(model, coupling, s2))
+    merged = {}
+    for k, (_, _, mass) in enumerate(coupling.entries):
+        key = (map1[k], map2[k])
+        merged[key] = merged.get(key, 0.0) + mass
+    return (c1, w1), (c2, w2), sorted((i, j, m) for (i, j), m in merged.items())
+
+
+def reference_ray_decomposition(model, coupling):
+    """Union-find over the join matrix, per-ray dicts of atom masses."""
+    _check_two_cycles(model, coupling)
+    entries = coupling.entries
+    k = len(entries)
+    xs, ys = coupling.entry_coords()
+    identical = np.all(xs == ys, axis=1)
+    moving = np.nonzero(~identical)[0]
+    parent = list(range(k))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    if len(moving):
+        xc, yc = xs[moving], ys[moving]
+        dirs = np.concatenate(
+            [model.displacement(xc[:, :-1], yc[:, :-1]), yc[:, -1:] - xc[:, -1:]], axis=1
+        )
+        lens = np.linalg.norm(dirs, axis=1)
+        unit = dirs / lens[:, None]
+        dx = model.displacement(xc[:, None, :-1], xc[None, :, :-1])
+        dy = model.displacement(xc[:, None, :-1], yc[None, :, :-1])
+        wx = np.concatenate([dx, xc[None, :, -1:] - xc[:, None, -1:]], axis=2)
+        wy = np.concatenate([dy, yc[None, :, -1:] - xc[:, None, -1:]], axis=2)
+
+        def perp_norm(w):
+            along = np.einsum("efc,ec->ef", w, unit)
+            perp = w - along[:, :, None] * unit[:, None, :]
+            return np.linalg.norm(perp, axis=2)
+
+        off_line = np.maximum(perp_norm(wx), perp_norm(wy))
+        collinear = off_line <= COLLINEARITY_RTOL * lens[:, None]
+        lo = np.maximum(xc[:, -1][:, None], xc[:, -1][None, :])
+        hi = np.minimum(yc[:, -1][:, None], yc[:, -1][None, :])
+        join = collinear & collinear.T & (lo <= hi)
+        for a in range(len(moving)):
+            for b in np.nonzero(join[a, a + 1:])[0]:
+                union(moving[a], moving[a + b + 1])
+
+    groups = {}
+    for e in range(k):
+        groups.setdefault(find(e) if not identical[e] else -1 - e, []).append(e)
+    mu_points, nu_points = coupling.mu.points, coupling.nu.points
+    rays = []
+    for key in sorted(groups, key=lambda g: min(groups[g])):
+        mu_mass, nu_mass = {}, {}
+        for e in groups[key]:
+            i, j, mass = entries[e]
+            mu_mass[i] = mu_mass.get(i, 0.0) + mass
+            nu_mass[j] = nu_mass.get(j, 0.0) + mass
+        mu_atoms = sorted(mu_mass, key=lambda i: mu_points[i].time)
+        nu_atoms = sorted(nu_mass, key=lambda j: nu_points[j].time)
+        rays.append(TransportRay(
+            entry_indices=tuple(groups[key]),
+            mu_atoms=tuple(mu_atoms),
+            nu_atoms=tuple(nu_atoms),
+            mu_taus=tuple(mu_points[i].time for i in mu_atoms),
+            nu_taus=tuple(nu_points[j].time for j in nu_atoms),
+            mu_masses=tuple(mu_mass[i] for i in mu_atoms),
+            nu_masses=tuple(nu_mass[j] for j in nu_atoms),
+            identical=key < 0,
+        ))
+    moving_rays_of_atom = {}
+    for r, ray in enumerate(rays):
+        if not ray.identical:
+            for i in ray.mu_atoms:
+                moving_rays_of_atom.setdefault(i, []).append(r)
+    for i, rs in moving_rays_of_atom.items():
+        if len(rs) > 1:
+            raise MonotonicityViolation(
+                f"mu-atom {i} feeds non-collinear segments (rays {rs}); "
+                "branching support has no discrete ray decomposition"
+            )
+    return tuple(rays)
+
+
+def mirrored(problem):
+    """The problem reflected in space, x -> -x (0.0 becomes -0.0)."""
+    flip = np.array([-1.0, 1.0])
+    return TransportProblem(*[problem.model] + [
+        DiscreteMeasure.from_arrays(m.coords_array() * flip, m.weights_array())[0]
+        for m in (problem.mu, problem.nu)
+    ])
+
+
+def outcome(f, *args):
+    """``repr`` of what f returns, or the type and message of what it raises."""
+    try:
+        return repr(f(*args))
+    except MonotonicityViolation as exc:
+        return f"MonotonicityViolation: {exc}"
+
+
+FAMILIES = {
+    "rays": lambda: [separated_rays_problem(s) for s in range(50)],
+    "rays_mirrored": lambda: [mirrored(separated_rays_problem(s)) for s in range(50)],
+    "strict": lambda: [random_strict_problem(s) for s in range(5)],
+    "line25": lambda: [line_blowup_problem(25)],
+    "weighted": lambda: [random_weighted_causal_problem(np.random.default_rng(s))
+                         for s in range(20)],
+}
+
+
+class TestArrayPathMatchesReference:
+    """Interpolation, restriction and rays agree with the pre-array code bit
+    for bit: coordinates, weights, entries, rays and error messages."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_family(self, family):
+        for problem in FAMILIES[family]():
+            model = problem.model
+            coupling, _ = solve(problem)
+            for t in (0.0, 0.25, 0.5, 1.0):
+                got = interpolate(model, coupling, t)
+                coords, weights, _ = reference_measure(reference_entry_atoms(model, coupling, t))
+                assert got.coords_array().tobytes() == coords.tobytes()
+                assert got.weights_array().tobytes() == weights.tobytes()
+            sub, restricted = restrict(model, coupling, 0.25, 0.75, verify=False)
+            side1, side2, entries = reference_restrict(model, coupling, 0.25, 0.75)
+            for m, (coords, weights) in ((sub.mu, side1), (sub.nu, side2)):
+                assert m.coords_array().tobytes() == coords.tobytes()
+                assert m.weights_array().tobytes() == weights.tobytes()
+            assert restricted.entries == tuple(entries)
+            assert np.array([e[2] for e in restricted.entries]).tobytes() == np.array(
+                [e[2] for e in entries]).tobytes()
+            assert outcome(ray_decomposition, model, coupling) == outcome(
+                reference_ray_decomposition, model, coupling)
+
+    def test_mirrored_family_holds_negative_zeros(self):
+        # the reflection of x = 0.0 is -0.0, which merges with 0.0 when equal
+        assert np.signbit(mirrored(separated_rays_problem(0)).mu.coords_array()[:, 0]).any()
+
+    def test_chain_of_overlaps_is_one_ray(self):
+        # five segments up one line, each overlapping only its neighbours in
+        # time: joined pairwise along a chain, they still form one ray
+        starts = [0.0, 0.9, 1.8, 2.7, 3.6]
+        mu = DiscreteMeasure.from_atoms([(pt(MK1, 0, t), 0.2) for t in starts])
+        nu = DiscreteMeasure.from_atoms([(pt(MK1, 0, t + 1.0), 0.2) for t in starts])
+        coupling = Coupling.from_entries(
+            TransportProblem(MK1, mu, nu), [(i, i, 0.2) for i in range(5)]
+        )
+        rays = ray_decomposition(MK1, coupling)
+        assert [ray.entry_indices for ray in rays] == [(0, 1, 2, 3, 4)]
+        assert rays == reference_ray_decomposition(MK1, coupling)
+
+    def test_time_tie_inside_a_ray_keeps_first_appearance(self):
+        # nu-atoms 0 and 1 tie at t = 1 on one ray (1e-12 apart, within the
+        # collinearity tolerance); entry (0, 1) comes first, so atom 1 leads
+        mu = DiscreteMeasure.from_atoms([(pt(MK1, 0, 0), 0.5), (pt(MK1, 0, 0.5), 0.5)])
+        nu = DiscreteMeasure.from_atoms([(pt(MK1, 0, 1), 0.5), (pt(MK1, 1e-12, 1), 0.5)])
+        coupling = Coupling.from_entries(
+            TransportProblem(MK1, mu, nu), [(0, 1, 0.5), (1, 0, 0.5)]
+        )
+        rays = ray_decomposition(MK1, coupling)
+        assert len(rays) == 1
+        assert rays[0].nu_atoms == (1, 0) and rays[0].nu_taus == (1.0, 1.0)
+        assert rays == reference_ray_decomposition(MK1, coupling)
