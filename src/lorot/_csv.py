@@ -1,0 +1,215 @@
+"""CSV tables formatted in numpy, byte for byte as ``%.17g`` and ``%d``.
+
+``write_csv`` is the CLI's one table writer. Each value's text is laid out
+in column-major ``uint8`` planes, one plane per character position and a
+NUL wherever a character is absent; the planes of a chunk of rows are
+transposed and their nonzero bytes kept, which is the CSV text of those
+rows.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+_CHUNK = 8192  # rows per block of planes, so memory stays bounded
+_MARGIN = 2.0 ** -30  # a rounding or exponent decision closer than this falls back
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for a Dekker product
+_POW10 = np.array([10 ** (16 - k) for k in range(17)], dtype=np.int64)
+_ZERO, _DOT, _MINUS = ord("0"), ord("."), ord("-")
+
+# planes of one float value: sign, the "0.000" of 1e-4 <= |x| < 1,
+# 17 digits each followed by an optional ".", then "e", sign, 3 digits
+_FLOAT_WIDTH = 1 + 5 + 2 * 17 + 5
+_DIGIT0 = 1 + 5
+_EXP0 = _DIGIT0 + 2 * 17
+
+
+def _split(a):
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+class _PowersOfTen:
+    """Double-double ``10**k = hi + lo`` for k in [-300, 300).
+
+    ``hi`` is ``10**k`` correctly rounded and ``lo`` is ``10**k - hi``
+    correctly rounded, both from Python integers (integer true division is
+    correctly rounded). Entries are built on first use, once per exponent
+    seen: the whole table would cost far more than the few exponents a
+    table of values needs.
+    """
+
+    OFFSET = 300
+
+    def __init__(self):
+        size = 2 * self.OFFSET
+        self.built = np.zeros(size, dtype=bool)
+        self.hi, self.hi_hi, self.hi_lo, self.lo = np.zeros((4, size))
+
+    def __call__(self, k):
+        idx = k + self.OFFSET
+        for i in np.unique(idx[~self.built[idx]]).tolist():
+            e = i - self.OFFSET
+            num, den = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
+            hi = num / den
+            n, d = hi.as_integer_ratio()
+            self.hi[i] = hi
+            self.hi_hi[i], self.hi_lo[i] = _split(hi)
+            self.lo[i] = (num * d - n * den) / (den * d)
+            self.built[i] = True
+        return self.hi[idx], self.hi_hi[idx], self.hi_lo[idx], self.lo[idx]
+
+
+def _scaled(a, k, powers):
+    """``a * 10**k`` as an unevaluated pair ``p + t``, and whether the pair
+    is exact; ``p = fl(a * hi)`` and ``t`` is the Dekker two-product's
+    error term ``a * hi - p`` plus ``fl(a * lo)``."""
+    hi, hi_hi, hi_lo, lo = powers(k)
+    p = a * hi
+    a_hi, a_lo = _split(a)
+    # |z - (p + t)| < 2**-46 for z = a * 10**k < 2**57 (see write_csv)
+    t = (((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo) + a * lo
+    return p, t, (t == 0) & (lo == 0)
+
+
+def _float_planes(x, powers, out):
+    """Write the ``%.17g`` text of float64 ``x`` into the zeroed planes
+    ``out`` and return the rows formatted by ``%``; the rounding argument
+    is in ``write_csv``."""
+    ax = np.abs(x)
+    zero = ax == 0
+    fast = (ax >= 1e-280) & (ax <= 1e280)
+    a = np.where(fast, ax, 1.0)
+    E = np.floor(np.log10(a)).astype(np.int64)
+    p, t, exact = _scaled(a, 16 - E, powers)
+    shift = ((p - 1e17) + t >= 0).astype(np.int64) - ((p - 1e16) + t < 0)
+    moved = np.flatnonzero(shift)
+    if len(moved):
+        E[moved] += shift[moved]
+        p[moved], t[moved], exact[moved] = _scaled(a[moved], 16 - E[moved], powers)
+    below, above = (p - 1e16) + t, (p - 1e17) + t
+    edge = (np.abs(below) <= _MARGIN) | (np.abs(above) <= _MARGIN)
+    tie = np.abs(t - np.floor(t) - 0.5) <= _MARGIN
+    ok = fast & (below >= 0) & (above < 0) & ~(edge & ~exact) & ~tie
+    D = np.where(ok, p, 1e16).astype(np.int64) + np.where(ok, np.rint(t), 0).astype(np.int64)
+    E[~ok] = 0
+    carry = D == 10 ** 17  # z rounded up onto the next power of ten
+    D[carry] = 10 ** 16
+    E += carry
+
+    # digit k is q[k] - 10 q[k-1] with q[k] = D // 10**(16 - k); the
+    # difference is taken mod 256, in uint8, where it is exact as well
+    q = (D // _POW10[:, None]).astype(np.uint8)
+    digits = q.copy()
+    digits[1:] -= np.uint8(10) * q[:-1]
+    ks = np.arange(17, dtype=np.int8)[:, None]
+    last_nonzero = np.max((digits != 0) * ks, axis=0)
+    fixed = (E >= -4) & (E < 17)
+    point = np.where(fixed, E, 0).astype(np.int8)  # the point follows this digit; none if < 0
+    out[0] = np.where(np.signbit(x), _MINUS, 0)
+    lead = fixed & (E < 0)  # "0." and -E - 1 zeros
+    out[1] = np.where(lead, _ZERO, 0)
+    out[2] = np.where(lead, _DOT, 0)
+    for j in (1, 2, 3):
+        out[2 + j] = np.where(lead & (-E - 1 >= j), _ZERO, 0)
+    out[_DIGIT0:_EXP0:2] = (digits + np.uint8(_ZERO)) * (ks <= np.maximum(last_nonzero, point))
+    dotted = np.flatnonzero((last_nonzero > point) & (point >= 0))
+    out[_DIGIT0 + 1 + 2 * point[dotted].astype(np.intp), dotted] = _DOT
+    out[_DIGIT0] = np.where(zero, _ZERO, out[_DIGIT0])
+    expo = ~fixed
+    mag = np.abs(E)
+    out[_EXP0] = np.where(expo, ord("e"), 0)
+    out[_EXP0 + 1] = np.where(expo, np.where(E < 0, _MINUS, ord("+")), 0)
+    out[_EXP0 + 2] = np.where(expo & (mag >= 100), _ZERO + mag // 100, 0)
+    out[_EXP0 + 3] = np.where(expo, _ZERO + mag // 10 % 10, 0)
+    out[_EXP0 + 4] = np.where(expo, _ZERO + mag % 10, 0)
+
+    fallback = np.flatnonzero(~ok & ~zero)
+    for r in fallback.tolist():
+        text = np.frombuffer(b"%.17g" % x[r], dtype=np.uint8)
+        out[:, r] = 0
+        out[:len(text), r] = text
+    return fallback
+
+
+def _int_planes(v, out):
+    """Write the ``%d`` text of integers ``v`` into the zeroed planes ``out``:
+    a sign plane, then one plane per digit of the widest value."""
+    neg = v < 0
+    mag = v.astype(np.int64).view(np.uint64) if v.dtype.kind == "i" else v.astype(np.uint64)
+    mag = np.where(neg, ~mag + np.uint64(1), mag)
+    width = len(out) - 1
+    q = mag // np.array([10 ** (width - 1 - k) for k in range(width)], dtype=np.uint64)[:, None]
+    digits = q.copy()
+    digits[1:] -= np.uint64(10) * q[:-1]
+    shown = (q > 0) | (np.arange(width) == width - 1)[:, None]
+    out[0] = np.where(neg, _MINUS, 0)
+    out[1:] = np.where(shown, _ZERO + digits, 0)
+
+
+def _int_width(column) -> int:
+    """Digits of the column's largest magnitude."""
+    if not len(column):
+        return 1
+    return len(str(max(abs(int(column.max())), abs(int(column.min())))))
+
+
+def write_csv(path: Path, table: np.recarray):
+    """One line per record under a header of the field names; floats as
+    ``%.17g``, which round-trips, and integers (and bools) as ``%d``.
+
+    The bytes equal that per-value rule for every value. A nonzero float
+    ``x`` prints as the 17-digit integer ``D`` in [1e16, 1e17) nearest to
+    ``z = |x| * 10**(16 - E)``, with ``E`` its decimal exponent:
+
+    * ``z`` is the pair ``p + t`` of ``_scaled``, against ``10**k = hi + lo``
+      with ``hi`` and ``lo`` correctly rounded from Python integers. The
+      Dekker two-product ``|x| * hi = p + err`` is exact, as nothing
+      overflows or underflows for ``|x|`` in [1e-280, 1e280]. For
+      ``z < 2**57``, ``|x| * lo < 16`` rounds within 2**-50, ``t`` (below
+      32) within 2**-49, and the part of ``10**k`` beyond ``hi + lo``
+      (under 2**-106 of it) adds under 2**-49, so
+      ``|z - (p + t)| < 2**-46``. With ``t == 0`` and ``lo == 0`` the pair
+      is exact.
+    * ``E`` starts as ``floor(log10|x|)``, which can be one off next to a
+      power of ten; ``z`` then falls outside [1e16, 1e17). The test reads
+      the signs of ``(p - 1e16) + t`` and ``(p - 1e17) + t``, in which
+      ``p - 1e16`` is exact; ``fl(p + t)`` could round onto the power of
+      ten (as for ``fl(1e147)``) and hide the off-by-one.
+    * ``D`` is ``p``, an integer since ``p > 2**53``, plus ``t`` rounded.
+      If ``D`` rounds up to 1e17 it is 1e16 and ``E`` grows by one.
+
+    Each decision is sound while ``z`` lies farther than 2**-46 from a
+    boundary or a half-integer. A value with ``z`` within 2**-30 of one
+    (exact ties included, but not an exact pair) is formatted by ``%``
+    instead, one value at a time, and so are non-finite values and
+    ``|x|`` outside [1e-280, 1e280]; zero is spelt out directly.
+    """
+    names = table.dtype.names
+    is_float = [table.dtype[name].kind == "f" for name in names]
+    widths = [_FLOAT_WIDTH if f else 1 + _int_width(table[name])
+              for name, f in zip(names, is_float)]
+    n_planes = sum(widths) + len(names)  # a "," after each column but the last, "\n" at the end
+    powers = _PowersOfTen()
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode("utf-8"))
+        for start in range(0, len(table), _CHUNK):
+            rows = table[start:start + _CHUNK]
+            block = np.zeros((n_planes, len(rows)), dtype=np.uint8)
+            at = 0
+            for name, f, width in zip(names, is_float, widths):
+                planes = block[at:at + width]
+                if f:
+                    _float_planes(np.asarray(rows[name], dtype=np.float64), powers, planes)
+                else:
+                    _int_planes(np.asarray(rows[name]), planes)
+                at += width
+                block[at] = ord(",")
+                at += 1
+            block[at - 1] = ord("\n")
+            block = block[block.any(axis=1)]
+            text = np.ascontiguousarray(block.T).ravel()
+            fh.write(np.compress(text != 0, text).tobytes())

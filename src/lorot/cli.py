@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._csv import write_csv as _write_csv
 from .diagnostics import audit
 from .dual import DualPotential, PositiveCycle, c_transform_costs, chain_potential, dkp_verify
 from .errors import Infeasible, LorotError, SchemaError
@@ -38,18 +39,6 @@ COMMANDS = (
     "counterexample-cylinder",
     "validate",
 )
-
-
-def _write_csv(path: Path, table: np.recarray):
-    """One line per record under a header of the field names; floats as
-    ``%.17g``, which round-trips, and integers as ``%d``."""
-    names = table.dtype.names
-    template = ",".join("%.17g" if table.dtype[name].kind == "f" else "%d" for name in names)
-    values = [None] * (len(table) * len(names))
-    for k, name in enumerate(names):
-        values[k::len(names)] = table[name].tolist()
-    body = ((template + "\n") * len(table)) % tuple(values)
-    path.write_text(",".join(names) + "\n" + body, encoding="utf-8")
 
 
 def _sanitize(obj):

@@ -36,7 +36,7 @@ Costs stay in binary64.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -87,6 +87,18 @@ class Coupling:
     total_cost: float
     exact_masses: tuple[int, ...] | None = None
     exact_denominator: int | None = None
+    # read-only columns of ``entries``, rebuilt by ``__init__`` and so by
+    # ``dataclasses.replace``
+    _ii: np.ndarray = field(init=False, compare=False, repr=False)
+    _jj: np.ndarray = field(init=False, compare=False, repr=False)
+    _masses: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for k, (name, dtype) in enumerate((("_ii", np.int64), ("_jj", np.int64),
+                                            ("_masses", float))):
+            array = np.array([e[k] for e in self.entries], dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def mu(self) -> DiscreteMeasure:
@@ -128,10 +140,8 @@ class Coupling:
         return len(self.entries)
 
     def index_arrays(self):
-        ii = np.array([e[0] for e in self.entries], dtype=np.int64)
-        jj = np.array([e[1] for e in self.entries], dtype=np.int64)
-        mm = np.array([e[2] for e in self.entries], dtype=float)
-        return ii, jj, mm
+        """Read-only ``(i, j, mass)`` columns of ``entries``."""
+        return self._ii, self._jj, self._masses
 
     def entry_coords(self):
         """Coordinate rows (time last) of each entry's source and target."""

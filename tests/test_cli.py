@@ -4,8 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lorot import cli, problem_to_json
+from lorot import _csv, cli, problem_to_json
 from lorot.cli import build_parser, main
 from lorot.experiments import separated_rays_problem
 
@@ -200,11 +201,16 @@ class TestOtherCommands:
 
 
 def reference_format(x) -> str:
-    """The per-value rule every CSV value follows: 17 significant digits
-    for a float, ``str`` for anything else."""
+    """The per-value rule every CSV value follows: ``%.17g`` for a float,
+    ``%d`` for an integer or a bool."""
     if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+        return "%.17g" % x
+    return "%d" % x
+
+
+def written_bytes(table, directory: Path) -> bytes:
+    cli._write_csv(directory / "t.csv", table)
+    return (directory / "t.csv").read_bytes()
 
 
 def reference_csv(table) -> bytes:
@@ -244,6 +250,8 @@ class TestCsvWriter:
     @pytest.mark.parametrize("argv, name", [
         (["counterexample-line", "--n", "51"], "levels.csv"),
         (["counterexample-cylinder", "--grid", "500"], "subdifferential.csv"),
+        (["counterexample-cylinder", "--grid", "100000", "--eps", "0.25", "--t", "1.0"],
+         "subdifferential.csv"),
     ])
     def test_experiment_tables_match_the_per_value_rule(self, argv, name, written, tmp_path):
         assert main(argv + ["--out", str(tmp_path)]) == 0
@@ -262,6 +270,63 @@ class TestCsvWriter:
         assert text.decode().splitlines()[1:3] == ["-0,0", "4.9406564584124654e-324,-7"]
         assert [float(line.split(",")[0]) for line in text.decode().splitlines()[1:]] == \
             table["x"].tolist()
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 5e-324, np.nextafter(2.2250738585072014e-308, 0), 2.2250738585072014e-308,
+         1.7976931348623157e308, np.nan, np.inf, -np.inf],
+        # exact ties at the 17th digit, and values next to the fast path's range
+        [1234567890123456.25, 1234567890123456.75, -1234567890123456.25, 1e-280, 1e280,
+         np.nextafter(1e-280, 0), np.nextafter(1e280, np.inf), 1e-300, 1e300],
+        [s * 10.0**k for k in range(-30, 31) for s in (1, -1)],
+        [np.nextafter(10.0**k, d) for k in range(-30, 31) for d in (0, np.inf)],
+    ], ids=["specials", "ties-and-range", "powers-of-ten", "power-neighbours"])
+    def test_float_values(self, values, tmp_path):
+        table = np.rec.fromarrays([np.asarray(values, dtype=np.float64)], names="x")
+        assert written_bytes(table, tmp_path) == reference_csv(table)
+
+    def test_fast_path_covers_powers_of_ten_and_their_neighbours(self):
+        x = np.array([10.0**k for k in range(17)] + [1e147, 1e-147] +
+                     [np.nextafter(10.0**k, d) for k in range(-30, 31) for d in (0, np.inf)])
+        planes = np.zeros((_csv._FLOAT_WIDTH, len(x)), dtype=np.uint8)
+        fallback = _csv._float_planes(x, _csv._PowersOfTen(), planes)
+        assert x[fallback].tolist() == [999999999999999.875]  # an exact tie at the 17th digit
+
+    def test_seeded_bit_pattern_sweep(self, tmp_path):
+        bits = np.random.default_rng(12).integers(0, 2**64, (8, 125_000), dtype=np.uint64)
+        table = np.rec.fromarrays(list(bits.view(np.float64)))
+        assert written_bytes(table, tmp_path) == reference_csv(table)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_float_bit_patterns(self, tmp_path_factory, bits):
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        table = np.rec.fromarrays([x, -x], names="x,y")
+        assert written_bytes(table, tmp_path_factory.mktemp("csv")) == reference_csv(table)
+
+    def test_integer_and_bool_columns(self, tmp_path):
+        info = np.iinfo(np.int64)
+        table = np.rec.fromarrays(
+            [np.array([info.min, info.max, 0, -1, 7]), np.array([True, False, True, True, False]),
+             np.array([0, 2**64 - 1, 10, 9, 100], dtype=np.uint64)],
+            names="k,b,u",
+        )
+        text = written_bytes(table, tmp_path)
+        assert text == reference_csv(table)
+        assert text.decode().splitlines()[1:3] == ["-9223372036854775808,1,0",
+                                                   "9223372036854775807,0,18446744073709551615"]
+
+    def test_empty_table(self, tmp_path):
+        table = np.rec.fromarrays([np.zeros(0), np.zeros(0, dtype=np.int64)], names="x,k")
+        assert written_bytes(table, tmp_path) == reference_csv(table) == b"x,k\n"
+
+    def test_fallback_rows_across_chunks(self, tmp_path):
+        n = 2 * _csv._CHUNK + 123
+        x = np.arange(n) * 0.1 + 1e-7
+        fallback = np.arange(5, n, _csv._CHUNK // 3)
+        x[fallback] = np.resize([np.nan, np.inf, 1234567890123456.25, 1e-300, -np.inf], len(fallback))
+        table = np.rec.fromarrays([np.arange(n) - 1000, x, x[::-1]], names="i,x,y")
+        assert len(np.unique(fallback // _csv._CHUNK)) == 3
+        assert written_bytes(table, tmp_path) == reference_csv(table)
 
 
 class TestValidateCommand:

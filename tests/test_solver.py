@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -397,6 +398,25 @@ class TestOneCostMatrix:
         for layer in layers:
             with pytest.raises(ValueError, match=r"Minkowski\(d=1\), not Cylinder\("):
                 layer(Cylinder(5.0))
+
+
+class TestIndexArrays:
+    def test_stored_read_only_and_equal_to_the_entries(self):
+        coupling, _ = solve(separated_rays_problem(0))
+        ii, jj, mass = coupling.index_arrays()
+        assert all(a is b for a, b in zip(coupling.index_arrays(), (ii, jj, mass)))
+        assert list(zip(ii.tolist(), jj.tolist(), mass.tolist())) == list(coupling.entries)
+        with pytest.raises(ValueError, match="read-only"):
+            ii[0] = 1
+
+    def test_replaced_coupling_follows_its_new_entries(self):
+        coupling, _ = solve(two_by_two_problem())
+        entries = ((0, 1, 0.5), (1, 0, 0.5))
+        moved = dataclasses.replace(coupling, entries=entries)
+        ii, jj, mass = moved.index_arrays()
+        assert (ii.tolist(), jj.tolist(), mass.tolist()) == ([0, 1], [1, 0], [0.5, 0.5])
+        assert coupling.index_arrays()[1].tolist() == [0, 1]
+        assert moved != coupling
 
 
 class TestDeterminism:
