@@ -29,6 +29,7 @@ from .dual import (
 )
 from .errors import (
     BadGrid,
+    ExperimentCheckFailed,
     Infeasible,
     LorotError,
     MonotonicityViolation,

@@ -4,8 +4,9 @@ Reads a problem or experiment specification, runs it, and writes
 machine-readable results: a summary ``result.json`` (always) plus CSV tables
 per command. Outputs are byte-identical for identical (config, input, seed).
 
-Exit codes: 0 success, 2 infeasible transport, 3 invalid input: a schema or
-validation error, or a bad or unknown command-line flag.
+Exit codes: 0 success, 2 infeasible transport, 3 invalid input (a schema or
+validation error, or a bad or unknown command-line flag) or any other
+:class:`LorotError`, such as a failed experiment check.
 """
 
 from __future__ import annotations
@@ -28,18 +29,6 @@ from .measures import measure_from_json
 from .solver import check_problem_fields, dual_objective, problem_from_json, solve
 from .spacetime import model_from_config
 from .transport import AtomSplit, interpolate, monge_map
-
-COMMANDS = (
-    "solve",
-    "dual",
-    "audit",
-    "interpolate",
-    "monge",
-    "counterexample-line",
-    "counterexample-cylinder",
-    "validate",
-)
-
 
 def _sanitize(obj):
     """Replace non-finite floats so the emitted JSON stays standard."""
@@ -71,14 +60,6 @@ def _load_input(source: str) -> dict:
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
 
 
-def _resolved_config(args) -> dict:
-    cfg = {"command": args.command, "out": str(args.out)}
-    for key in ("input", "seed", "tol", "n", "eps", "t", "grid"):
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    return cfg
-
-
 def _validate_payload(obj: dict):
     """Schema and measure-invariant checks; returns a list of violations."""
     violations = []
@@ -93,10 +74,6 @@ def _validate_payload(obj: dict):
     for side in ("mu", "nu"):
         if side not in obj:
             violations.append(f"{side}: missing")
-            continue
-        atoms = obj[side].get("atoms") if isinstance(obj[side], dict) else None
-        if not atoms:
-            violations.append(f"{side}: empty measure")
             continue
         try:
             measure_from_json(model, obj[side])
@@ -156,6 +133,8 @@ def _cmd_dual(args, out_dir):
 
 
 def _cmd_audit(args, out_dir):
+    if args.seed < 0:
+        raise SchemaError("--seed must be non-negative")
     problem, coupling, duals = _solve_from_args(args)
     report = audit(problem.model, problem, coupling, duals, seed=args.seed)
     return report.as_dict(), 0
@@ -206,15 +185,25 @@ def _cmd_cylinder(args, out_dir):
     return report.as_dict(), 0
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "solve": _cmd_solve,
-    "dual": _cmd_dual,
-    "audit": _cmd_audit,
-    "interpolate": _cmd_interpolate,
-    "monge": _cmd_monge,
-    "counterexample-line": _cmd_line,
-    "counterexample-cylinder": _cmd_cylinder,
+_INPUT = ("--input", {"required": True, "help": "problem JSON: a file path or inline JSON text"})
+_OUT = ("--out", {"default": ".", "help": "output directory"})
+
+# Each command's handler and the flags it reads, in usage order. The
+# recorded config is the parsed namespace, so it holds exactly these flags.
+COMMANDS = {
+    "solve": (_cmd_solve, [_INPUT, _OUT]),
+    "dual": (_cmd_dual, [_INPUT, _OUT, ("--tol", {
+        "type": float, "default": 1e-8, "help": "dkp_verify tolerance (default %(default)s)"})]),
+    "audit": (_cmd_audit, [_INPUT, _OUT, ("--seed", {
+        "type": int, "default": 0, "help": "seed of the sampled monotonicity check"})]),
+    "interpolate": (_cmd_interpolate, [_INPUT, _OUT, ("--t", {"type": float, "required": True})]),
+    "monge": (_cmd_monge, [_INPUT, _OUT]),
+    "counterexample-line": (_cmd_line, [_OUT, ("--n", {
+        "type": int, "required": True, "help": "base grid size"})]),
+    "counterexample-cylinder": (_cmd_cylinder, [_OUT, ("--eps", {"type": float, "default": 0.25}),
+                                                ("--grid", {"type": int, "default": 10000}),
+                                                ("--t", {"type": float, "default": 1.0})]),
+    "validate": (_cmd_validate, [_INPUT, _OUT]),
 }
 
 
@@ -232,45 +221,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Discrete optimal transport with Lorentzian (causal) costs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        if name in ("solve", "dual", "audit", "interpolate", "monge", "validate"):
-            p.add_argument("--input", required=True,
-                           help="problem JSON: a file path or inline JSON text")
-        p.add_argument("--out", default=".", help="output directory")
-        if name == "audit":
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed of the sampled monotonicity check")
-        if name == "dual":
-            p.add_argument("--tol", type=float, default=1e-8,
-                           help="dkp_verify tolerance (default %(default)s)")
-        if name == "counterexample-line":
-            p.add_argument("--n", type=int, required=True, help="base grid size")
-        if name == "counterexample-cylinder":
-            p.add_argument("--eps", type=float, default=0.25)
-            p.add_argument("--grid", type=int, default=10000)
-            p.add_argument("--t", type=float, default=1.0)
-        if name == "interpolate":
-            p.add_argument("--t", type=float, required=True)
+        for flag, spec in flags:
+            p.add_argument(flag, **spec)
     return parser
 
 
 def run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _resolved_config(args)
+    config = {**vars(args), "out": str(args.out)}
     summary = {"version": __version__, "command": args.command, "config": config}
     try:
-        result, code = _HANDLERS[args.command](args, out_dir)
+        summary["result"], code = COMMANDS[args.command][0](args, out_dir)
     except Infeasible as exc:
         summary["error"] = {"kind": "infeasible", "message": str(exc)}
-        _write_json(out_dir / "result.json", summary)
-        print(json.dumps(_sanitize(summary), sort_keys=True, allow_nan=False))
-        print(f"lorot: infeasible: {exc}", file=sys.stderr)
-        return 2
-    summary["result"] = result
+        code = 2
     _write_json(out_dir / "result.json", summary)
     print(json.dumps(_sanitize(summary), sort_keys=True, allow_nan=False))
+    if "error" in summary:
+        print(f"lorot: infeasible: {summary['error']['message']}", file=sys.stderr)
     return code
 
 

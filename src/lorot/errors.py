@@ -41,5 +41,9 @@ class ValidationFailed(LorotError):
         super().__init__(message or f"profile condition ({condition}) violated")
 
 
+class ExperimentCheckFailed(LorotError):
+    """An experiment's computed result failed one of its built-in checks."""
+
+
 class SchemaError(LorotError):
     """Input JSON does not conform to the problem schema."""

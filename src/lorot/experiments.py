@@ -26,7 +26,7 @@ import numpy as np
 
 from .diagnostics import audit
 from .dual import chain_potential, PositiveCycle
-from .errors import ValidationFailed
+from .errors import ExperimentCheckFailed, ValidationFailed
 from .measures import DiscreteMeasure, grid_segment, strictify
 from .solver import TransportProblem, solve
 from .spacetime import Cylinder, Minkowski
@@ -79,7 +79,7 @@ class ExperimentReport:
 
 def _check(condition, message):
     if not condition:
-        raise RuntimeError(f"experiment check failed: {message}")
+        raise ExperimentCheckFailed(f"experiment check failed: {message}")
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,10 @@ class Coupling:
         if not entries:
             raise ValueError("coupling must have at least one entry")
         C = problem.cost_matrix()
+        n, m = C.shape
         for i, j, mass in entries:
+            if not (0 <= i < n and 0 <= j < m):
+                raise ValueError(f"entry ({i},{j}) lies outside the {n}x{m} problem")
             if not mass > 0:
                 raise ValueError(f"entry ({i},{j}) has nonpositive mass {mass}")
             if not np.isfinite(C[i, j]):

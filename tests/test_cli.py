@@ -81,26 +81,28 @@ class TestDeterminism:
         assert read_result(out)["config"]["seed"] == 7
 
 
+# a flag is registered only on the commands whose handler reads it
+FLAGS = {
+    "solve": {"--input", "--out"},
+    "dual": {"--input", "--out", "--tol"},
+    "audit": {"--input", "--out", "--seed"},
+    "interpolate": {"--input", "--out", "--t"},
+    "monge": {"--input", "--out"},
+    "counterexample-line": {"--out", "--n"},
+    "counterexample-cylinder": {"--out", "--eps", "--grid", "--t"},
+    "validate": {"--input", "--out"},
+}
+
+
 class TestFlags:
     def test_flag_table(self):
-        # a flag is registered only on the commands whose handler reads it
-        expected = {
-            "solve": {"--input", "--out"},
-            "dual": {"--input", "--out", "--tol"},
-            "audit": {"--input", "--out", "--seed"},
-            "interpolate": {"--input", "--out", "--t"},
-            "monge": {"--input", "--out"},
-            "counterexample-line": {"--out", "--n"},
-            "counterexample-cylinder": {"--out", "--eps", "--grid", "--t"},
-            "validate": {"--input", "--out"},
-        }
         parser = build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         got = {
             name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
             for name, p in sub.choices.items()
         }
-        assert got == expected
+        assert got == FLAGS
 
     @pytest.mark.parametrize("argv", [
         ["counterexample-line", "--n", "abc"],
@@ -110,8 +112,9 @@ class TestFlags:
         ["interpolate", "--input", json.dumps(PROBLEM)],
         ["counterexample-cylinder", "--t", "1e-320"],
         ["counterexample-cylinder", "--t", "5e-324"],
+        ["audit", "--input", json.dumps(PROBLEM), "--seed", "-1"],
     ], ids=["bad-int", "nonpositive-tol", "unknown-flag", "missing-n", "missing-t",
-            "subnormal-t", "least-subnormal-t"])
+            "subnormal-t", "least-subnormal-t", "negative-seed"])
     def test_usage_errors_exit_3(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 3
         assert "lorot: invalid input:" in capsys.readouterr().err
@@ -126,6 +129,16 @@ class TestFlags:
         out = tmp_path / "dual"
         assert main(["dual", "--input", str(problem_file), "--out", str(out)]) == 0
         assert read_result(out)["config"]["tol"] == 1e-8
+        # the config is the parsed namespace: nothing but the command and its flags
+        required = {"interpolate": ["--t", "0.5"], "counterexample-line": ["--n", "3"],
+                    "counterexample-cylinder": ["--grid", "200"]}
+        for command, flags in FLAGS.items():
+            out = tmp_path / command
+            argv = [command, *required.get(command, []), "--out", str(out)]
+            if "--input" in flags:
+                argv += ["--input", str(problem_file)]
+            assert main(argv) == 0
+            assert set(read_result(out)["config"]) == {"command", "out"} | {f[2:] for f in flags}
 
 
 class TestOtherCommands:
@@ -191,6 +204,12 @@ class TestOtherCommands:
         table = (out / "subdifferential.csv").read_text().splitlines()
         assert table[0] == "theta,y_theta,margin"
         assert len(table) == 501
+
+    def test_failed_experiment_check_exits_3(self, tmp_path, capsys):
+        # at the least grid the near-null set around the cusp holds no theta
+        assert main(["counterexample-cylinder", "--grid", "100", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "lorot: experiment check failed: near-null set at eta=0.01 has zero measure\n")
 
     @pytest.mark.parametrize("t", ["2.2250738585072014e-308", "1e-200"])
     def test_counterexample_cylinder_tiny_normal_t(self, t, tmp_path):
@@ -364,3 +383,9 @@ class TestValidateCommand:
         assert main(["validate", "--input", json.dumps(bad), "--out", str(out)]) == 3
         violations = read_result(out)["result"]["violations"]
         assert any("empty measure" in v for v in violations)
+
+    def test_measure_not_an_object_violation(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["validate", "--input", json.dumps(dict(PROBLEM, nu=[])), "--out", str(out)]) == 3
+        assert read_result(out)["result"]["violations"] == [
+            "nu: schema: measure must be an object with an 'atoms' list"]

@@ -24,6 +24,7 @@ from lorot.experiments import (
 from lorot.measures import DiscreteMeasure, grid_segment
 from lorot.solver import (
     PRICE_TOL,
+    Coupling,
     TransportProblem,
     _Basis,
     _integer_marginals,
@@ -417,6 +418,22 @@ class TestIndexArrays:
         assert (ii.tolist(), jj.tolist(), mass.tolist()) == ([0, 1], [1, 0], [0.5, 0.5])
         assert coupling.index_arrays()[1].tolist() == [0, 1]
         assert moved != coupling
+
+
+class TestFromEntries:
+    @pytest.mark.parametrize("entries, message", [
+        ([], "at least one entry"),
+        ([(0, 0, 0.5), (1, 1, 0.0)], r"entry \(1,1\) has nonpositive mass"),
+        ([(0, 0, 0.5), (0, 1, 0.5)], r"entry \(0,1\) pairs non-causal atoms"),
+        ([(0, 1, 0.5), (-1, 1, 0.5)], r"entry \(-1,1\) lies outside the 2x2 problem"),
+        ([(1, 2, 0.5), (0, 0, 0.5)], r"entry \(1,2\) lies outside the 2x2 problem"),
+    ], ids=["empty", "nonpositive-mass", "non-causal", "negative-index", "index-past-end"])
+    def test_rejects(self, entries, message):
+        # nu's atoms sit 0.5 after mu's, so only the diagonal pairs are causal
+        mu = DiscreteMeasure.from_atoms([(pt(0.0, 0.0), 0.5), (pt(1.0, 0.0), 0.5)])
+        nu = DiscreteMeasure.from_atoms([(pt(0.0, 0.5), 0.5), (pt(1.0, 0.5), 0.5)])
+        with pytest.raises(ValueError, match=message):
+            Coupling.from_entries(TransportProblem(MK1, mu, nu), entries)
 
 
 class TestDeterminism:
