@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UnreachableAtom
 from .solver import Coupling
-from .spacetime import SpacetimeModel
+from .spacetime import SpacetimeModel, row_blocks
 
 # A cycle must beat this tolerance to count as positive; smaller gains are
 # treated as rounding noise from float cost arithmetic.
@@ -80,15 +80,26 @@ def c_transform(model: SpacetimeModel, mu, psi, nu):
 
     Returns one value per nu-atom; ``None`` marks atoms with no causal
     source at all (the infimum is minus infinity there). The sentinel is an
-    explicit tagged value so it never enters float arithmetic.
+    explicit tagged value so it never enters float arithmetic. The costs are
+    evaluated one row block at a time, so the full matrix is never held.
     """
-    return c_transform_costs(psi, model.cost_matrix(mu.coords_array(), nu.coords_array()))
+    xs, ys = mu.coords_array(), nu.coords_array()
+    return _column_infima(psi, len(ys), lambda rows: model.costs(xs[rows, None], ys[None]))
 
 
 def c_transform_costs(psi, C):
     """:func:`c_transform` over a built cost matrix, e.g. ``problem.cost_matrix()``."""
-    vals = np.asarray(psi, dtype=float)[:, None] + C
-    low = np.min(vals, axis=0, initial=np.inf, where=np.isfinite(vals))
+    return _column_infima(psi, C.shape[1], C.__getitem__)
+
+
+def _column_infima(psi, m, costs_of):
+    """Per column, the least finite ``psi[i] + costs_of(rows)[i, j]``; None where
+    there is none. ``costs_of`` gives the cost rows of a row slice."""
+    psi = np.asarray(psi, dtype=float)
+    low = np.full(m, np.inf)
+    for rows in row_blocks(len(psi), m):
+        vals = psi[rows, None] + costs_of(rows)
+        np.minimum(low, np.min(vals, axis=0, initial=np.inf, where=np.isfinite(vals)), out=low)
     return [float(v) if v < np.inf else None for v in low]
 
 
@@ -197,11 +208,14 @@ def dkp_verify(model: SpacetimeModel, coupling: Coupling, potential: DualPotenti
     C = coupling.cost_matrix(model)
     psi = potential.psi_array()
     phi = potential.phi_array()
-    slack = phi[None, :] - psi[:, None] - C
-    finite = np.isfinite(C)
-    worst_feas = float(np.max(slack[finite])) if finite.any() else 0.0
+    # -inf when no arc is finite: then nothing is infeasible
+    worst_feas = -np.inf
+    for rows in row_blocks(*C.shape):
+        slack = phi[None, :] - psi[rows, None] - C[rows]
+        worst_feas = max(worst_feas, float(np.max(slack, initial=-np.inf,
+                                                  where=np.isfinite(C[rows]))))
     ii, jj, _ = coupling.index_arrays()
-    support_res = np.abs(slack[ii, jj])
+    support_res = np.abs(phi[jj] - psi[ii] - C[ii, jj])
     worst_support = float(np.max(support_res))
     return DkpReport(
         feasible=worst_feas <= tol,

@@ -11,8 +11,9 @@ et al. 2011):
 * The start is the north-west-corner staircase in the canonical atom order.
   On a tie the column advances, so every zero-flow arc points away from the
   root and the tree is strongly feasible (Cunningham 1976).
-* Each pivot prices every finite arc with one ``argmin`` over the reduced
-  costs ``C + u - v``; the lowest flat index wins ties.
+* Each pivot prices every finite arc, walking the rows in blocks; the most
+  negative reduced cost ``C + u - v`` enters, the lowest flat index winning
+  ties.
 * The leaving arc is the last blocking arc met going round the cycle from
   its apex down to the entering arc's nu-atom, across the entering arc and
   back up. This keeps the tree strongly feasible, so the method cannot cycle.
@@ -38,13 +39,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 
 import numpy as np
 
 from .errors import Infeasible, SchemaError, TooLarge
 from .measures import DiscreteMeasure, measure_from_json
-from .spacetime import SpacetimeModel, model_from_config
+from .spacetime import SpacetimeModel, model_from_config, row_blocks
 
 ORACLE_CAP = 6
 #: an arc enters the basis when its reduced cost is below -PRICE_TOL * (1 + max |C|)
@@ -118,6 +119,13 @@ class Coupling:
 
     @classmethod
     def from_entries(cls, problem, entries, exact_masses=None, exact_denominator=None):
+        """The coupling of ``problem`` with these ``(i, j, mass)`` entries.
+
+        Raises ``ValueError`` naming the first bad entry in (i, j) order: out
+        of range, nonpositive mass, a non-causal pair or a repeated pair; or
+        naming the first atom, mu side first, whose row or column sum misses
+        its weight w by more than ``1e-9 * (1 + w)``.
+        """
         order = sorted(range(len(entries)), key=lambda k: (entries[k][0], entries[k][1]))
         entries = tuple(
             (int(entries[k][0]), int(entries[k][1]), float(entries[k][2])) for k in order
@@ -128,15 +136,32 @@ class Coupling:
             raise ValueError("coupling must have at least one entry")
         C = problem.cost_matrix()
         n, m = C.shape
+        previous, total = None, 0
         for i, j, mass in entries:
             if not (0 <= i < n and 0 <= j < m):
                 raise ValueError(f"entry ({i},{j}) lies outside the {n}x{m} problem")
             if not mass > 0:
                 raise ValueError(f"entry ({i},{j}) has nonpositive mass {mass}")
-            if not np.isfinite(C[i, j]):
+            cost = C.item(i, j)
+            if not isfinite(cost):
                 raise ValueError(f"entry ({i},{j}) pairs non-causal atoms")
-        total = float(sum(mass * C[i, j] for i, j, mass in entries))
-        return cls(problem, entries, total, exact_masses, exact_denominator)
+            if (i, j) == previous:
+                raise ValueError(f"entry ({i},{j}) appears more than once")
+            previous = i, j
+            total += mass * cost
+        coupling = cls(problem, entries, float(total), exact_masses, exact_denominator)
+        ii, jj, masses = coupling.index_arrays()
+        for side, index, measure in (("mu", ii, problem.mu), ("nu", jj, problem.nu)):
+            w = measure.weights_array()
+            sums = np.bincount(index, weights=masses, minlength=len(w))
+            off = np.flatnonzero(np.abs(sums - w) > 1e-9 * (1.0 + w))
+            if len(off):
+                k = off[0]
+                raise ValueError(
+                    f"{side}-atom {k} carries mass {float(sums[k])!r} in the coupling, "
+                    f"not its weight {float(w[k])!r}"
+                )
+        return coupling
 
     @property
     def n_entries(self) -> int:
@@ -238,7 +263,8 @@ class _Basis:
             self._relabel(x)
 
     def potentials(self, art=False):
-        pot = np.array(self.art if art else self.pot)
+        """``(u, v)`` as float arrays; the artificial ones are exact integers."""
+        pot = np.array(self.art if art else self.pot, dtype=float)
         return pot[: self.n], pot[self.n:]
 
     def arcs(self):
@@ -317,32 +343,77 @@ class _Basis:
         self._relabel(top)
 
 
-def _optimize(basis, cost, tol):
-    """Pivot until no arc prices below ``-tol``; return the final ``(u, v)``
-    and reduced costs.
+def _optimize(basis, finite, tol, stranded=False):
+    """Pivot until no arc prices below ``-tol``; return the final ``(u, v)``.
 
-    Arcs where ``cost`` is finite are priced. Their artificial cost (1 on
-    non-causal pairs) is compared first, their real cost ``cost`` second.
+    Finite arcs are priced at their cost; with ``stranded`` so are the
+    non-causal ones, at real cost 0. The artificial cost (1 on non-causal
+    pairs) is compared first, the real cost second. Pricing walks the rows in
+    blocks; the most negative arc with the lowest flat index enters.
     """
-    m = cost.shape[1]
-    priced = np.isfinite(cost)
-    noncausal = ~np.isfinite(basis.C)
-    rc = np.empty_like(cost)
+    C = basis.C
+    m = C.shape[1]
+    rows_of = row_blocks(*C.shape)
+    key = np.empty((rows_of[0].stop, m))
+    flag = np.empty(key.shape, dtype=bool)
+    # each block's rows of C and finite, and the scratch its keys go to
+    blocks = [(rows.start * m, rows, C[rows], finite[rows], key[: rows.stop - rows.start],
+               flag[: rows.stop - rows.start]) for rows in rows_of]
     while True:
         u, v = basis.potentials()
-        np.add(cost, u[:, None], out=rc)
-        rc -= v
-        key = rc
-        if basis.n_artificial:
-            ua, va = basis.potentials(art=True)
-            ra = ua[:, None] - va + noncausal
-            key = rc.copy()
-            key[ra > 0] = np.inf
-            key[(ra < 0) & priced] = -np.inf
-        k = int(np.argmin(key))
-        if not key.flat[k] < -tol:
-            return u, v, rc
+        ua, va = basis.potentials(art=True) if basis.n_artificial else (None, None)
+        best, k = -tol, None
+        for first, rows, cost, fin, block, flags in blocks:
+            if ua is not None:
+                # the artificial reduced costs ua - va + (1 if not causal) are
+                # small integers, exact in the block
+                np.copyto(block, ua[rows, None] + 1.0)
+                block -= va
+                block -= fin
+                np.less(block, 0, out=flags)
+                if not stranded:
+                    flags &= fin
+                if flags.any():
+                    # a priced arc below zero there beats every real cost
+                    k = first + int(np.argmax(flags))
+                    break
+                np.greater(block, 0, out=flags)  # these never enter
+            np.add(np.where(fin, cost, 0.0) if stranded else cost, u[rows, None], out=block)
+            block -= v
+            if ua is not None:
+                block[flags] = np.inf
+            b = int(np.argmin(block))
+            if block.flat[b] < best:
+                best, k = block.flat[b], first + b
+        if k is None:
+            return u, v
         basis.pivot(*divmod(k, m))
+
+
+def _lift(C, finite, duals, art_duals):
+    """The least lam >= 0 with ``C + u - v + lam * (ua - va) >= 0`` on every
+    finite arc where ``ua - va > 0``, for ``(u, v) = duals`` and
+    ``(ua, va) = art_duals``.
+
+    Each pair needs two float values here, the artificial and the real
+    reduced cost, so the row blocks are sized for twice m.
+    """
+    (u, v), (ua, va) = duals, art_duals
+    n, m = C.shape
+    lam = 0.0
+    blocks = row_blocks(n, 2 * m)
+    ra_rows, rc_rows = np.empty((2, blocks[0].stop, m))
+    for rows in blocks:
+        ra = np.subtract(ua[rows, None], va, out=ra_rows[: rows.stop - rows.start])
+        lift = ra > 0
+        lift &= finite[rows]
+        if lift.any():
+            rc = np.add(C[rows], u[rows, None], out=rc_rows[: rows.stop - rows.start])
+            rc -= v
+            np.negative(rc, out=rc)
+            np.divide(rc, ra, out=rc, where=lift)
+            lam = max(lam, float(np.max(rc, where=lift, initial=-np.inf)))
+    return lam
 
 
 def solve(problem: TransportProblem):
@@ -367,12 +438,15 @@ def solve(problem: TransportProblem):
 
     supplies, demands, denom = _integer_marginals(mu.weights, nu.weights)
     basis = _Basis(C, supplies, demands)
-    tol = PRICE_TOL * (1.0 + float(np.max(np.abs(C[finite]))))
-    u, v, rc = _optimize(basis, C, tol)
+    # max |C| over the finite arcs, read in place
+    top = C.max(where=finite, initial=-np.inf)
+    bottom = C.min(where=finite, initial=np.inf)
+    tol = PRICE_TOL * (1.0 + float(max(top, -bottom)))
+    u, v = _optimize(basis, finite, tol)
     if basis.stranded():
         # so far only staircase cells could hold the stranded mass; offer it
         # every non-causal pair, so that what stays stranded is the least
-        _optimize(basis, np.where(finite, C, 0.0), tol)
+        _optimize(basis, finite, tol, stranded=True)
         i, q = min(basis.stranded().items())
         raise Infeasible(
             f"mu-atom {i} cannot place mass {Fraction(q, denom)}: "
@@ -383,9 +457,7 @@ def solve(problem: TransportProblem):
         # lift the real duals along the artificial ones, just far enough to
         # make every finite arc dual feasible
         ua, va = basis.potentials(art=True)
-        ra = ua[:, None] - va
-        lift = finite & (ra > 0)
-        lam = max(0.0, float(np.max(-rc[lift] / ra[lift]))) if lift.any() else 0.0
+        lam = _lift(C, finite, (u, v), (ua, va))
         u, v = u + lam * ua, v + lam * va
 
     arcs = [(i, j, q) for i, j, q, artificial in basis.arcs() if q and not artificial]

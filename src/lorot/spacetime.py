@@ -32,6 +32,18 @@ from .errors import NotCausalPair, SchemaError
 # coordinates produced by inexact arithmetic.
 NULL_TOL = 1e-12
 
+# Every dense pass over the n x m pairs walks the rows in blocks of about this
+# many pairs, so that a block's few float64 temporaries (512 KiB each) stay in
+# cache and no n x m float array is built beside the cost matrix itself.
+BLOCK_PAIRS = 2**16
+
+
+def row_blocks(n: int, m: int) -> list[slice]:
+    """Slices of ``range(n)`` in order, each of at least one row and of about
+    ``BLOCK_PAIRS`` pairs when a row holds m of them."""
+    step = max(1, BLOCK_PAIRS // max(m, 1))
+    return [slice(r, min(r + step, n)) for r in range(0, n, step)]
+
 
 @dataclass(frozen=True)
 class Point:
@@ -139,8 +151,13 @@ class SpacetimeModel:
         """Pairwise costs, +inf on non-causal pairs; shape (n, m).
 
         ``xs`` and ``ys`` are coordinate arrays of shape (n, d+1) and (m, d+1).
+        Filled block by block (see :func:`row_blocks`); each entry is the
+        same elementwise arithmetic as :meth:`costs`.
         """
-        return self.costs(xs[:, None, :], ys[None, :, :])
+        C = np.empty((len(xs), len(ys)))
+        for rows in row_blocks(len(xs), len(ys)):
+            C[rows] = self.costs(xs[rows, None, :], ys[None, :, :])
+        return C
 
     def geodesic_points(self, xs, ys, t: float) -> np.ndarray:
         """Coordinates at parameter t on the minimizing segments from xs to ys.

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import two_by_two_problem
+from lorot import spacetime
 from lorot.dual import (
     DualPotential,
     PositiveCycle,
     c_transform,
+    c_transform_costs,
     chain_potential,
     dkp_verify,
 )
@@ -205,6 +207,28 @@ class TestDkpVerify:
         coupling, (u, v) = solve(problem)
         report = dkp_verify(MK1, coupling, DualPotential.from_arrays(u, v), tol=1e-8)
         assert report.feasible and report.support_tight
+
+
+class TestRowBlocks:
+    def test_one_row_blocks_give_the_same_bits(self, monkeypatch):
+        problem = line_blowup_problem(60)
+        coupling, (u, v) = solve(problem)
+        psi = chain_potential(MK1, coupling)
+        # one more nu-atom that no mu-atom reaches, for the None sentinel
+        coords = np.vstack([problem.nu.coords_array(), [[9.0, 1.0]]])
+        nu = DiscreteMeasure.from_arrays(coords, np.full(len(coords), 1.0 / len(coords)))[0]
+
+        def run():
+            phi = c_transform(MK1, problem.mu, psi, nu)
+            potential = DualPotential.from_psi(MK1, problem.mu, psi, problem.nu)
+            return (phi, c_transform_costs(u, problem.cost_matrix()),
+                    dkp_verify(MK1, coupling, potential),
+                    dkp_verify(MK1, coupling, DualPotential.from_arrays(u, v)))
+
+        default = run()
+        assert default[0][-1] is None and None not in default[0][:-1]
+        monkeypatch.setattr(spacetime, "BLOCK_PAIRS", 1)
+        assert repr(run()) == repr(default)
 
 
 class TestDoubleTransform:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import (
     random_weighted_causal_problem,
     two_by_two_problem,
 )
+from lorot import spacetime
 from lorot.diagnostics import audit
 from lorot.dual import DualPotential, PositiveCycle, chain_potential, dkp_verify
 from lorot.errors import Infeasible, SchemaError, TooLarge
@@ -291,7 +293,8 @@ class TestBasis:
             C = problem.cost_matrix()
             supplies, demands, _ = _integer_marginals(problem.mu.weights, problem.nu.weights)
             basis = StrictlyCheckedBasis(C, supplies, demands)
-            _optimize(basis, C, PRICE_TOL * (1.0 + np.max(np.abs(C[np.isfinite(C)]))))
+            finite = np.isfinite(C)
+            _optimize(basis, finite, PRICE_TOL * (1.0 + np.max(np.abs(C[finite]))))
             pivots += basis.pivots
         assert pivots > 0
 
@@ -427,13 +430,101 @@ class TestFromEntries:
         ([(0, 0, 0.5), (0, 1, 0.5)], r"entry \(0,1\) pairs non-causal atoms"),
         ([(0, 1, 0.5), (-1, 1, 0.5)], r"entry \(-1,1\) lies outside the 2x2 problem"),
         ([(1, 2, 0.5), (0, 0, 0.5)], r"entry \(1,2\) lies outside the 2x2 problem"),
-    ], ids=["empty", "nonpositive-mass", "non-causal", "negative-index", "index-past-end"])
+        ([(1, 1, 0.25), (0, 0, 0.5), (1, 1, 0.25)], r"entry \(1,1\) appears more than once"),
+        ([(0, 0, 0.9), (1, 1, 0.9)],
+         r"mu-atom 0 carries mass 0\.9 in the coupling, not its weight 0\.5"),
+    ], ids=["empty", "nonpositive-mass", "non-causal", "negative-index", "index-past-end",
+            "duplicate", "marginal-missed"])
     def test_rejects(self, entries, message):
         # nu's atoms sit 0.5 after mu's, so only the diagonal pairs are causal
         mu = DiscreteMeasure.from_atoms([(pt(0.0, 0.0), 0.5), (pt(1.0, 0.0), 0.5)])
         nu = DiscreteMeasure.from_atoms([(pt(0.0, 0.5), 0.5), (pt(1.0, 0.5), 0.5)])
         with pytest.raises(ValueError, match=message):
             Coupling.from_entries(TransportProblem(MK1, mu, nu), entries)
+
+    def test_rejects_a_missed_column_sum(self):
+        # every pair is causal here; both rows are right, nu-atom 0 gets all
+        with pytest.raises(ValueError, match=r"^nu-atom 0 carries mass 1\.0 in the coupling, "
+                                             r"not its weight 0\.5$"):
+            Coupling.from_entries(two_by_two_problem(), [(0, 0, 0.5), (1, 0, 0.5)])
+
+    def test_accepts_masses_within_the_tolerance(self):
+        coupling = Coupling.from_entries(two_by_two_problem(),
+                                         [(0, 0, 0.5 + 4e-10), (1, 1, 0.5 - 4e-10)])
+        assert coupling.n_entries == 2
+
+
+def pivoting_problem(n, seed):
+    """2-D instance with uniform weights and every pair causal, which pivots."""
+    rng = np.random.default_rng(seed)
+    model = Minkowski(2)
+    xs = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(0.0, 0.2, n)])
+    ys = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(2.0, 2.2, n)])
+    w = np.full(n, 1.0 / n)
+    return TransportProblem(model, DiscreteMeasure.from_arrays(xs, w)[0],
+                            DiscreteMeasure.from_arrays(ys, w)[0])
+
+
+def partially_reachable_problem():
+    """Hall's condition fails, so the stranded-mass pass runs."""
+    mu = DiscreteMeasure.from_atoms([(pt(0, -100), 0.25), (pt(-5, 0), 0.25), (pt(-6, 0), 0.5)])
+    nu = DiscreteMeasure.from_atoms([(pt(-5, 5), 0.25), (pt(20, 1), 0.25), (pt(30, 1), 0.5)])
+    return TransportProblem(MK1, mu, nu)
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """The entering arc of every pivot made while the test runs."""
+    made = []
+    pivot = _Basis.pivot
+
+    def counted(basis, i, j):
+        made.append((i, j))
+        pivot(basis, i, j)
+
+    monkeypatch.setattr(_Basis, "pivot", counted)
+    return made
+
+
+class TestRowBlocks:
+    PROBLEMS = {
+        "line-50": lambda: line_blowup_problem(50),
+        "strict-3": lambda: random_strict_problem(3),
+        "pivoting-2d": lambda: pivoting_problem(30, 1),
+        "infeasible": partially_reachable_problem,
+    }
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_one_row_blocks_give_the_same_bits(self, name, pivots, monkeypatch):
+        def run():
+            # a fresh problem, so its cost matrix is built under the block size
+            try:
+                coupling, (u, v) = solve(self.PROBLEMS[name]())
+            except Infeasible as exc:
+                return str(exc)
+            return (coupling.entries, coupling.exact_masses, repr(coupling.total_cost),
+                    u.tobytes(), v.tobytes())
+
+        default, default_pivots = run(), pivots[:]
+        monkeypatch.setattr(spacetime, "BLOCK_PAIRS", 1)
+        pivots.clear()
+        assert run() == default
+        assert pivots == default_pivots
+        if name == "pivoting-2d":
+            assert len(pivots) > 10
+        if name == "infeasible":
+            assert default.startswith("mu-atom 0 cannot place mass 1/2: ")
+
+    def test_solve_holds_less_than_one_more_dense_array(self):
+        problem = line_blowup_problem(400)
+        C = problem.cost_matrix()
+        tracemalloc.start()
+        try:
+            solve(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < C.nbytes, f"solve peaked at {peak} bytes beside a {C.nbytes}-byte matrix"
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lorot import spacetime
 from lorot.diagnostics import class_fractions
 from lorot.errors import Infeasible, NotCausalPair
 from lorot.measures import DiscreteMeasure
@@ -12,6 +13,7 @@ from lorot.spacetime import (
     Cylinder,
     Minkowski,
     model_from_config,
+    row_blocks,
 )
 from lorot.transport import interpolate
 
@@ -302,14 +304,17 @@ class TestOneKernel:
                     assert c < 0.0 and cls is CausalClass.CHRONOLOGICAL
 
         # every causal pair on the support, with distinct integer masses so
-        # that each class's mass sum is exact
+        # that each class's mass sum is exact; such masses miss the
+        # marginals, so the coupling is built directly, not by from_entries
         mu, mu_index = DiscreteMeasure.from_arrays([x.coords() for x in xs],
                                                    np.full(len(xs), 1.0 / len(xs)))
         nu, nu_index = DiscreteMeasure.from_arrays([y.coords() for y in ys],
                                                    np.full(len(ys), 1.0 / len(ys)))
         pairs = [(i, j) for i in range(len(xs)) for j in range(len(ys)) if costs[i, j] < math.inf]
-        entries = [(mu_index[i], nu_index[j], float(k + 1)) for k, (i, j) in enumerate(pairs)]
-        coupling = Coupling.from_entries(TransportProblem(model, mu, nu), entries)
+        entries = sorted((int(mu_index[i]), int(nu_index[j]), float(k + 1))
+                         for k, (i, j) in enumerate(pairs))
+        total = sum(float(k + 1) * costs[i, j] for k, (i, j) in enumerate(pairs))
+        coupling = Coupling(TransportProblem(model, mu, nu), tuple(entries), float(total))
         sums = {cls: 0.0 for cls in CausalClass}
         for k, (i, j) in enumerate(pairs):
             sums[classes[i][j]] += float(k + 1)
@@ -319,6 +324,25 @@ class TestOneKernel:
             "chronological": sums[CausalClass.CHRONOLOGICAL] / total,
             "identical": sums[CausalClass.IDENTICAL] / total,
         }
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n, m", [(1, 1), (7, 3), (400, 400), (3, 2**17), (1000, 1)])
+    def test_blocks_cover_the_rows_in_order(self, n, m):
+        blocks = row_blocks(n, m)
+        assert [r for rows in blocks for r in range(n)[rows]] == list(range(n))
+        assert all(rows.stop - rows.start == max(1, spacetime.BLOCK_PAIRS // m)
+                   for rows in blocks[:-1])
+
+    @pytest.mark.parametrize("model", TestOneKernel.MODELS, ids=lambda m: repr(m))
+    def test_one_row_blocks_give_the_same_cost_bits(self, model, monkeypatch):
+        xs, ys = kernel_draw(model, np.random.default_rng(2024))
+        X = np.array([p.coords() for p in xs])
+        Y = np.array([p.coords() for p in ys])
+        default = model.cost_matrix(X, Y)
+        monkeypatch.setattr(spacetime, "BLOCK_PAIRS", 1)
+        assert model.cost_matrix(X, Y).tobytes() == default.tobytes()
+        assert default.tobytes() == model.costs(X[:, None], Y[None, :]).tobytes()
 
 
 class TestBandEdgeRegressions:
