@@ -178,8 +178,13 @@ def _cmd_cylinder(args, out_dir):
         raise SchemaError("--eps must lie in (0, 0.5)")
     if not sys.float_info.min <= args.t <= 1.0:
         raise SchemaError(f"--t must lie in [{sys.float_info.min!r}, 1], got {args.t!r}")
-    if args.grid < 100:
-        raise SchemaError("--grid must be at least 100")
+    # Near the cusp a cell centre at distance d to its left (right) has cone
+    # margin about t * d / (1 + eps)**2 (t * d / (1 - eps)**2). The two
+    # centres around the cusp are a cell 5 / grid apart, so one of them lies
+    # under eta = 0.01 once 5 / grid < 0.01 * ((1 + eps)**2 + (1 - eps)**2) / t
+    # = 0.02 * (1 + eps**2) / t, which every grid >= 250 meets for t <= 1.
+    if args.grid < 250:
+        raise SchemaError("--grid must be at least 250")
     report = run_cylinder_example(args.eps, args.grid, args.t)
     _write_csv(out_dir / "subdifferential.csv", report.tables["subdifferential"])
     return report.as_dict(), 0

@@ -46,7 +46,10 @@ def class_fractions(model: SpacetimeModel, coupling: Coupling):
     which :meth:`SpacetimeModel.causal_class` says NULL and the cost is zero.
     The three fractions sum to one over the coupling mass.
     """
-    margins, masses, identical = _entry_margins(model, coupling)
+    return _class_fractions(*_entry_margins(model, coupling))
+
+
+def _class_fractions(margins, masses, identical):
     band = causal_band(margins)
     total = masses.sum()
     null = ~identical & (band == 0)
@@ -69,7 +72,10 @@ def strict_margin(model: SpacetimeModel, coupling: Coupling) -> float:
     Returns +inf when every entry is a stay-put pair; a strictly positive
     value is the discrete strict-timelikeness certificate.
     """
-    margins, _, identical = _entry_margins(model, coupling)
+    return _strict_margin(*_entry_margins(model, coupling))
+
+
+def _strict_margin(margins, masses, identical) -> float:
     moving = margins[~identical]
     if len(moving) == 0:
         return math.inf
@@ -109,9 +115,10 @@ def audit(model: SpacetimeModel, problem: TransportProblem, coupling: Coupling,
           lp_duals, samples: int = 1000, seed: int = 0) -> DiagnosticsReport:
     """Assemble the standard report for a solved instance."""
     gap = abs(coupling.total_cost - dual_objective(coupling, lp_duals))
+    margins = _entry_margins(model, coupling)
     return DiagnosticsReport(
-        lightlike_fraction=lightlike_fraction(model, coupling),
-        min_margin=strict_margin(model, coupling),
+        lightlike_fraction=_class_fractions(*margins)["lightlike"],
+        min_margin=_strict_margin(*margins),
         dual_gap=float(gap),
         monotonicity_violations=count_monotonicity_violations(
             model, coupling, samples=samples, seed=seed

@@ -108,12 +108,33 @@ def _atom_arc_matrix(model: SpacetimeModel, coupling: Coupling) -> np.ndarray:
 
     W[u, k] is the best single-step gain from atom u to atom k over all
     support pairs (u, y); -inf where no step exists.
+
+    The entries are taken by their rank among their atom's entries, so one
+    rank names each atom at most once and its rows of W are set or raised
+    together; each rank goes in blocks of about BLOCK_PAIRS pairs. The max is
+    exact, so the grouping does not change W.
     """
     n = coupling.mu.n_atoms
     C = coupling.cost_matrix(model)
+    ii, jj, _ = coupling.index_arrays()
+    # entries are sorted, so an entry's rank is its distance from its atom's first
+    rank = np.arange(len(ii)) - np.searchsorted(ii, ii)
+    order = np.argsort(rank, kind="stable")
+    ii, jj = ii[order], jj[order]
+    gain = C[ii, jj]
     W = np.full((n, n), -np.inf)
-    for i, j, _ in coupling.entries:
-        W[i] = np.maximum(W[i], C[i, j] - C[:, j])
+    lo = 0
+    for r, hi in enumerate(np.cumsum(np.bincount(rank)).tolist()):
+        for block in row_blocks(hi - lo, n):
+            rows = slice(lo + block.start, lo + block.stop)
+            i = ii[rows]
+            # C[i, j] - C[:, j], one row per entry
+            steps = C.T[jj[rows]]
+            np.subtract(gain[rows, None], steps, out=steps)
+            if r:
+                np.maximum(steps, W[i], out=steps)
+            W[i] = steps
+        lo = hi
     np.fill_diagonal(W, -np.inf)
     return W
 
@@ -124,7 +145,8 @@ def _longest_paths(W: np.ndarray, root: int):
     Taking an atom off the queue relaxes every arc out of it; an atom whose
     label rises joins the queue unless it is already there. One pass takes
     the atoms queued during the pass before, so without a gaining cycle the
-    labels settle within n - 1 passes.
+    labels settle within n - 1 passes. Each relaxation works on full-length
+    masks; the atoms it queues join in index order.
 
     Returns ``(dist, None)``, with dist[root] = 0 and -inf on atoms no chain
     reaches, or ``(None, cycle)`` when some cycle gains more than CYCLE_TOL.
@@ -137,19 +159,21 @@ def _longest_paths(W: np.ndarray, root: int):
     rise = np.zeros(n)
     queued = np.zeros(n, dtype=bool)
     queued[root] = True
+    cand = np.empty(n)
+    up, fresh = np.empty((2, n), dtype=bool)
     batch = [root]
     for _ in range(n):
         following = []
         for u in batch:
             queued[u] = False
-            cand = dist[u] + W[u]
-            rose = np.flatnonzero(cand > dist)
-            rise[rose] = cand[rose] - dist[rose]
-            dist[rose] = cand[rose]
-            pred[rose] = u
-            fresh = rose[~queued[rose]]
-            queued[fresh] = True
-            following.extend(fresh.tolist())
+            np.add(dist[u], W[u], out=cand)
+            np.greater(cand, dist, out=up)
+            np.subtract(cand, dist, out=rise, where=up)
+            np.copyto(dist, cand, where=up)
+            np.copyto(pred, u, where=up)
+            np.greater(up, queued, out=fresh)  # risen and not yet queued
+            queued |= up
+            following += fresh.nonzero()[0].tolist()
         batch = following
         if not batch:
             break
@@ -179,12 +203,12 @@ def chain_potential(model: SpacetimeModel, coupling: Coupling, root=None):
     :class:`UnreachableAtom` when some mu-atom cannot be reached by any chain
     from the root; the construction needs a connected support.
     """
-    pairs = [(i, j) for i, j, _ in coupling.entries]
     if root is None:
-        root = pairs[0]  # entries are sorted, so this is the lexicographic minimum
+        root = coupling.entries[0][:2]  # entries are sorted: the lexicographic minimum
     else:
         root = (int(root[0]), int(root[1]))
-        if root not in pairs:
+        ii, jj, _ = coupling.index_arrays()
+        if not np.any((ii == root[0]) & (jj == root[1])):
             raise ValueError(f"root {root} is not a support pair")
     psi, cycle = _longest_paths(_atom_arc_matrix(model, coupling), root[0])
     if cycle is not None:

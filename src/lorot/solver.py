@@ -37,9 +37,9 @@ Costs stay in binary64.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from math import gcd, isfinite, lcm
+from math import gcd, isfinite
 
 import numpy as np
 
@@ -88,16 +88,20 @@ class Coupling:
     total_cost: float
     exact_masses: tuple[int, ...] | None = None
     exact_denominator: int | None = None
-    # read-only columns of ``entries``, rebuilt by ``__init__`` and so by
-    # ``dataclasses.replace``
+    # the (i, j, mass) columns of ``entries`` when the caller already holds
+    # them; ``dataclasses.replace`` leaves this None, so a replaced coupling
+    # rebuilds its columns from its own entries
+    columns: InitVar[tuple | None] = None
+    # read-only columns of ``entries``
     _ii: np.ndarray = field(init=False, compare=False, repr=False)
     _jj: np.ndarray = field(init=False, compare=False, repr=False)
     _masses: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        for k, (name, dtype) in enumerate((("_ii", np.int64), ("_jj", np.int64),
-                                            ("_masses", float))):
-            array = np.array([e[k] for e in self.entries], dtype=dtype)
+    def __post_init__(self, columns):
+        if columns is None:
+            columns = [np.array([e[k] for e in self.entries], dtype=dtype)
+                       for k, dtype in enumerate((np.int64, np.int64, float))]
+        for name, array in zip(("_ii", "_jj", "_masses"), columns):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
@@ -126,31 +130,52 @@ class Coupling:
         naming the first atom, mu side first, whose row or column sum misses
         its weight w by more than ``1e-9 * (1 + w)``.
         """
-        order = sorted(range(len(entries)), key=lambda k: (entries[k][0], entries[k][1]))
-        entries = tuple(
-            (int(entries[k][0]), int(entries[k][1]), float(entries[k][2])) for k in order
-        )
-        if exact_masses is not None:
-            exact_masses = tuple(exact_masses[k] for k in order)
-        if not entries:
+        if not len(entries):
+            raise ValueError("coupling must have at least one entry")
+        ii, jj, masses = zip(*entries)
+        try:
+            ii, jj = np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64)
+        except OverflowError:
+            i, j = next((i, j) for i, j, _ in entries if max(abs(int(i)), abs(int(j))) >= 2**63)
+            raise ValueError(f"entry ({i},{j}) lies outside the "
+                             f"{problem.mu.n_atoms}x{problem.nu.n_atoms} problem") from None
+        return cls.from_columns(problem, ii, jj, np.array(masses, dtype=float),
+                                exact_masses, exact_denominator)
+
+    @classmethod
+    def from_columns(cls, problem, ii, jj, masses, exact_masses=None, exact_denominator=None):
+        """:meth:`from_entries` for entries held as three equal-length arrays:
+        int64 ``ii`` and ``jj`` and float ``masses``, in any order."""
+        if not len(ii):
             raise ValueError("coupling must have at least one entry")
         C = problem.cost_matrix()
         n, m = C.shape
-        previous, total = None, 0
-        for i, j, mass in entries:
-            if not (0 <= i < n and 0 <= j < m):
-                raise ValueError(f"entry ({i},{j}) lies outside the {n}x{m} problem")
-            if not mass > 0:
-                raise ValueError(f"entry ({i},{j}) has nonpositive mass {mass}")
-            cost = C.item(i, j)
-            if not isfinite(cost):
-                raise ValueError(f"entry ({i},{j}) pairs non-causal atoms")
-            if (i, j) == previous:
-                raise ValueError(f"entry ({i},{j}) appears more than once")
-            previous = i, j
-            total += mass * cost
-        coupling = cls(problem, entries, float(total), exact_masses, exact_denominator)
-        ii, jj, masses = coupling.index_arrays()
+        order = np.lexsort((jj, ii))
+        ii, jj, masses = ii[order], jj[order], masses[order]
+        if exact_masses is not None:
+            exact_masses = tuple([exact_masses[k] for k in order.tolist()])
+        # the checks of each entry, in the order they are made
+        outside = (ii < 0) | (ii >= n) | (jj < 0) | (jj >= m)
+        cost = C[np.where(outside, 0, ii), np.where(outside, 0, jj)]
+        checks = (outside, ~(masses > 0), ~np.isfinite(cost),
+                  np.concatenate(([False], (ii[1:] == ii[:-1]) & (jj[1:] == jj[:-1]))))
+        bad = np.logical_or.reduce(checks)
+        if bad.any():
+            k = int(np.argmax(bad))
+            i, j, mass = ii.item(k), jj.item(k), masses.item(k)
+            raise ValueError(next(message for check, message in zip(checks, (
+                f"entry ({i},{j}) lies outside the {n}x{m} problem",
+                f"entry ({i},{j}) has nonpositive mass {mass}",
+                f"entry ({i},{j}) pairs non-causal atoms",
+                f"entry ({i},{j}) appears more than once",
+            )) if check[k]))
+        # summed in (i, j) order, one entry after the other, as a Python loop
+        # from 0 would: accumulate adds sequentially, and + 0.0 turns the
+        # -0.0 of an all -0.0 sum into the loop's 0.0
+        total = float(np.add.accumulate(masses * cost)[-1]) + 0.0
+        entries = tuple(zip(ii.tolist(), jj.tolist(), masses.tolist()))
+        coupling = cls(problem, entries, total, exact_masses, exact_denominator,
+                       columns=(ii, jj, masses))
         for side, index, measure in (("mu", ii, problem.mu), ("nu", jj, problem.nu)):
             w = measure.weights_array()
             sums = np.bincount(index, weights=masses, minlength=len(w))
@@ -187,7 +212,8 @@ def _integer_marginals(wa, wb):
     """
     ra = [w.as_integer_ratio() for w in wa]
     rb = [w.as_integer_ratio() for w in wb]
-    denom = lcm(*[d for _, d in itertools.chain(ra, rb)])
+    # every denominator is a power of two, so their lcm is the largest
+    denom = max(d for _, d in itertools.chain(ra, rb))
     a = [p * (denom // d) for p, d in ra]
     b = [p * (denom // d) for p, d in rb]
     sa, sb = sum(a), sum(b)
@@ -202,104 +228,112 @@ def _integer_marginals(wa, wb):
     return [q // g for q in a], [q // g for q in b], denom // g
 
 
-def _staircase(supplies, demands):
-    """North-west-corner cells ``(i, j, mass)`` in staircase order.
-
-    Each cell ships what is left of row i or of column j, whichever is less.
-    On a tie the column advances, so the zero-mass cell that follows joins
-    mu-atom i to the next nu-atom.
-    """
-    cells = []
-    i = j = 0
-    a, b = supplies[0], demands[0]
-    while True:
-        q = min(a, b)
-        cells.append((i, j, q))
-        a -= q
-        b -= q
-        if b == 0 and j + 1 < len(demands):
-            j += 1
-            b = demands[j]
-        elif i + 1 < len(supplies):
-            i += 1
-            a = supplies[i]
-        else:
-            return cells
-
-
 class _Basis:
     """Spanning-tree basis over the atoms: node i is mu-atom i, node n + j is
     nu-atom j, and the root is mu-atom 0.
 
     Every other node x stores the arc between it and ``parent[x]``: its
     integer flow and whether it is artificial (its pair is not causal).
-    ``pot`` holds the real potentials (u on mu-nodes, v on nu-nodes) and
-    ``art`` the artificial ones; each makes its reduced cost
+    ``children[x]`` lists the nodes whose parent is x, and ``depth`` counts
+    arcs up to the root. ``pot`` holds the real potentials (u on mu-nodes, v
+    on nu-nodes) and ``art`` the artificial ones; each makes its reduced cost
     ``cost + u[i] - v[j]`` zero on every tree arc (i, j).
     """
 
     def __init__(self, C, supplies, demands):
+        """The north-west-corner staircase: each cell ships what is left of
+        row i or of column j, whichever is less. On a tie the column
+        advances, so the zero-flow cell that follows joins mu-atom i to the
+        next nu-atom."""
         self.C = C
         n = self.n = len(supplies)
-        size = n + len(demands)
-        self.parent = [-1] * size
-        self.flow = [0] * size
-        self.artificial = [False] * size
-        self.children = [set() for _ in range(size)]
-        self.depth = [0] * size
-        self.pot = [0.0] * size
-        self.art = [0] * size
-        prev_i = 0
-        for i, j, q in _staircase(supplies, demands):
-            # each cell after the first brings in one atom: a mu-atom when
-            # the row advanced, else a nu-atom
-            x, p = (i, n + j) if i != prev_i else (n + j, i)
-            prev_i = i
-            self.parent[x], self.flow[x] = p, q
-            self.artificial[x] = not np.isfinite(C[i, j])
-            self.children[p].add(x)
-        self.n_artificial = sum(self.artificial)
-        for x in self.children[0]:
-            self._relabel(x)
+        m = len(demands)
+        parent = self.parent = [-1] * (n + m)
+        flow = self.flow = [0] * (n + m)
+        artificial = self.artificial = [False] * (n + m)
+        children = self.children = [[] for _ in range(n + m)]
+        depth = self.depth = [0] * (n + m)
+        pot = self.pot = [0.0] * (n + m)
+        art = self.art = [0] * (n + m)
+        cost = C.item
+        i = j = 0
+        a, b = supplies[0], demands[0]
+        # each cell brings in one atom x below a node p already in the tree:
+        # nu-atom j when the column advanced, mu-atom i when the row did. The
+        # labels of p are final, so those of x are set here as _relabel would
+        x, p = n, 0
+        while True:
+            q = min(a, b)
+            parent[x], flow[x] = p, q
+            children[p].append(x)
+            depth[x] = depth[p] + 1
+            c, d = cost(i, j), 0
+            if not isfinite(c):
+                artificial[x] = True
+                c, d = 0.0, 1
+            if x >= n:
+                pot[x] = pot[p] + c
+                art[x] = art[p] + d
+            else:
+                pot[x] = pot[p] - c
+                art[x] = art[p] - d
+            a -= q
+            b -= q
+            if b == 0 and j + 1 < m:
+                j += 1
+                b = demands[j]
+                x, p = n + j, i
+            elif i + 1 < n:
+                i += 1
+                a = supplies[i]
+                x, p = i, n + j
+            else:
+                break
+        self.n_artificial = sum(artificial)
 
     def potentials(self, art=False):
         """``(u, v)`` as float arrays; the artificial ones are exact integers."""
         pot = np.array(self.art if art else self.pot, dtype=float)
         return pot[: self.n], pot[self.n:]
 
-    def arcs(self):
-        """``(i, j, flow, artificial)`` for every tree arc."""
-        n = self.n
-        for x, p in enumerate(self.parent):
-            if p >= 0:
-                i, j = (x, p - n) if x < n else (p, x - n)
-                yield i, j, self.flow[x], self.artificial[x]
+    def support(self):
+        """``(ii, jj, flows)`` of the real tree arcs that carry flow, in node
+        order: two index arrays and the exact flows as a list."""
+        carries = np.fromiter(map(bool, self.flow), bool, len(self.flow))
+        nodes = np.flatnonzero(carries & ~np.array(self.artificial))
+        above = np.array(self.parent)[nodes]
+        mu_side = nodes < self.n
+        ii = np.where(mu_side, nodes, above)
+        jj = np.where(mu_side, above, nodes) - self.n
+        return ii, jj, [self.flow[x] for x in nodes.tolist()]
 
     def stranded(self):
         """Mass each mu-atom ships on artificial arcs, where it is nonzero."""
         out = {}
-        for i, _, q, artificial in self.arcs():
-            if artificial and q:
-                out[i] = out.get(i, 0) + q
+        for x, p in enumerate(self.parent):
+            if self.artificial[x] and self.flow[x]:
+                i = x if x < self.n else p
+                out[i] = out.get(i, 0) + self.flow[x]
         return out
 
     def _relabel(self, top):
         """Set depth and potentials of ``top`` and its subtree."""
-        n, C = self.n, self.C
+        n, cost = self.n, self.C.item
         parent, depth, pot, art = self.parent, self.depth, self.pot, self.art
+        artificial, children = self.artificial, self.children
         stack = [top]
         while stack:
             x = stack.pop()
             p = parent[x]
             depth[x] = depth[p] + 1
-            c, a = (0.0, 1) if self.artificial[x] else (C.item(min(x, p), max(x, p) - n), 0)
+            c, a = (0.0, 1) if artificial[x] else (cost(min(x, p), max(x, p) - n), 0)
             if x >= n:
                 pot[x] = pot[p] + c
                 art[x] = art[p] + a
             else:
                 pot[x] = pot[p] - c
                 art[x] = art[p] - a
-            stack.extend(self.children[x])
+            stack.extend(children[x])
 
     def pivot(self, i, j):
         """Bring arc (i, j) into the tree and drive one blocking arc out."""
@@ -331,11 +365,11 @@ class _Basis:
         # hang the subtree cut off by the leaving arc from the entering arc,
         # reversing the tree path in between
         top, side, p = (i, side_i, n + j) if leave in side_i else (n + j, side_j, i)
-        q, artificial = delta, not np.isfinite(self.C[i, j])
+        q, artificial = delta, not isfinite(self.C.item(i, j))
         self.n_artificial += artificial
         for x in side[: side.index(leave) + 1]:
-            self.children[parent[x]].discard(x)
-            self.children[p].add(x)
+            self.children[parent[x]].remove(x)
+            self.children[p].append(x)
             p, parent[x] = x, p
             q, flow[x] = flow[x], q
             artificial, self.artificial[x] = self.artificial[x], artificial
@@ -443,7 +477,7 @@ def solve(problem: TransportProblem):
     bottom = C.min(where=finite, initial=np.inf)
     tol = PRICE_TOL * (1.0 + float(max(top, -bottom)))
     u, v = _optimize(basis, finite, tol)
-    if basis.stranded():
+    if basis.n_artificial and basis.stranded():
         # so far only staircase cells could hold the stranded mass; offer it
         # every non-causal pair, so that what stays stranded is the least
         _optimize(basis, finite, tol, stranded=True)
@@ -460,11 +494,9 @@ def solve(problem: TransportProblem):
         lam = _lift(C, finite, (u, v), (ua, va))
         u, v = u + lam * ua, v + lam * va
 
-    arcs = [(i, j, q) for i, j, q, artificial in basis.arcs() if q and not artificial]
-    coupling = Coupling.from_entries(
-        problem, [(i, j, q / denom) for i, j, q in arcs],
-        exact_masses=[q for *_, q in arcs], exact_denominator=denom,
-    )
+    ii, jj, exact = basis.support()
+    coupling = Coupling.from_columns(problem, ii, jj, np.array([q / denom for q in exact]),
+                                     exact_masses=exact, exact_denominator=denom)
     return coupling, (u, v)
 
 

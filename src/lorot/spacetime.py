@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,6 +250,8 @@ class Cylinder(SpacetimeModel):
     def __post_init__(self):
         if not (self.circumference > 0):
             raise ValueError("circumference must be positive")
+        if not math.isfinite(self.circumference):
+            raise ValueError("circumference must be finite")
 
     @property
     def spatial_dim(self) -> int:
@@ -284,6 +287,9 @@ def model_from_config(obj: dict) -> SpacetimeModel:
         circ = obj.get("circumference", 5.0)
         if not isinstance(circ, (int, float)) or isinstance(circ, bool) or not circ > 0:
             raise SchemaError("cylinder 'circumference' must be a positive number")
+        if not circ <= sys.float_info.max:
+            # Python's JSON reader takes Infinity, and no coordinate wraps modulo inf
+            raise SchemaError(f"cylinder 'circumference' must be finite, got {circ!r}")
         return Cylinder(float(circ))
     raise SchemaError(f"unknown model kind {kind!r}")
 

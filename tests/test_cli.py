@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lorot import _csv, cli, problem_to_json
 from lorot.cli import build_parser, main
-from lorot.experiments import separated_rays_problem
+from lorot.experiments import run_cylinder_example, separated_rays_problem
 
 PROBLEM = {
     "model": {"kind": "minkowski", "d": 1},
@@ -121,17 +121,17 @@ class TestFlags:
 
     def test_defaults_recorded(self, problem_file, tmp_path):
         out = tmp_path / "cyl"
-        assert main(["counterexample-cylinder", "--grid", "200", "--out", str(out)]) == 0
+        assert main(["counterexample-cylinder", "--grid", "250", "--out", str(out)]) == 0
         assert read_result(out)["config"] == {
             "command": "counterexample-cylinder", "out": str(out),
-            "eps": 0.25, "t": 1.0, "grid": 200,
+            "eps": 0.25, "t": 1.0, "grid": 250,
         }
         out = tmp_path / "dual"
         assert main(["dual", "--input", str(problem_file), "--out", str(out)]) == 0
         assert read_result(out)["config"]["tol"] == 1e-8
         # the config is the parsed namespace: nothing but the command and its flags
         required = {"interpolate": ["--t", "0.5"], "counterexample-line": ["--n", "3"],
-                    "counterexample-cylinder": ["--grid", "200"]}
+                    "counterexample-cylinder": ["--grid", "250"]}
         for command, flags in FLAGS.items():
             out = tmp_path / command
             argv = [command, *required.get(command, []), "--out", str(out)]
@@ -205,11 +205,19 @@ class TestOtherCommands:
         assert table[0] == "theta,y_theta,margin"
         assert len(table) == 501
 
-    def test_failed_experiment_check_exits_3(self, tmp_path, capsys):
-        # at the least grid the near-null set around the cusp holds no theta
-        assert main(["counterexample-cylinder", "--grid", "100", "--out", str(tmp_path)]) == 3
+    @pytest.mark.parametrize("grid", ["100", "249"])
+    def test_grid_below_the_floor_exits_3(self, grid, tmp_path, capsys):
+        # with eps <= 0.01 and t = 1, grid 245 puts no cell centre under eta = 0.01
+        assert main(["counterexample-cylinder", "--grid", grid, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "lorot: invalid input: --grid must be at least 250\n"
+
+    def test_failed_experiment_check_exits_3(self, tmp_path, capsys, monkeypatch):
+        # no margin lies below eta = 0, so that near-null set is always empty
+        monkeypatch.setattr(cli, "run_cylinder_example",
+                            lambda eps, grid, t: run_cylinder_example(eps, grid, t, etas=(0.0,)))
+        assert main(["counterexample-cylinder", "--grid", "250", "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == (
-            "lorot: experiment check failed: near-null set at eta=0.01 has zero measure\n")
+            "lorot: experiment check failed: near-null set at eta=0.0 has zero measure\n")
 
     @pytest.mark.parametrize("t", ["2.2250738585072014e-308", "1e-200"])
     def test_counterexample_cylinder_tiny_normal_t(self, t, tmp_path):
@@ -375,6 +383,17 @@ class TestValidateCommand:
         bad = dict(PROBLEM, model=model)
         for command in ("validate", "solve"):
             assert main([command, "--input", json.dumps(bad), "--out", str(tmp_path)]) == 3
+
+    def test_infinite_circumference_violation(self, tmp_path):
+        # Python's JSON reader takes Infinity; a circle of infinite length wraps nothing
+        bad = dict(PROBLEM, model={"kind": "cylinder", "circumference": float("inf")})
+        text = json.dumps(bad)
+        assert "Infinity" in text
+        out = tmp_path / "out"
+        assert main(["validate", "--input", text, "--out", str(out)]) == 3
+        assert read_result(out)["result"]["violations"] == [
+            "model: cylinder 'circumference' must be finite, got inf"]
+        assert main(["solve", "--input", text, "--out", str(tmp_path / "solve")]) == 3
 
     def test_empty_measure_violation(self, tmp_path):
         bad = dict(PROBLEM)

@@ -6,15 +6,18 @@ import pytest
 from conftest import two_by_two_problem
 from lorot import spacetime
 from lorot.dual import (
+    CYCLE_TOL,
     DualPotential,
     PositiveCycle,
+    _atom_arc_matrix,
+    _longest_paths,
     c_transform,
     c_transform_costs,
     chain_potential,
     dkp_verify,
 )
 from lorot.errors import UnreachableAtom
-from lorot.experiments import line_blowup_problem, random_strict_problem
+from lorot.experiments import line_blowup_problem, random_strict_problem, separated_rays_problem
 from lorot.measures import DiscreteMeasure
 from lorot.solver import Coupling, TransportProblem, solve
 from lorot.spacetime import Minkowski
@@ -177,6 +180,108 @@ class TestChainPotential:
         assert psi[1] == 0.0
         with pytest.raises(ValueError):
             chain_potential(MK1, coupling, root=(0, 1))
+
+
+def reference_atom_arc_matrix(C, coupling):
+    """The arc matrix raised one support entry at a time: the per-entry loop
+    that ``_atom_arc_matrix`` replaced, kept as its oracle."""
+    n = coupling.mu.n_atoms
+    W = np.full((n, n), -np.inf)
+    for i, j, _ in coupling.entries:
+        W[i] = np.maximum(W[i], C[i, j] - C[:, j])
+    np.fill_diagonal(W, -np.inf)
+    return W
+
+
+def reference_longest_paths(W, root):
+    """FIFO longest paths that relax each popped atom by gathers on the atoms
+    whose label rose: the routine ``_longest_paths`` replaced, kept as its
+    oracle."""
+    n = W.shape[0]
+    dist = np.full(n, -np.inf)
+    dist[root] = 0.0
+    pred = np.full(n, -1)
+    rise = np.zeros(n)
+    queued = np.zeros(n, dtype=bool)
+    queued[root] = True
+    batch = [root]
+    for _ in range(n):
+        following = []
+        for u in batch:
+            queued[u] = False
+            cand = dist[u] + W[u]
+            rose = np.flatnonzero(cand > dist)
+            rise[rose] = cand[rose] - dist[rose]
+            dist[rose] = cand[rose]
+            pred[rose] = u
+            fresh = rose[~queued[rose]]
+            queued[fresh] = True
+            following.extend(fresh.tolist())
+        batch = following
+        if not batch:
+            break
+    if batch:
+        walk = [batch[int(np.argmax(rise[batch]))]]
+        while walk.count(walk[-1]) == 1:
+            walk.append(int(pred[walk[-1]]))
+        atoms = walk[walk.index(walk[-1]):-1][::-1]
+        gain = float(sum(W[a, b] for a, b in zip(atoms, atoms[1:] + atoms[:1])))
+        if gain > CYCLE_TOL:
+            return None, PositiveCycle(tuple(atoms), gain)
+    return dist - dist[root], None
+
+
+def permuted_coupling(n, seed):
+    """A random permutation coupling of a dense 2-D instance (every pair
+    causal): rarely optimal, so its chain graph mostly has a positive cycle."""
+    rng = np.random.default_rng(seed)
+    model = Minkowski(2)
+    xs = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(0.0, 0.2, n)])
+    ys = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(2.0, 2.2, n)])
+    w = np.full(n, 1.0 / n)
+    problem = TransportProblem(model, DiscreteMeasure.from_arrays(xs, w)[0],
+                               DiscreteMeasure.from_arrays(ys, w)[0])
+    sigma = rng.permutation(n).tolist()
+    return Coupling.from_entries(problem, [(i, sigma[i], 1.0 / n) for i in range(n)])
+
+
+@pytest.fixture(scope="module")
+def kernel_couplings():
+    """Solved line, strict and rays couplings, and crossed ones with a cycle."""
+    solved = [line_blowup_problem(n) for n in range(25, 401, 25)]
+    solved += [random_strict_problem(seed) for seed in range(20)]
+    solved += [separated_rays_problem(seed) for seed in range(50)]
+    couplings = [solve(problem)[0] for problem in solved]
+    couplings.append(Coupling.from_entries(two_by_two_problem(), [(0, 1, 0.5), (1, 0, 0.5)]))
+    couplings += [permuted_coupling(n, n) for n in (3, 10, 40)]
+    return couplings
+
+
+class TestKernelsAgainstReference:
+    @pytest.mark.parametrize("block_pairs", [spacetime.BLOCK_PAIRS, 1])
+    def test_arc_matrix_same_bits_as_the_per_entry_loop(self, kernel_couplings, block_pairs,
+                                                        monkeypatch):
+        monkeypatch.setattr(spacetime, "BLOCK_PAIRS", block_pairs)
+        for coupling in kernel_couplings:
+            model = coupling.problem.model
+            expected = reference_atom_arc_matrix(coupling.cost_matrix(model), coupling)
+            assert _atom_arc_matrix(model, coupling).tobytes() == expected.tobytes()
+
+    def test_longest_paths_same_bits_as_the_gather_relaxation(self, kernel_couplings):
+        cycles = 0
+        for coupling in kernel_couplings:
+            W = _atom_arc_matrix(coupling.problem.model, coupling)
+            for root in {coupling.entries[0][0], coupling.entries[-1][0]}:
+                (dist, cycle), (want, want_cycle) = (
+                    _longest_paths(W, root), reference_longest_paths(W, root))
+                if want_cycle is None:
+                    assert cycle is None and dist.tobytes() == want.tobytes()
+                else:
+                    cycles += 1
+                    assert dist is None
+                    assert cycle.atoms == want_cycle.atoms
+                    assert cycle.gain.hex() == want_cycle.gain.hex()
+        assert cycles >= 4
 
 
 class TestDkpVerify:

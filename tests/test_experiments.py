@@ -296,6 +296,15 @@ class TestRunCylinderExample:
         assert rep.scalars["delta_leading_cone"].value == pytest.approx(stable, abs=1e-3)
         assert rep.scalars["critical_equation_residual"].value < 1e-9
 
+    @pytest.mark.parametrize("eps", [1e-12, 0.01, 0.25, 0.4999])
+    @pytest.mark.parametrize("grid", range(250, 261))
+    def test_near_null_checks_pass_from_the_cli_floor(self, eps, grid):
+        # the CLI's least --grid: a cell centre lies under eta = 0.01 near the
+        # cusp whenever 5 / grid < 0.02 * (1 + eps**2) / t; grid 245 fails at
+        # t = 1 for eps <= 0.01
+        rep = run_cylinder_example(eps, grid, 1.0)
+        assert rep.scalars["near_null_measure_eta_0.01"].value > 0
+
     def test_tiny_t_residual_finite(self):
         rep = run_cylinder_example(0.25, 1000, 1e-200)
         assert rep.scalars["critical_equation_residual"].value < 1e-9

@@ -284,6 +284,26 @@ class StrictlyCheckedBasis(_Basis):
 
 
 class TestBasis:
+    def test_setup_labels_equal_a_root_down_relabel(self):
+        # the set-up labels each atom as its staircase cell brings it in; a
+        # relabel from the root over the same tree must give the same bits
+        rng = np.random.default_rng(7)
+        problems = [line_blowup_problem(60), partially_reachable_problem(),
+                    *(random_strict_problem(seed) for seed in range(4)),
+                    *(random_weighted_causal_problem(rng) for _ in range(10))]
+        artificial = 0
+        for problem in problems:
+            supplies, demands, _ = _integer_marginals(problem.mu.weights, problem.nu.weights)
+            basis = _Basis(problem.cost_matrix(), supplies, demands)
+            labels = (basis.depth[:], [p.hex() for p in basis.pot], basis.art[:])
+            size = len(basis.parent)
+            basis.depth[:], basis.pot[:], basis.art[:] = [0] * size, [0.0] * size, [0] * size
+            for x in basis.children[0]:
+                basis._relabel(x)
+            assert labels == (basis.depth, [p.hex() for p in basis.pot], basis.art)
+            artificial += basis.n_artificial
+        assert artificial > 0
+
     def test_pivots_keep_the_tree_strongly_feasible(self):
         # equal weights make ties in the staircase and degenerate pivots
         rng = np.random.default_rng(3)
@@ -430,11 +450,12 @@ class TestFromEntries:
         ([(0, 0, 0.5), (0, 1, 0.5)], r"entry \(0,1\) pairs non-causal atoms"),
         ([(0, 1, 0.5), (-1, 1, 0.5)], r"entry \(-1,1\) lies outside the 2x2 problem"),
         ([(1, 2, 0.5), (0, 0, 0.5)], r"entry \(1,2\) lies outside the 2x2 problem"),
+        ([(0, 0, 0.5), (1, 2**64, 0.5)], r"entry \(1,18446744073709551616\) lies outside"),
         ([(1, 1, 0.25), (0, 0, 0.5), (1, 1, 0.25)], r"entry \(1,1\) appears more than once"),
         ([(0, 0, 0.9), (1, 1, 0.9)],
          r"mu-atom 0 carries mass 0\.9 in the coupling, not its weight 0\.5"),
     ], ids=["empty", "nonpositive-mass", "non-causal", "negative-index", "index-past-end",
-            "duplicate", "marginal-missed"])
+            "index-past-int64", "duplicate", "marginal-missed"])
     def test_rejects(self, entries, message):
         # nu's atoms sit 0.5 after mu's, so only the diagonal pairs are causal
         mu = DiscreteMeasure.from_atoms([(pt(0.0, 0.0), 0.5), (pt(1.0, 0.0), 0.5)])
@@ -447,6 +468,25 @@ class TestFromEntries:
         with pytest.raises(ValueError, match=r"^nu-atom 0 carries mass 1\.0 in the coupling, "
                                              r"not its weight 0\.5$"):
             Coupling.from_entries(two_by_two_problem(), [(0, 0, 0.5), (1, 0, 0.5)])
+
+    def test_total_cost_is_the_sequential_sum_of_the_entries(self):
+        # the loop the vectorised total replaced: (i, j) order, from the int 0
+        def loop_total(coupling):
+            C, total = coupling.problem.cost_matrix(), 0
+            for i, j, mass in coupling.entries:
+                total += mass * C.item(i, j)
+            return float(total)
+
+        problems = [line_blowup_problem(40), *(random_strict_problem(seed) for seed in range(5)),
+                    *(separated_rays_problem(seed) for seed in range(5))]
+        for problem in problems:
+            coupling, _ = solve(problem)
+            assert repr(coupling.total_cost) == repr(loop_total(coupling))
+        # a cost of -0.0 on every entry: the loop's 0 + -0.0 reads 0.0
+        problem = two_by_two_problem()
+        object.__setattr__(problem, "_cost", np.array([[-0.0, np.inf], [np.inf, -0.0]]))
+        coupling = Coupling.from_entries(problem, [(1, 1, 0.5), (0, 0, 0.5)])
+        assert repr(coupling.total_cost) == repr(loop_total(coupling)) == "0.0"
 
     def test_accepts_masses_within_the_tolerance(self):
         coupling = Coupling.from_entries(two_by_two_problem(),

@@ -393,6 +393,13 @@ class TestModelConfig:
                     {"kind": "cylinder", "circumference": True}):
             with pytest.raises(SchemaError):
                 model_from_config(obj)
+        for circ in (math.inf, 10**400):
+            with pytest.raises(SchemaError, match="'circumference' must be finite"):
+                model_from_config({"kind": "cylinder", "circumference": circ})
+
+    def test_cylinder_rejects_an_infinite_circumference(self):
+        with pytest.raises(ValueError, match="circumference must be finite"):
+            Cylinder(math.inf)
 
     def test_make_point_validation(self):
         with pytest.raises(ValueError):
