@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UnreachableAtom
 from .solver import Coupling
-from .spacetime import SpacetimeModel, row_blocks
+from .spacetime import COST_WORK, SpacetimeModel, row_block_buffers, row_blocks
 
 # A cycle must beat this tolerance to count as positive; smaller gains are
 # treated as rounding noise from float cost arithmetic.
@@ -46,12 +46,6 @@ class DualPotential:
     @classmethod
     def from_psi(cls, model, mu, psi, nu) -> "DualPotential":
         return cls.from_arrays(psi, c_transform(model, mu, psi, nu))
-
-    def psi_array(self) -> np.ndarray:
-        return np.asarray(self.psi, dtype=float)
-
-    def phi_array(self) -> np.ndarray:
-        return np.asarray(self.phi, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -82,24 +76,40 @@ def c_transform(model: SpacetimeModel, mu, psi, nu):
     source at all (the infimum is minus infinity there). The sentinel is an
     explicit tagged value so it never enters float arithmetic. The costs are
     evaluated one row block at a time, so the full matrix is never held.
+    Raises ``ValueError`` unless psi has one value per mu-atom.
     """
     xs, ys = mu.coords_array(), nu.coords_array()
-    return _column_infima(psi, len(ys), lambda rows: model.costs(xs[rows, None], ys[None]))
+    return _column_infima(_per_atom("psi", psi, len(xs), "mu"), len(ys),
+                          lambda rows, out, work: model.costs(xs[rows, None], ys[None], out, work),
+                          COST_WORK)
 
 
 def c_transform_costs(psi, C):
-    """:func:`c_transform` over a built cost matrix, e.g. ``problem.cost_matrix()``."""
-    return _column_infima(psi, C.shape[1], C.__getitem__)
+    """:func:`c_transform` over a built cost matrix, e.g. ``problem.cost_matrix()``;
+    psi needs one value per row."""
+    return _column_infima(_per_atom("psi", psi, C.shape[0], "mu"), C.shape[1],
+                          lambda rows, out, work: C[rows])
 
 
-def _column_infima(psi, m, costs_of):
-    """Per column, the least finite ``psi[i] + costs_of(rows)[i, j]``; None where
-    there is none. ``costs_of`` gives the cost rows of a row slice."""
-    psi = np.asarray(psi, dtype=float)
+def _per_atom(name, values, n, side) -> np.ndarray:
+    """``values`` as a float array, checked to hold one value per atom of a side."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"{name} has {values.size} values for {n} {side}-atoms")
+    return values
+
+
+def _column_infima(psi, m, costs_of, scratch=()):
+    """Per column, the least finite ``psi[i] + costs_of(rows, out, work)[i, j]``;
+    None where there is none. ``costs_of`` gives the cost rows of a row slice,
+    written into ``out`` or not; ``work`` holds one block array per dtype of
+    ``scratch``."""
     low = np.full(m, np.inf)
-    for rows in row_blocks(len(psi), m):
-        vals = psi[rows, None] + costs_of(rows)
-        np.minimum(low, np.min(vals, axis=0, initial=np.inf, where=np.isfinite(vals)), out=low)
+    least = np.empty(m)
+    for rows, (vals, finite, *work) in row_block_buffers(len(psi), m, float, bool, *scratch):
+        np.add(psi[rows, None], costs_of(rows, vals, work), out=vals)
+        np.min(vals, axis=0, initial=np.inf, where=np.isfinite(vals, out=finite), out=least)
+        np.minimum(low, least, out=low)
     return [float(v) if v < np.inf else None for v in low]
 
 
@@ -227,17 +237,18 @@ def dkp_verify(model: SpacetimeModel, coupling: Coupling, potential: DualPotenti
     ``feasible``: phi[j] - psi[i] <= cost(i, j) + tol everywhere the cost is
     finite. ``support_tight``: |phi[j] - psi[i] - cost(i, j)| <= tol on every
     support entry. ``max_violation`` is the larger of the worst feasibility
-    excess (clipped at zero) and the worst support residual.
+    excess (clipped at zero) and the worst support residual. Raises
+    ``ValueError`` unless psi and phi hold one value per atom of their side.
     """
     C = coupling.cost_matrix(model)
-    psi = potential.psi_array()
-    phi = potential.phi_array()
+    psi = _per_atom("psi", potential.psi, C.shape[0], "mu")
+    phi = _per_atom("phi", potential.phi, C.shape[1], "nu")
     # -inf when no arc is finite: then nothing is infeasible
     worst_feas = -np.inf
-    for rows in row_blocks(*C.shape):
-        slack = phi[None, :] - psi[rows, None] - C[rows]
+    for rows, (slack, finite) in row_block_buffers(*C.shape, float, bool):
+        np.subtract(np.subtract(phi, psi[rows, None], out=slack), C[rows], out=slack)
         worst_feas = max(worst_feas, float(np.max(slack, initial=-np.inf,
-                                                  where=np.isfinite(C[rows]))))
+                                                  where=np.isfinite(C[rows], out=finite))))
     ii, jj, _ = coupling.index_arrays()
     support_res = np.abs(phi[jj] - psi[ii] - C[ii, jj])
     worst_support = float(np.max(support_res))

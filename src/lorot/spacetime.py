@@ -34,7 +34,7 @@ from .errors import NotCausalPair, SchemaError
 NULL_TOL = 1e-12
 
 # Every dense pass over the n x m pairs walks the rows in blocks of about this
-# many pairs, so that a block's few float64 temporaries (512 KiB each) stay in
+# many pairs, so that a block's few float64 buffers (512 KiB each) stay in
 # cache and no n x m float array is built beside the cost matrix itself.
 BLOCK_PAIRS = 2**16
 
@@ -44,6 +44,20 @@ def row_blocks(n: int, m: int) -> list[slice]:
     ``BLOCK_PAIRS`` pairs when a row holds m of them."""
     step = max(1, BLOCK_PAIRS // max(m, 1))
     return [slice(r, min(r + step, n)) for r in range(0, n, step)]
+
+
+def row_block_buffers(n: int, m: int, *dtypes):
+    """Each slice of :func:`row_blocks` with one (rows, m) array per dtype.
+
+    The arrays are views into buffers allocated once, for the largest block,
+    so every block reuses them; a block's arrays are overwritten by the next.
+    """
+    blocks = row_blocks(n, m)
+    size = (blocks[0].stop - blocks[0].start) * m if blocks else 0
+    buffers = [np.empty(size, dtype) for dtype in dtypes]
+    for rows in blocks:
+        shape = (rows.stop - rows.start, m)
+        yield rows, [b[:shape[0] * m].reshape(shape) for b in buffers]
 
 
 @dataclass(frozen=True)
@@ -74,22 +88,22 @@ class CausalClass(enum.Enum):
     IDENTICAL = "identical"
 
 
-def causal_band(margin) -> np.ndarray:
+def causal_band(margin, out=None) -> np.ndarray:
     """Side of the light cone for each cone margin: 1 inside, 0 on it, -1 outside.
 
     A margin within ``NULL_TOL`` of zero is lightlike. This is the one place
     the band is decided; the cost, the causal class and the lightlike
-    fraction all read it, so they agree. Elementwise on arrays.
+    fraction all read it, so they agree. Elementwise on arrays; ``out``, an
+    int8 array of the margins' shape, receives the band.
     """
     margin = np.asarray(margin)
-    return (margin > NULL_TOL).astype(np.int8) - (margin < -NULL_TOL)
+    band = np.greater(margin, NULL_TOL, out=np.empty(margin.shape, np.int8) if out is None else out)
+    return np.subtract(band, margin < -NULL_TOL, out=band)
 
 
-def _cost(dtau, dist) -> np.ndarray:
-    """Costs from time steps and spatial distances: 0 on the null band."""
-    band = causal_band(dtau - dist)
-    timelike = -np.sqrt(np.maximum(dtau * dtau - dist * dist, 0.0))
-    return np.where(band > 0, timelike, np.where(band < 0, np.inf, 0.0))
+# dtypes of the scratch :meth:`SpacetimeModel.costs` works in: the time steps,
+# the distances, the band and a mask
+COST_WORK = (float, float, np.int8, bool)
 
 
 _CLASS_OF_BAND = {1: CausalClass.CHRONOLOGICAL, 0: CausalClass.NULL, -1: CausalClass.NOT_CAUSAL}
@@ -106,8 +120,9 @@ class SpacetimeModel:
 
     spatial_dim: int
 
-    def displacement(self, xs, ys) -> np.ndarray:
-        """Spatial displacement from xs to ys (winding-minimal on the cylinder)."""
+    def displacement(self, xs, ys, out=None) -> np.ndarray:
+        """Spatial displacement from xs to ys (winding-minimal on the cylinder),
+        elementwise, into ``out`` when it is given."""
         raise NotImplementedError
 
     def normalize(self, spatial) -> np.ndarray:
@@ -133,31 +148,66 @@ class SpacetimeModel:
 
     # -- the kernel -------------------------------------------------------
 
-    def separation(self, xs, ys):
+    def separation(self, xs, ys, out=None):
         """Time step and spatial distance ``(dtau, dist)`` from xs to ys.
 
         ``xs`` and ``ys`` are coordinate arrays, time last, that broadcast
         against each other; pass ``xs[:, None]`` and ``ys[None, :]`` for all
-        pairs.
+        pairs. ``out`` is a pair of arrays of the broadcast shape to fill.
+        The squared displacements are added in coordinate order.
         """
-        delta = self.displacement(xs[..., :-1], ys[..., :-1])
-        return ys[..., -1] - xs[..., -1], np.sqrt(np.sum(delta * delta, axis=-1))
+        if out is None:
+            shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
+            out = np.empty(shape), np.empty(shape)
+        dtau, dist = out
+        for k in range(xs.shape[-1] - 1):
+            # dtau holds each coordinate's displacement until the time step goes in
+            delta = self.displacement(xs[..., k], ys[..., k], out=dtau)
+            if k:
+                dist += np.multiply(delta, delta, out=delta)
+            else:
+                np.multiply(delta, delta, out=dist)
+        np.sqrt(dist, out=dist)
+        np.subtract(ys[..., -1], xs[..., -1], out=dtau)
+        return dtau, dist
 
-    def costs(self, xs, ys) -> np.ndarray:
-        """Costs from xs to ys, +inf on non-causal pairs; broadcasts like
-        :meth:`separation`."""
-        return _cost(*self.separation(xs, ys))
+    def costs(self, xs, ys, out=None, work=None) -> np.ndarray:
+        """Costs from xs to ys, +inf on non-causal pairs and 0 on the null
+        band; broadcasts like :meth:`separation`.
+
+        The costs go into ``out`` when it is given. ``work`` holds one array
+        of the broadcast shape per dtype of ``COST_WORK``; a pass that gives
+        both allocates nothing per block. Every cost, for one pair or for
+        all, comes from this one sequence of operations.
+        """
+        shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
+        if out is None:
+            out = np.empty(shape)
+        if work is None:
+            # two allocations, not four: a large call leaves fewer chunks on
+            # the heap, so the peak RSS stays that of fewer temporaries
+            floats, flags = np.empty((2, *shape)), np.empty((2, *shape), np.int8)
+            work = floats[0, ...], floats[1, ...], flags[0, ...], flags[1, ...].view(bool)
+        dtau, dist, band, mask = work
+        self.separation(xs, ys, out=(dtau, dist))
+        causal_band(np.subtract(dtau, dist, out=out), out=band)
+        # -sqrt(max(dtau**2 - dist**2, 0)) inside the cone
+        np.subtract(np.multiply(dtau, dtau, out=out), np.multiply(dist, dist, out=dist), out=out)
+        np.negative(np.sqrt(np.maximum(out, 0.0, out=out), out=out), out=out)
+        np.copyto(out, 0.0, where=np.equal(band, 0, out=mask))
+        np.copyto(out, np.inf, where=np.less(band, 0, out=mask))
+        return out
 
     def cost_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Pairwise costs, +inf on non-causal pairs; shape (n, m).
 
         ``xs`` and ``ys`` are coordinate arrays of shape (n, d+1) and (m, d+1).
-        Filled block by block (see :func:`row_blocks`); each entry is the
-        same elementwise arithmetic as :meth:`costs`.
+        Each block of rows (see :func:`row_blocks`) goes through :meth:`costs`
+        straight into its slice of the matrix, with one set of scratch.
         """
         C = np.empty((len(xs), len(ys)))
-        for rows in row_blocks(len(xs), len(ys)):
-            C[rows] = self.costs(xs[rows, None, :], ys[None, :, :])
+        for rows, work in row_block_buffers(len(xs), len(ys), *COST_WORK):
+            self.costs(xs[rows, None, :], ys[None, :, :], C[rows], work)
         return C
 
     def geodesic_points(self, xs, ys, t: float) -> np.ndarray:
@@ -185,12 +235,9 @@ class SpacetimeModel:
 
     # -- one pair ---------------------------------------------------------
 
-    def _separation_of(self, x: Point, y: Point):
-        return self.separation(np.array(x.coords()), np.array(y.coords()))
-
     def cone_margin(self, x: Point, y: Point) -> float:
         """dtau - |dtheta|: positive inside the cone, zero on it, negative outside."""
-        dtau, dist = self._separation_of(x, y)
+        dtau, dist = self.separation(np.array(x.coords()), np.array(y.coords()))
         return float(dtau - dist)
 
     def cost(self, x: Point, y: Point) -> float:
@@ -198,7 +245,7 @@ class SpacetimeModel:
 
         Lightlike pairs (see :func:`causal_band`) cost exactly zero.
         """
-        return float(_cost(*self._separation_of(x, y)))
+        return float(self.costs(np.array(x.coords()), np.array(y.coords())))
 
     def causal_class(self, x: Point, y: Point) -> CausalClass:
         if x == y:
@@ -234,8 +281,8 @@ class Minkowski(SpacetimeModel):
     def spatial_dim(self) -> int:
         return self.d
 
-    def displacement(self, xs, ys):
-        return ys - xs
+    def displacement(self, xs, ys, out=None):
+        return np.subtract(ys, xs, out=out)
 
     def to_config(self):
         return {"kind": "minkowski", "d": self.d}
@@ -262,12 +309,16 @@ class Cylinder(SpacetimeModel):
         # a tiny negative coordinate wraps to the circumference itself
         return np.where(wrapped == self.circumference, 0.0, wrapped)
 
-    def displacement(self, xs, ys):
+    def displacement(self, xs, ys, out=None):
         """Coordinate differences wrapped to (-C/2, C/2]; only ys - xs rounds
         (``fmod`` is exact, and so is the one shift by C, by Sterbenz)."""
         c = self.circumference
-        r = np.fmod(ys - xs, c)
-        return np.where(r > c / 2.0, r - c, np.where(r <= -c / 2.0, r + c, r))
+        if out is None:
+            out = np.empty(np.broadcast_shapes(np.shape(xs), np.shape(ys)))
+        r = np.fmod(np.subtract(ys, xs, out=out), c, out=out)
+        # a value shifted down lies above -C/2, so the second shift skips it
+        np.subtract(r, c, out=r, where=r > c / 2.0)
+        return np.add(r, c, out=r, where=r <= -c / 2.0)
 
     def to_config(self):
         return {"kind": "cylinder", "circumference": self.circumference}

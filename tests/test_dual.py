@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,12 +247,19 @@ def permuted_coupling(n, seed):
 
 
 @pytest.fixture(scope="module")
-def kernel_couplings():
+def solved_families():
+    """``solve``'s coupling and duals on line n = 25 ... 400, strict seeds 0-19
+    and rays seeds 0-49."""
+    problems = [line_blowup_problem(n) for n in range(25, 401, 25)]
+    problems += [random_strict_problem(seed) for seed in range(20)]
+    problems += [separated_rays_problem(seed) for seed in range(50)]
+    return [solve(problem) for problem in problems]
+
+
+@pytest.fixture(scope="module")
+def kernel_couplings(solved_families):
     """Solved line, strict and rays couplings, and crossed ones with a cycle."""
-    solved = [line_blowup_problem(n) for n in range(25, 401, 25)]
-    solved += [random_strict_problem(seed) for seed in range(20)]
-    solved += [separated_rays_problem(seed) for seed in range(50)]
-    couplings = [solve(problem)[0] for problem in solved]
+    couplings = [coupling for coupling, _ in solved_families]
     couplings.append(Coupling.from_entries(two_by_two_problem(), [(0, 1, 0.5), (1, 0, 0.5)]))
     couplings += [permuted_coupling(n, n) for n in (3, 10, 40)]
     return couplings
@@ -282,6 +290,82 @@ class TestKernelsAgainstReference:
                     assert cycle.atoms == want_cycle.atoms
                     assert cycle.gain.hex() == want_cycle.gain.hex()
         assert cycles >= 4
+
+
+class TestTwoDuals:
+    def test_chain_potential_is_the_least_rooted_dual(self, solved_families):
+        """psi <= u - u[root]: the chain potential is the least potential, zero
+        at the root, that the support's inequalities allow, and the solver's
+        duals satisfy the same inequalities."""
+        for coupling, (u, _) in solved_families:
+            psi = chain_potential(coupling.problem.model, coupling)
+            assert not isinstance(psi, PositiveCycle)
+            root = coupling.entries[0][0]
+            excess = np.max(psi - (u - u[root]))
+            assert excess <= 1e-12 * (1.0 + np.max(np.abs(u))), (coupling.mu.n_atoms, excess)
+
+
+class TestPotentialLengths:
+    """A potential of the wrong length is refused, naming the side and both
+    lengths, not read short or broadcast."""
+
+    def test_c_transforms_refuse_a_short_psi(self):
+        problem = random_strict_problem(0)
+        C = problem.cost_matrix()
+        assert C.shape == (70, 54)
+        message = "psi has 1 values for 70 mu-atoms"
+        with pytest.raises(ValueError, match=message):
+            c_transform_costs([0.0], C)
+        with pytest.raises(ValueError, match=message):
+            c_transform(MK1, problem.mu, [0.0], problem.nu)
+        with pytest.raises(ValueError, match="psi has 71 values for 70 mu-atoms"):
+            c_transform(MK1, problem.mu, np.zeros(71), problem.nu)
+
+    def test_dkp_verify_refuses_a_short_potential(self):
+        problem = random_strict_problem(0)
+        coupling, (u, v) = solve(problem)
+        with pytest.raises(ValueError, match="psi has 69 values for 70 mu-atoms"):
+            dkp_verify(MK1, coupling, DualPotential.from_arrays(u[:-1], v))
+        with pytest.raises(ValueError, match="phi has 53 values for 54 nu-atoms"):
+            dkp_verify(MK1, coupling, DualPotential.from_arrays(u, v[1:]))
+
+
+def traced_peak(run):
+    """Peak bytes traced while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockBuffers:
+    """Each dense pass on line-400 holds a few block buffers (BLOCK_PAIRS
+    float64 values each) allocated once, not a handful more per block."""
+
+    BLOCK = spacetime.BLOCK_PAIRS * 8
+
+    @pytest.fixture(scope="class")
+    def line400(self):
+        problem = line_blowup_problem(400)
+        coupling, _ = solve(problem)
+        psi = chain_potential(MK1, coupling)
+        return problem, coupling, psi, DualPotential.from_psi(MK1, problem.mu, psi, problem.nu)
+
+    def test_cost_matrix_holds_its_output_and_three_blocks(self, line400):
+        problem = line400[0]
+        xs, ys = problem.mu.coords_array(), problem.nu.coords_array()
+        peak = traced_peak(lambda: MK1.cost_matrix(xs, ys))
+        assert peak < problem.cost_matrix().nbytes + 3 * self.BLOCK
+
+    def test_c_transform_holds_four_blocks(self, line400):
+        problem, _, psi, _ = line400
+        assert traced_peak(lambda: c_transform(MK1, problem.mu, psi, problem.nu)) < 4 * self.BLOCK
+
+    def test_dkp_verify_holds_two_blocks(self, line400):
+        _, coupling, _, potential = line400
+        assert traced_peak(lambda: dkp_verify(MK1, coupling, potential)) < 2 * self.BLOCK
 
 
 class TestDkpVerify:
