@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UnreachableAtom
 from .solver import Coupling
-from .spacetime import COST_WORK, SpacetimeModel, row_block_buffers, row_blocks
+from .spacetime import COST_WORK, SpacetimeModel, row_block_buffers
 
 # A cycle must beat this tolerance to count as positive; smaller gains are
 # treated as rounding noise from float cost arithmetic.
@@ -76,7 +76,7 @@ def c_transform(model: SpacetimeModel, mu, psi, nu):
     source at all (the infimum is minus infinity there). The sentinel is an
     explicit tagged value so it never enters float arithmetic. The costs are
     evaluated one row block at a time, so the full matrix is never held.
-    Raises ``ValueError`` unless psi has one value per mu-atom.
+    Raises ``ValueError`` unless psi has one non-NaN value per mu-atom.
     """
     xs, ys = mu.coords_array(), nu.coords_array()
     return _column_infima(_per_atom("psi", psi, len(xs), "mu"), len(ys),
@@ -86,16 +86,19 @@ def c_transform(model: SpacetimeModel, mu, psi, nu):
 
 def c_transform_costs(psi, C):
     """:func:`c_transform` over a built cost matrix, e.g. ``problem.cost_matrix()``;
-    psi needs one value per row."""
+    psi needs one non-NaN value per row."""
     return _column_infima(_per_atom("psi", psi, C.shape[0], "mu"), C.shape[1],
                           lambda rows, out, work: C[rows])
 
 
 def _per_atom(name, values, n, side) -> np.ndarray:
-    """``values`` as a float array, checked to hold one value per atom of a side."""
+    """``values`` as a float array, checked to hold one non-NaN value per atom of a side."""
     values = np.asarray(values, dtype=float)
     if values.shape != (n,):
         raise ValueError(f"{name} has {values.size} values for {n} {side}-atoms")
+    nan = np.flatnonzero(np.isnan(values))
+    if len(nan):
+        raise ValueError(f"{name}[{nan[0]}] is nan")
     return values
 
 
@@ -113,46 +116,14 @@ def _column_infima(psi, m, costs_of, scratch=()):
     return [float(v) if v < np.inf else None for v in low]
 
 
-def _atom_arc_matrix(model: SpacetimeModel, coupling: Coupling) -> np.ndarray:
-    """Condense the chain graph onto mu-atoms.
+def _longest_paths(C: np.ndarray, ii: np.ndarray, jj: np.ndarray, root: int):
+    """FIFO label-correcting longest paths from ``root`` over the chain graph
+    of the support entries ``(ii, jj)``, sorted, on the cost matrix C.
 
-    W[u, k] is the best single-step gain from atom u to atom k over all
-    support pairs (u, y); -inf where no step exists.
-
-    The entries are taken by their rank among their atom's entries, so one
-    rank names each atom at most once and its rows of W are set or raised
-    together; each rank goes in blocks of about BLOCK_PAIRS pairs. The max is
-    exact, so the grouping does not change W.
-    """
-    n = coupling.mu.n_atoms
-    C = coupling.cost_matrix(model)
-    ii, jj, _ = coupling.index_arrays()
-    # entries are sorted, so an entry's rank is its distance from its atom's first
-    rank = np.arange(len(ii)) - np.searchsorted(ii, ii)
-    order = np.argsort(rank, kind="stable")
-    ii, jj = ii[order], jj[order]
-    gain = C[ii, jj]
-    W = np.full((n, n), -np.inf)
-    lo = 0
-    for r, hi in enumerate(np.cumsum(np.bincount(rank)).tolist()):
-        for block in row_blocks(hi - lo, n):
-            rows = slice(lo + block.start, lo + block.stop)
-            i = ii[rows]
-            # C[i, j] - C[:, j], one row per entry
-            steps = C.T[jj[rows]]
-            np.subtract(gain[rows, None], steps, out=steps)
-            if r:
-                np.maximum(steps, W[i], out=steps)
-            W[i] = steps
-        lo = hi
-    np.fill_diagonal(W, -np.inf)
-    return W
-
-
-def _longest_paths(W: np.ndarray, root: int):
-    """FIFO label-correcting longest paths from ``root`` over the arc matrix W.
-
-    Taking an atom off the queue relaxes every arc out of it; an atom whose
+    The arc from atom u to atom k gains the most of ``C[u, y] - C[k, y]`` over
+    u's support entries (u, y); the row of these gains is built when u is
+    taken off the queue, its entries in order, and every arc out of u is
+    relaxed. Its own gain is 0, which never raises u's label. An atom whose
     label rises joins the queue unless it is already there. One pass takes
     the atoms queued during the pass before, so without a gaining cycle the
     labels settle within n - 1 passes. Each relaxation works on full-length
@@ -162,7 +133,20 @@ def _longest_paths(W: np.ndarray, root: int):
     reaches, or ``(None, cycle)`` when some cycle gains more than CYCLE_TOL.
     Smaller cycles are rounding noise and are cut.
     """
-    n = W.shape[0]
+    n = C.shape[0]
+    cols = jj.tolist()
+    first = np.searchsorted(ii, np.arange(n + 1)).tolist()
+    step = np.empty(n)
+
+    def gains(u, out):
+        """The gains of the arcs out of u, written into ``out``; u has a support
+        entry, as every atom of a coupling does."""
+        ys = cols[first[u]:first[u + 1]]
+        np.subtract(C[u, ys[0]], C[:, ys[0]], out=out)
+        for y in ys[1:]:
+            np.maximum(np.subtract(C[u, y], C[:, y], out=step), out, out=out)
+        return out
+
     dist = np.full(n, -np.inf)
     dist[root] = 0.0
     pred = np.full(n, -1)
@@ -172,13 +156,14 @@ def _longest_paths(W: np.ndarray, root: int):
     cand = np.empty(n)
     up, fresh = np.empty((2, n), dtype=bool)
     batch = [root]
-    for _ in range(n):
+    for passes_left in range(n - 1, -1, -1):
         following = []
         for u in batch:
             queued[u] = False
-            np.add(dist[u], W[u], out=cand)
+            np.add(dist[u], gains(u, cand), out=cand)
             np.greater(cand, dist, out=up)
-            np.subtract(cand, dist, out=rise, where=up)
+            if not passes_left:  # only the rises of the last pass are read
+                np.subtract(cand, dist, out=rise, where=up)
             np.copyto(dist, cand, where=up)
             np.copyto(pred, u, where=up)
             np.greater(up, queued, out=fresh)  # risen and not yet queued
@@ -197,7 +182,7 @@ def _longest_paths(W: np.ndarray, root: int):
         while walk.count(walk[-1]) == 1:
             walk.append(int(pred[walk[-1]]))
         atoms = walk[walk.index(walk[-1]):-1][::-1]
-        gain = float(sum(W[a, b] for a, b in zip(atoms, atoms[1:] + atoms[:1])))
+        gain = float(sum(gains(a, cand)[b] for a, b in zip(atoms, atoms[1:] + atoms[:1])))
         if gain > CYCLE_TOL:
             return None, PositiveCycle(tuple(atoms), gain)
     # a noise cycle through the root may have lifted its label: re-anchor it at 0
@@ -213,14 +198,14 @@ def chain_potential(model: SpacetimeModel, coupling: Coupling, root=None):
     :class:`UnreachableAtom` when some mu-atom cannot be reached by any chain
     from the root; the construction needs a connected support.
     """
+    ii, jj, _ = coupling.index_arrays()
     if root is None:
         root = coupling.entries[0][:2]  # entries are sorted: the lexicographic minimum
     else:
         root = (int(root[0]), int(root[1]))
-        ii, jj, _ = coupling.index_arrays()
         if not np.any((ii == root[0]) & (jj == root[1])):
             raise ValueError(f"root {root} is not a support pair")
-    psi, cycle = _longest_paths(_atom_arc_matrix(model, coupling), root[0])
+    psi, cycle = _longest_paths(coupling.cost_matrix(model), ii, jj, root[0])
     if cycle is not None:
         return cycle
 
@@ -238,7 +223,7 @@ def dkp_verify(model: SpacetimeModel, coupling: Coupling, potential: DualPotenti
     finite. ``support_tight``: |phi[j] - psi[i] - cost(i, j)| <= tol on every
     support entry. ``max_violation`` is the larger of the worst feasibility
     excess (clipped at zero) and the worst support residual. Raises
-    ``ValueError`` unless psi and phi hold one value per atom of their side.
+    ``ValueError`` unless psi and phi hold one non-NaN value per atom of their side.
     """
     C = coupling.cost_matrix(model)
     psi = _per_atom("psi", potential.psi, C.shape[0], "mu")

@@ -10,7 +10,6 @@ from lorot.dual import (
     CYCLE_TOL,
     DualPotential,
     PositiveCycle,
-    _atom_arc_matrix,
     _longest_paths,
     c_transform,
     c_transform_costs,
@@ -258,30 +257,28 @@ def solved_families():
 
 @pytest.fixture(scope="module")
 def kernel_couplings(solved_families):
-    """Solved line, strict and rays couplings, and crossed ones with a cycle."""
+    """Solved line, strict and rays couplings, crossed ones with a cycle, and
+    line n = 800 and 1600. The permutations of 4 atoms (seeds 2 and 20) report
+    another cycle or start if ``rise`` is stale; seeds 13 and 41 give cycles of
+    3 and 4 atoms."""
     couplings = [coupling for coupling, _ in solved_families]
     couplings.append(Coupling.from_entries(two_by_two_problem(), [(0, 1, 0.5), (1, 0, 0.5)]))
-    couplings += [permuted_coupling(n, n) for n in (3, 10, 40)]
+    couplings += [permuted_coupling(n, seed) for n, seed in
+                  ((3, 3), (10, 10), (40, 40), (4, 2), (4, 20), (10, 13), (40, 41))]
+    couplings += [solve(line_blowup_problem(n))[0] for n in (800, 1600)]
     return couplings
 
 
 class TestKernelsAgainstReference:
-    @pytest.mark.parametrize("block_pairs", [spacetime.BLOCK_PAIRS, 1])
-    def test_arc_matrix_same_bits_as_the_per_entry_loop(self, kernel_couplings, block_pairs,
-                                                        monkeypatch):
-        monkeypatch.setattr(spacetime, "BLOCK_PAIRS", block_pairs)
-        for coupling in kernel_couplings:
-            model = coupling.problem.model
-            expected = reference_atom_arc_matrix(coupling.cost_matrix(model), coupling)
-            assert _atom_arc_matrix(model, coupling).tobytes() == expected.tobytes()
-
-    def test_longest_paths_same_bits_as_the_gather_relaxation(self, kernel_couplings):
+    def test_longest_paths_same_bits_as_the_reference_kernels(self, kernel_couplings):
         cycles = 0
         for coupling in kernel_couplings:
-            W = _atom_arc_matrix(coupling.problem.model, coupling)
+            C = coupling.cost_matrix(coupling.problem.model)
+            ii, jj, _ = coupling.index_arrays()
+            W = reference_atom_arc_matrix(C, coupling)
             for root in {coupling.entries[0][0], coupling.entries[-1][0]}:
                 (dist, cycle), (want, want_cycle) = (
-                    _longest_paths(W, root), reference_longest_paths(W, root))
+                    _longest_paths(C, ii, jj, root), reference_longest_paths(W, root))
                 if want_cycle is None:
                     assert cycle is None and dist.tobytes() == want.tobytes()
                 else:
@@ -330,6 +327,34 @@ class TestPotentialLengths:
             dkp_verify(MK1, coupling, DualPotential.from_arrays(u, v[1:]))
 
 
+class TestPotentialNan:
+    """A NaN in a potential is refused, naming the side and the first NaN
+    atom: it would otherwise drop out of every infimum and maximum."""
+
+    def test_c_transforms_refuse_a_nan_psi(self):
+        problem = random_strict_problem(0)
+        psi = np.zeros(70)
+        psi[[3, 5]] = np.nan
+        with pytest.raises(ValueError, match=r"psi\[3\] is nan"):
+            c_transform_costs(psi, problem.cost_matrix())
+        with pytest.raises(ValueError, match=r"psi\[3\] is nan"):
+            c_transform(MK1, problem.mu, psi, problem.nu)
+
+    def test_dkp_verify_refuses_a_nan_potential(self):
+        problem = random_strict_problem(0)
+        coupling, _ = solve(problem)
+        psi = chain_potential(MK1, coupling)
+        potential = DualPotential.from_psi(MK1, problem.mu, psi, problem.nu)
+        assert dkp_verify(MK1, coupling, potential).feasible
+        psi[3] = np.nan
+        with pytest.raises(ValueError, match=r"psi\[3\] is nan"):
+            dkp_verify(MK1, coupling, DualPotential.from_arrays(psi, potential.phi))
+        phi = np.array(potential.phi)
+        phi[2] = np.nan
+        with pytest.raises(ValueError, match=r"phi\[2\] is nan"):
+            dkp_verify(MK1, coupling, DualPotential.from_arrays(potential.psi, phi))
+
+
 def traced_peak(run):
     """Peak bytes traced while ``run()`` executes."""
     tracemalloc.start()
@@ -366,6 +391,17 @@ class TestBlockBuffers:
     def test_dkp_verify_holds_two_blocks(self, line400):
         _, coupling, _, potential = line400
         assert traced_peak(lambda: dkp_verify(MK1, coupling, potential)) < 2 * self.BLOCK
+
+
+class TestChainPotentialMemory:
+    """The chain potential holds O(n) memory beyond the cost matrix: each
+    atom's row of gains is built into one reused buffer when it is popped."""
+
+    @pytest.mark.parametrize("n", [400, 1600])
+    def test_chain_potential_holds_64_floats_per_atom(self, n):
+        coupling, _ = solve(line_blowup_problem(n))
+        coupling.cost_matrix(MK1)  # built before tracing
+        assert traced_peak(lambda: chain_potential(MK1, coupling)) < 64 * n * 8
 
 
 class TestDkpVerify:
