@@ -2,9 +2,12 @@
 
 ``write_csv`` is the CLI's one table writer. Each value's text is laid out
 in column-major ``uint8`` planes, one plane per character position and a
-NUL wherever a character is absent; the planes of a chunk of rows are
-transposed and their nonzero bytes kept, which is the CSV text of those
-rows.
+NUL wherever a character is absent. The planes of a chunk of rows live in
+one buffer per call, zeroed per chunk: the sign and digit planes are
+written at every row, the ``0.000`` and exponent planes only at the rows
+whose value uses them. The planes that hold a character are transposed
+into row order and ``bytes.translate`` deletes the NULs in one C pass,
+which leaves the CSV text of those rows.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 _CHUNK = 8192  # rows per block of planes, so memory stays bounded
 _MARGIN = 2.0 ** -30  # a rounding or exponent decision closer than this falls back
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for a Dekker product
-_POW10 = np.array([10 ** (16 - k) for k in range(17)], dtype=np.int64)
+_POW10 = np.array([10 ** (8 - k) for k in range(9)], dtype=np.int32)
 _ZERO, _DOT, _MINUS = ord("0"), ord("."), ord("-")
 
 # planes of one float value: sign, the "0.000" of 1e-4 <= |x| < 1,
@@ -100,32 +103,40 @@ def _float_planes(x, powers, out):
     D[carry] = 10 ** 16
     E += carry
 
-    # digit k is q[k] - 10 q[k-1] with q[k] = D // 10**(16 - k); the
-    # difference is taken mod 256, in uint8, where it is exact as well
-    q = (D // _POW10[:, None]).astype(np.uint8)
+    # D = hi 10**8 + lo; digit k of a part is q[k] - 10 q[k-1] with q[k]
+    # its int32 quotient by a power of ten, taken mod 256 in uint8, where
+    # the difference is exact as well
+    hi, lo = np.divmod(D, 10 ** 8)
+    q = np.empty((17, len(D)), dtype=np.uint8)
+    q[:9] = hi.astype(np.int32) // _POW10[:, None]
+    q[9:] = lo.astype(np.int32) // _POW10[1:, None]
     digits = q.copy()
-    digits[1:] -= np.uint8(10) * q[:-1]
+    digits[1:9] -= np.uint8(10) * q[:8]
+    digits[10:] -= np.uint8(10) * q[9:16]
     ks = np.arange(17, dtype=np.int8)[:, None]
     last_nonzero = np.max((digits != 0) * ks, axis=0)
     fixed = (E >= -4) & (E < 17)
     point = np.where(fixed, E, 0).astype(np.int8)  # the point follows this digit; none if < 0
-    out[0] = np.where(np.signbit(x), _MINUS, 0)
-    lead = fixed & (E < 0)  # "0." and -E - 1 zeros
-    out[1] = np.where(lead, _ZERO, 0)
-    out[2] = np.where(lead, _DOT, 0)
+    np.multiply(np.signbit(x), np.uint8(_MINUS), out=out[0])
+    lead = np.flatnonzero(fixed & (E < 0))  # "0." and -E - 1 zeros
+    out[1, lead] = _ZERO
+    out[2, lead] = _DOT
     for j in (1, 2, 3):
-        out[2 + j] = np.where(lead & (-E - 1 >= j), _ZERO, 0)
-    out[_DIGIT0:_EXP0:2] = (digits + np.uint8(_ZERO)) * (ks <= np.maximum(last_nonzero, point))
+        lead = lead[E[lead] < -j]
+        out[2 + j, lead] = _ZERO
+    digits += np.uint8(_ZERO)
+    np.multiply(digits, ks <= np.maximum(last_nonzero, point), out=out[_DIGIT0:_EXP0:2])
     dotted = np.flatnonzero((last_nonzero > point) & (point >= 0))
     out[_DIGIT0 + 1 + 2 * point[dotted].astype(np.intp), dotted] = _DOT
-    out[_DIGIT0] = np.where(zero, _ZERO, out[_DIGIT0])
-    expo = ~fixed
-    mag = np.abs(E)
-    out[_EXP0] = np.where(expo, ord("e"), 0)
-    out[_EXP0 + 1] = np.where(expo, np.where(E < 0, _MINUS, ord("+")), 0)
-    out[_EXP0 + 2] = np.where(expo & (mag >= 100), _ZERO + mag // 100, 0)
-    out[_EXP0 + 3] = np.where(expo, _ZERO + mag // 10 % 10, 0)
-    out[_EXP0 + 4] = np.where(expo, _ZERO + mag % 10, 0)
+    out[_DIGIT0, zero] = _ZERO
+    expo = np.flatnonzero(~fixed)
+    Ex = E[expo]
+    mag = np.abs(Ex)
+    out[_EXP0, expo] = ord("e")
+    out[_EXP0 + 1, expo] = np.where(Ex < 0, _MINUS, ord("+"))
+    out[_EXP0 + 2, expo[mag >= 100]] = _ZERO + mag[mag >= 100] // 100
+    out[_EXP0 + 3, expo] = _ZERO + mag // 10 % 10
+    out[_EXP0 + 4, expo] = _ZERO + mag % 10
 
     fallback = np.flatnonzero(~ok & ~zero)
     for r in fallback.tolist():
@@ -194,11 +205,13 @@ def write_csv(path: Path, table: np.recarray):
               for name, f in zip(names, is_float)]
     n_planes = sum(widths) + len(names)  # a "," after each column but the last, "\n" at the end
     powers = _PowersOfTen()
+    buffer = np.empty((n_planes, min(len(table), _CHUNK)), dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode("utf-8"))
         for start in range(0, len(table), _CHUNK):
             rows = table[start:start + _CHUNK]
-            block = np.zeros((n_planes, len(rows)), dtype=np.uint8)
+            block = buffer[:, :len(rows)]
+            block.fill(0)
             at = 0
             for name, f, width in zip(names, is_float, widths):
                 planes = block[at:at + width]
@@ -210,6 +223,5 @@ def write_csv(path: Path, table: np.recarray):
                 block[at] = ord(",")
                 at += 1
             block[at - 1] = ord("\n")
-            block = block[block.any(axis=1)]
-            text = np.ascontiguousarray(block.T).ravel()
-            fh.write(np.compress(text != 0, text).tobytes())
+            # planes without a character dropped, rows in order, NULs deleted
+            fh.write(block[block.any(axis=1)].T.tobytes().translate(None, b"\0"))

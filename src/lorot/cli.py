@@ -5,8 +5,9 @@ machine-readable results: a summary ``result.json`` (always) plus CSV tables
 per command. Outputs are byte-identical for identical (config, input, seed).
 
 Exit codes: 0 success, 2 infeasible transport, 3 invalid input (a schema or
-validation error, or a bad or unknown command-line flag) or any other
-:class:`LorotError`, such as a failed experiment check.
+validation error, a bad or unknown command-line flag, or an ``--out`` that
+cannot be created or written) or any other :class:`LorotError`, such as a
+failed experiment check.
 """
 
 from __future__ import annotations
@@ -235,15 +236,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = {**vars(args), "out": str(args.out)}
     summary = {"version": __version__, "command": args.command, "config": config}
     try:
-        summary["result"], code = COMMANDS[args.command][0](args, out_dir)
-    except Infeasible as exc:
-        summary["error"] = {"kind": "infeasible", "message": str(exc)}
-        code = 2
-    _write_json(out_dir / "result.json", summary)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            summary["result"], code = COMMANDS[args.command][0](args, out_dir)
+        except Infeasible as exc:
+            summary["error"] = {"kind": "infeasible", "message": str(exc)}
+            code = 2
+        _write_json(out_dir / "result.json", summary)
+    except OSError as exc:  # inputs that cannot be read raise SchemaError
+        where = exc.filename or out_dir
+        raise LorotError(f"cannot write output: {where}: {exc.strerror or exc}") from exc
     print(json.dumps(_sanitize(summary), sort_keys=True, allow_nan=False))
     if "error" in summary:
         print(f"lorot: infeasible: {summary['error']['message']}", file=sys.stderr)

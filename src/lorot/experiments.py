@@ -217,6 +217,20 @@ def run_line_counterexample(n: int, levels: int = 3) -> ExperimentReport:
 # the cylinder profile and its subdifferential field
 
 
+_JUNCTIONS = np.array([1.0, 2.0, 3.0, 4.0])
+
+
+def _by_branch(x, pieces):
+    """Each of the five pieces evaluated on the points of its own branch:
+    piece k on (k, k + 1], piece 0 on [0, 1] and the last also on NaN."""
+    branch = np.searchsorted(_JUNCTIONS, x)
+    out = np.empty_like(x)
+    for k, piece in enumerate(pieces):
+        at = branch == k
+        out[at] = piece(x[at])
+    return out
+
+
 @dataclass(frozen=True)
 class ProfileFunction:
     """Periodic height profile on the circle of circumference 5.
@@ -238,13 +252,13 @@ class ProfileFunction:
     def __call__(self, x):
         x = np.asarray(x, dtype=float) % 5.0
         e = self.eps
-        arch_up = np.sqrt(np.clip(x * (2.0 - x), 0.0, None))
-        arch_dn = np.sqrt(np.clip((x - 2.0) * (4.0 - x), 0.0, None))
-        out = np.select(
-            [x <= 1.0, x <= 2.0, x <= 3.0, x <= 4.0],
-            [1.0 + e, (1.0 + e) * arch_up, -(1.0 - e) * arch_dn, e - 1.0],
-            default=e - np.cos(np.pi * (x - 4.0)),
-        )
+        out = _by_branch(x, (
+            lambda x: 1.0 + e,
+            lambda x: (1.0 + e) * np.sqrt(np.clip(x * (2.0 - x), 0.0, None)),
+            lambda x: -(1.0 - e) * np.sqrt(np.clip((x - 2.0) * (4.0 - x), 0.0, None)),
+            lambda x: e - 1.0,
+            lambda x: e - np.cos(np.pi * (x - 4.0)),
+        ))
         return out if out.ndim else float(out)
 
     def derivative(self, x):
@@ -252,15 +266,15 @@ class ProfileFunction:
         x = np.asarray(x, dtype=float) % 5.0
         e = self.eps
         with np.errstate(divide="ignore", invalid="ignore"):
-            d_up = (1.0 + e) * (1.0 - x) / np.sqrt(np.clip(x * (2.0 - x), 1e-300, None))
-            d_dn = -(1.0 - e) * (3.0 - x) / np.sqrt(
-                np.clip((x - 2.0) * (4.0 - x), 1e-300, None)
-            )
-        out = np.select(
-            [x <= 1.0, x < 2.0, x == 2.0, x <= 3.0, x <= 4.0],
-            [0.0, d_up, np.nan, d_dn, 0.0],
-            default=np.pi * np.sin(np.pi * (x - 4.0)),
-        )
+            out = _by_branch(x, (
+                lambda x: 0.0,
+                lambda x: (1.0 + e) * (1.0 - x) / np.sqrt(np.clip(x * (2.0 - x), 1e-300, None)),
+                lambda x: -(1.0 - e) * (3.0 - x) / np.sqrt(
+                    np.clip((x - 2.0) * (4.0 - x), 1e-300, None)),
+                lambda x: 0.0,
+                lambda x: np.pi * np.sin(np.pi * (x - 4.0)),
+            ))
+        out[x == 2.0] = np.nan
         return out if out.ndim else float(out)
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,25 @@ class TestOtherCommands:
                      "--out", str(out)]) == 0
         assert read_result(out)["result"]["scalars"]["delta_trailing_cone"]["value"] > 0
 
+    @pytest.mark.parametrize("blocked, reason", [
+        ("", "File exists"),
+        ("result.json", "Is a directory"),
+        ("subdifferential.csv", "Is a directory"),
+    ], ids=["out-is-a-file", "result-json-is-a-directory", "csv-is-a-directory"])
+    def test_unwritable_output_exits_3(self, blocked, reason, tmp_path, capsys):
+        out = tmp_path / "out"
+        if blocked:
+            (out / blocked).mkdir(parents=True)
+        else:
+            out.touch()
+        assert main(["counterexample-cylinder", "--grid", "250", "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", f"lorot: cannot write output: {out / blocked}: {reason}\n")
+
+
+MIXED_LAYOUTS = [0.5, -0.062, 0.00731, -0.0001234567890123, 2.5e-5, -1.2345678901234567e17,
+                 6.02e100, -7.5e-100, 3e-300, -4.2e300, 0.0, -0.0, 5e-324,
+                 1234567890123456.25, 12.75]
+
 
 def reference_format(x) -> str:
     """The per-value rule every CSV value follows: ``%.17g`` for a float,
@@ -306,7 +326,9 @@ class TestCsvWriter:
          np.nextafter(1e-280, 0), np.nextafter(1e280, np.inf), 1e-300, 1e300],
         [s * 10.0**k for k in range(-30, 31) for s in (1, -1)],
         [np.nextafter(10.0**k, d) for k in range(-30, 31) for d in (0, np.inf)],
-    ], ids=["specials", "ties-and-range", "powers-of-ten", "power-neighbours"])
+        # every chunk mixes 1-4 leading zeros, exponents, zeros, a subnormal and a tie
+        np.resize(MIXED_LAYOUTS, 2 * _csv._CHUNK + len(MIXED_LAYOUTS)),
+    ], ids=["specials", "ties-and-range", "powers-of-ten", "power-neighbours", "mixed-chunks"])
     def test_float_values(self, values, tmp_path):
         table = np.rec.fromarrays([np.asarray(values, dtype=np.float64)], names="x")
         assert written_bytes(table, tmp_path) == reference_csv(table)
@@ -345,6 +367,18 @@ class TestCsvWriter:
     def test_empty_table(self, tmp_path):
         table = np.rec.fromarrays([np.zeros(0), np.zeros(0, dtype=np.int64)], names="x,k")
         assert written_bytes(table, tmp_path) == reference_csv(table) == b"x,k\n"
+
+    def test_memory_stays_bounded_per_chunk(self, tmp_path):
+        table = run_cylinder_example(0.25, 100_000, 1.0).tables["subdifferential"]
+        block = (3 * _csv._FLOAT_WIDTH + 3) * _csv._CHUNK  # the planes of one chunk
+        _csv.write_csv(tmp_path / "warm-up.csv", table[:100])  # numpy imports some code lazily
+        tracemalloc.start()
+        try:
+            _csv.write_csv(tmp_path / "t.csv", table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * block
 
     def test_fallback_rows_across_chunks(self, tmp_path):
         n = 2 * _csv._CHUNK + 123

@@ -97,6 +97,51 @@ class TestProfile:
             _validate_profile(Broken(0.25))
         assert err.value.condition == 3
 
+    @pytest.mark.parametrize("eps", [0.1, 0.25, 0.4])
+    def test_branches_match_the_select_forms(self, eps):
+        # the cylinder_cli angle grid, and the junctions with their neighbours
+        junctions = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        grid = (np.arange(100_000) + 0.5) * (5.0 / 100_000)
+        edges = np.concatenate([junctions, np.nextafter(junctions, 0.0),
+                                np.nextafter(junctions, np.inf)])
+        f, oracle = ProfileFunction(eps), SelectProfile(eps)
+        for x in (grid, edges):
+            assert f(x).tobytes() == oracle(x).tobytes()
+            assert f.derivative(x).tobytes() == oracle.derivative(x).tobytes()
+
+
+class SelectProfile(ProfileFunction):
+    """The profile with all five branches evaluated over every point and then
+    picked by ``np.select``, as a reference for the branch-wise forms."""
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float) % 5.0
+        e = self.eps
+        arch_up = np.sqrt(np.clip(x * (2.0 - x), 0.0, None))
+        arch_dn = np.sqrt(np.clip((x - 2.0) * (4.0 - x), 0.0, None))
+        out = np.select(
+            [x <= 1.0, x <= 2.0, x <= 3.0, x <= 4.0],
+            [1.0 + e, (1.0 + e) * arch_up, -(1.0 - e) * arch_dn, e - 1.0],
+            default=e - np.cos(np.pi * (x - 4.0)),
+        )
+        return out if out.ndim else float(out)
+
+    def derivative(self, x):
+        """dF/dx away from the cusp; NaN at exactly x = 2."""
+        x = np.asarray(x, dtype=float) % 5.0
+        e = self.eps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d_up = (1.0 + e) * (1.0 - x) / np.sqrt(np.clip(x * (2.0 - x), 1e-300, None))
+            d_dn = -(1.0 - e) * (3.0 - x) / np.sqrt(
+                np.clip((x - 2.0) * (4.0 - x), 1e-300, None)
+            )
+        out = np.select(
+            [x <= 1.0, x < 2.0, x == 2.0, x <= 3.0, x <= 4.0],
+            [0.0, d_up, np.nan, d_dn, 0.0],
+            default=np.pi * np.sin(np.pi * (x - 4.0)),
+        )
+        return out if out.ndim else float(out)
+
 
 class TestCylinderPotential:
     def test_slice_value_is_profile(self):
