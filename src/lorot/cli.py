@@ -53,7 +53,7 @@ def _load_input(source: str) -> dict:
     if not source.lstrip().startswith("{"):
         try:
             text = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError(f"cannot read input {source!r}: {exc}") from exc
     try:
         return json.loads(text)

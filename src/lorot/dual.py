@@ -19,8 +19,8 @@ from .errors import UnreachableAtom
 from .solver import Coupling
 from .spacetime import COST_WORK, SpacetimeModel, row_block_buffers
 
-# A cycle must beat this tolerance to count as positive; smaller gains are
-# treated as rounding noise from float cost arithmetic.
+# A rise of a chain label, or the gain of a chain cycle, of at most this is
+# rounding noise from float cost arithmetic.
 CYCLE_TOL = 1e-10
 
 
@@ -123,15 +123,19 @@ def _longest_paths(C: np.ndarray, ii: np.ndarray, jj: np.ndarray, root: int):
     The arc from atom u to atom k gains the most of ``C[u, y] - C[k, y]`` over
     u's support entries (u, y); the row of these gains is built when u is
     taken off the queue, its entries in order, and every arc out of u is
-    relaxed. Its own gain is 0, which never raises u's label. An atom whose
+    relaxed. A label rises only to a candidate that beats it by more than
+    CYCLE_TOL; u's own gain is 0, which never raises u's label. An atom whose
     label rises joins the queue unless it is already there. One pass takes
     the atoms queued during the pass before, so without a gaining cycle the
     labels settle within n - 1 passes. Each relaxation works on full-length
     masks; the atoms it queues join in index order.
 
     Returns ``(dist, None)``, with dist[root] = 0 and -inf on atoms no chain
-    reaches, or ``(None, cycle)`` when some cycle gains more than CYCLE_TOL.
-    Smaller cycles are rounding noise and are cut.
+    reaches, or ``(None, cycle)`` when a label still rises in pass n. Every
+    rise on the cycle's predecessor walk beat the label it replaced by more
+    than CYCLE_TOL, so the cycle gains more than CYCLE_TOL. When the queue
+    empties, every atom's final label has been relaxed, so each chain
+    inequality holds to within CYCLE_TOL, and the root's label stays 0.
     """
     n = C.shape[0]
     cols = jj.tolist()
@@ -150,20 +154,17 @@ def _longest_paths(C: np.ndarray, ii: np.ndarray, jj: np.ndarray, root: int):
     dist = np.full(n, -np.inf)
     dist[root] = 0.0
     pred = np.full(n, -1)
-    rise = np.zeros(n)
     queued = np.zeros(n, dtype=bool)
     queued[root] = True
     cand = np.empty(n)
     up, fresh = np.empty((2, n), dtype=bool)
     batch = [root]
-    for passes_left in range(n - 1, -1, -1):
+    for _ in range(n):
         following = []
         for u in batch:
             queued[u] = False
             np.add(dist[u], gains(u, cand), out=cand)
-            np.greater(cand, dist, out=up)
-            if not passes_left:  # only the rises of the last pass are read
-                np.subtract(cand, dist, out=rise, where=up)
+            np.greater(cand, np.add(dist, CYCLE_TOL, out=step), out=up)
             np.copyto(dist, cand, where=up)
             np.copyto(pred, u, where=up)
             np.greater(up, queued, out=fresh)  # risen and not yet queued
@@ -171,22 +172,17 @@ def _longest_paths(C: np.ndarray, ii: np.ndarray, jj: np.ndarray, root: int):
             following += fresh.nonzero()[0].tolist()
         batch = following
         if not batch:
-            break
+            return dist, None
 
-    if batch:
-        # Labels still rose in pass n. Such an atom has a predecessor walk of
-        # n steps, each going back at most one pass, so the walk repeats an
-        # atom before it could reach a root that never rose. Start from the
-        # atom that rose most, so a real cycle wins over rounding noise.
-        walk = [batch[int(np.argmax(rise[batch]))]]
-        while walk.count(walk[-1]) == 1:
-            walk.append(int(pred[walk[-1]]))
-        atoms = walk[walk.index(walk[-1]):-1][::-1]
-        gain = float(sum(gains(a, cand)[b] for a, b in zip(atoms, atoms[1:] + atoms[:1])))
-        if gain > CYCLE_TOL:
-            return None, PositiveCycle(tuple(atoms), gain)
-    # a noise cycle through the root may have lifted its label: re-anchor it at 0
-    return dist - dist[root], None
+    # Labels still rose in pass n. Such an atom has a predecessor walk of n
+    # steps, each going back at most one pass, so the walk repeats an atom
+    # before it could reach a root that never rose.
+    walk = [batch[0]]
+    while walk.count(walk[-1]) == 1:
+        walk.append(int(pred[walk[-1]]))
+    atoms = walk[walk.index(walk[-1]):-1][::-1]
+    gain = float(sum(gains(a, cand)[b] for a, b in zip(atoms, atoms[1:] + atoms[:1])))
+    return None, PositiveCycle(tuple(atoms), gain)
 
 
 def chain_potential(model: SpacetimeModel, coupling: Coupling, root=None):

@@ -123,7 +123,12 @@ def measure_from_json(model: SpacetimeModel, obj: dict) -> DiscreteMeasure:
             raise SchemaError("atom 'x' must be a list of numbers")
         if not _is_number(t) or not _is_number(w):
             raise SchemaError("atom 't' and 'w' must be numbers")
-        if not np.isfinite(x).all() or not np.isfinite([t, w]).all():
+        try:  # a JSON integer may fit no int64, or no binary64 (OverflowError)
+            x, t, w = [float(c) for c in x], float(t), float(w)
+            finite = np.isfinite(x).all() and np.isfinite([t, w]).all()
+        except OverflowError:
+            finite = False
+        if not finite:
             raise SchemaError("atom coordinates and weight must be finite")
         if not w > 0:
             raise SchemaError("atom weight must be positive")

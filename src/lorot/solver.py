@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import Infeasible, SchemaError, TooLarge
 from .measures import DiscreteMeasure, measure_from_json
-from .spacetime import SpacetimeModel, model_from_config, row_blocks
+from .spacetime import SpacetimeModel, model_from_config, row_block_buffers
 
 ORACLE_CAP = 6
 #: an arc enters the basis when its reduced cost is below -PRICE_TOL * (1 + max |C|)
@@ -387,12 +387,9 @@ def _optimize(basis, finite, tol, stranded=False):
     """
     C = basis.C
     m = C.shape[1]
-    rows_of = row_blocks(*C.shape)
-    key = np.empty((rows_of[0].stop, m))
-    flag = np.empty(key.shape, dtype=bool)
     # each block's rows of C and finite, and the scratch its keys go to
-    blocks = [(rows.start * m, rows, C[rows], finite[rows], key[: rows.stop - rows.start],
-               flag[: rows.stop - rows.start]) for rows in rows_of]
+    blocks = [(rows.start * m, rows, C[rows], finite[rows], key, flags)
+              for rows, (key, flags) in row_block_buffers(*C.shape, float, bool)]
     while True:
         u, v = basis.potentials()
         ua, va = basis.potentials(art=True) if basis.n_artificial else (None, None)
@@ -435,14 +432,13 @@ def _lift(C, finite, duals, art_duals):
     (u, v), (ua, va) = duals, art_duals
     n, m = C.shape
     lam = 0.0
-    blocks = row_blocks(n, 2 * m)
-    ra_rows, rc_rows = np.empty((2, blocks[0].stop, m))
-    for rows in blocks:
-        ra = np.subtract(ua[rows, None], va, out=ra_rows[: rows.stop - rows.start])
+    for rows, (pair,) in row_block_buffers(n, 2 * m, float):
+        ra, rc = pair.reshape(2, -1, m)
+        np.subtract(ua[rows, None], va, out=ra)
         lift = ra > 0
         lift &= finite[rows]
         if lift.any():
-            rc = np.add(C[rows], u[rows, None], out=rc_rows[: rows.stop - rows.start])
+            np.add(C[rows], u[rows, None], out=rc)
             rc -= v
             np.negative(rc, out=rc)
             np.divide(rc, ra, out=rc, where=lift)

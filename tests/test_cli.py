@@ -65,6 +65,13 @@ class TestSolveCommand:
         assert main(["solve", "--input", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 3
 
+    def test_non_utf8_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["solve", "--input", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"lorot: invalid input: cannot read input {str(path)!r}: 'utf-8' codec can't decode")
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, problem_file, tmp_path):
@@ -427,6 +434,17 @@ class TestValidateCommand:
         assert main(["validate", "--input", text, "--out", str(out)]) == 3
         assert read_result(out)["result"]["violations"] == [
             "model: cylinder 'circumference' must be finite, got inf"]
+        assert main(["solve", "--input", text, "--out", str(tmp_path / "solve")]) == 3
+
+    @pytest.mark.parametrize("field", ["x", "t", "w"])
+    def test_integer_past_binary64_violation(self, field, tmp_path):
+        atom = {"x": [0.0], "t": 0.0, "w": 1.0}
+        atom[field] = [10**400] if field == "x" else 10**400
+        text = json.dumps(dict(PROBLEM, mu={"atoms": [atom]}))
+        out = tmp_path / "out"
+        assert main(["validate", "--input", text, "--out", str(out)]) == 3
+        assert read_result(out)["result"]["violations"] == [
+            "mu: schema: atom coordinates and weight must be finite"]
         assert main(["solve", "--input", text, "--out", str(tmp_path / "solve")]) == 3
 
     def test_empty_measure_violation(self, tmp_path):

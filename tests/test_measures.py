@@ -196,9 +196,19 @@ class TestJson:
             {"atoms": [{"x": [0.0], "t": False, "w": 1.0}]},
             {"atoms": [{"x": [0.0], "t": 0.0, "w": True}]},
             {"atoms": [{"x": [True], "t": False, "w": True}]},
+            # JSON integers past binary64: float() overflows
+            {"atoms": [{"x": [10**400], "t": 0.0, "w": 1.0}]},
+            {"atoms": [{"x": [0.0], "t": -10**400, "w": 1.0}]},
+            {"atoms": [{"x": [0.0], "t": 0.0, "w": 10**400}]},
         ):
             with pytest.raises(SchemaError):
                 measure_from_json(MK1, obj)
+
+    def test_integers_past_int64_read_as_floats(self):
+        as_int = measure_from_json(MK1, {"atoms": [{"x": [-10**20], "t": 10**20, "w": 1}]})
+        as_float = measure_from_json(MK1, {"atoms": [{"x": [-1e20], "t": 1e20, "w": 1.0}]})
+        assert as_int.coords_array().tobytes() == as_float.coords_array().tobytes()
+        assert as_int.points == as_float.points
 
 
 class TestFromArrays:
