@@ -328,18 +328,22 @@ def build_profile(eps: float) -> ProfileFunction:
 def cylinder_potential(profile: ProfileFunction, ys, theta_grid: int = 100000) -> np.ndarray:
     """inf over the circle of profile(theta) + cost((theta, 0), y), per target.
 
-    ``ys`` is a (k, 2) coordinate array of targets, time last, as for
-    :meth:`SpacetimeModel.cost_matrix`; returns the k values. Each infimum is
-    taken over theta_grid equispaced angles plus the target's own angle
-    (the only causal source when y lies on the slice t=0), then refined by
-    ternary search around the grid argmin to width 1e-10. All k searches run
-    in lockstep, each until its own width is reached.
+    ``ys`` is a finite (k, 2) array of targets at times >= 0, time last, as
+    for :meth:`SpacetimeModel.cost_matrix` (a ``ValueError`` names the first
+    bad row); returns the k values. Each infimum is taken over theta_grid
+    equispaced angles plus the target's own angle (the only causal source when
+    y lies on the slice t=0), then refined by ternary search around the grid
+    argmin to width 1e-10. All k searches run in lockstep, each until its own
+    width is reached.
     """
-    if theta_grid < 1:
-        raise ValueError(f"theta_grid must be at least 1, got {theta_grid!r}")
+    if not isinstance(theta_grid, (int, np.integer)) or theta_grid < 1:
+        raise ValueError(f"theta_grid must be an integer >= 1, got {theta_grid!r}")
     ys = np.asarray(ys, dtype=float)
-    if np.any(ys[:, -1] < 0):
-        raise ValueError("targets must lie at time >= 0")
+    if ys.ndim != 2 or ys.shape[1] != 2:
+        raise ValueError(f"targets must form a (k, 2) array, got shape {ys.shape}")
+    bad = np.flatnonzero(~np.isfinite(ys).all(axis=1) | (ys[:, 1] < 0))
+    if len(bad):
+        raise ValueError(f"target row {bad[0]} must be finite at time >= 0, got {ys[bad[0]].tolist()}")
     model = Cylinder(5.0)
 
     def objective(thetas, targets):
@@ -349,11 +353,11 @@ def cylinder_potential(profile: ProfileFunction, ys, theta_grid: int = 100000) -
 
     h = 5.0 / theta_grid
     grid = np.arange(theta_grid) * h
-    thetas = np.vstack([np.broadcast_to(grid[:, None], (theta_grid, len(ys))), ys[:, 0]])
-    vals = objective(thetas, ys)
-    best = (np.argmin(vals, axis=0), np.arange(len(ys)))
-    phi = vals[best]
-    lo, hi = thetas[best] - h, thetas[best] + h
+    vals = np.vstack([objective(grid[:, None], ys), objective(ys[:, 0], ys)])
+    best = np.argmin(vals, axis=0)
+    phi = vals[best, np.arange(len(ys))]
+    theta = np.where(best < theta_grid, grid[best % theta_grid], ys[:, 0])
+    lo, hi = theta - h, theta + h
     active = np.flatnonzero(np.isfinite(phi) & (hi - lo > 1e-10))
     while len(active):
         a, b = lo[active], hi[active]

@@ -10,6 +10,8 @@ equal and serialize identically. ``points`` and ``weights`` build
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BadGrid, SchemaError
@@ -109,12 +111,13 @@ def _is_number(value) -> bool:
 
 
 def measure_from_json(model: SpacetimeModel, obj: dict) -> DiscreteMeasure:
+    """Check each JSON atom in plain Python, then normalize all spatial columns at once."""
     if not isinstance(obj, dict) or "atoms" not in obj:
         raise SchemaError("measure must be an object with an 'atoms' list")
     atoms = obj["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise SchemaError("empty measure")
-    rows, weights = [], []
+    d, rows = model.spatial_dim, []
     for a in atoms:
         if not isinstance(a, dict) or not {"x", "t", "w"} <= set(a):
             raise SchemaError("each atom needs 'x', 't' and 'w' fields")
@@ -124,21 +127,20 @@ def measure_from_json(model: SpacetimeModel, obj: dict) -> DiscreteMeasure:
         if not _is_number(t) or not _is_number(w):
             raise SchemaError("atom 't' and 'w' must be numbers")
         try:  # a JSON integer may fit no int64, or no binary64 (OverflowError)
-            x, t, w = [float(c) for c in x], float(t), float(w)
-            finite = np.isfinite(x).all() and np.isfinite([t, w]).all()
+            row = [float(c) for c in x] + [float(t), float(w)]
         except OverflowError:
-            finite = False
-        if not finite:
+            row = [math.inf]
+        if not all(map(math.isfinite, row)):
             raise SchemaError("atom coordinates and weight must be finite")
-        if not w > 0:
+        if not row[-1] > 0:
             raise SchemaError("atom weight must be positive")
-        try:
-            rows.append(model.make_point(x, t).coords())
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-        weights.append(float(w))
+        if len(x) != d:  # the message of SpacetimeModel.make_point
+            raise SchemaError(f"expected {d} spatial coordinates, got {len(x)}")
+        rows.append(row)
+    table = np.array(rows)
+    table[:, :-2] = model.normalize(table[:, :-2])
     try:
-        return DiscreteMeasure.from_arrays(rows, weights)[0]
+        return DiscreteMeasure.from_arrays(table[:, :-1], table[:, -1])[0]
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 

@@ -122,7 +122,7 @@ class Coupling:
         return self.problem.cost_matrix()
 
     @classmethod
-    def from_entries(cls, problem, entries, exact_masses=None, exact_denominator=None):
+    def from_entries(cls, problem, entries):
         """The coupling of ``problem`` with these ``(i, j, mass)`` entries.
 
         Raises ``ValueError`` naming the first bad entry in (i, j) order: out
@@ -139,8 +139,7 @@ class Coupling:
             i, j = next((i, j) for i, j, _ in entries if max(abs(int(i)), abs(int(j))) >= 2**63)
             raise ValueError(f"entry ({i},{j}) lies outside the "
                              f"{problem.mu.n_atoms}x{problem.nu.n_atoms} problem") from None
-        return cls.from_columns(problem, ii, jj, np.array(masses, dtype=float),
-                                exact_masses, exact_denominator)
+        return cls.from_columns(problem, ii, jj, np.array(masses, dtype=float))
 
     @classmethod
     def from_columns(cls, problem, ii, jj, masses, exact_masses=None, exact_denominator=None):

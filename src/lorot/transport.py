@@ -119,10 +119,8 @@ def restrict(model: SpacetimeModel, coupling: Coupling, s1: float, s2: float,
     # entries landing on one (atom of m1, atom of m2) pair merge, masses added in entry order
     pairs, merged_at = np.unique(map1 * m2.n_atoms + map2, return_inverse=True)
     merged = np.bincount(merged_at, weights=mass)
-    entries = list(zip((pairs // m2.n_atoms).tolist(), (pairs % m2.n_atoms).tolist(),
-                       merged.tolist()))
     problem = TransportProblem(model, m1, m2)
-    restricted = Coupling.from_entries(problem, entries)
+    restricted = Coupling.from_columns(problem, pairs // m2.n_atoms, pairs % m2.n_atoms, merged)
     if verify:
         solved, _ = solve(problem)
         if abs(restricted.total_cost - solved.total_cost) > 1e-9 * (1 + abs(solved.total_cost)):
@@ -147,21 +145,22 @@ def polytope_volume(model: SpacetimeModel, spatial) -> float:
 def contraction_check(model: SpacetimeModel, vertices, y: Point, t: float):
     """Contract a slice polytope toward a target and compare volumes.
 
-    ``vertices`` span a convex polytope inside one time slice; every vertex
-    must causally precede y. The map x -> geodesic_point(x, y, t) is affine
-    on the slice with Jacobian (1-t)**d, so the measured image volume equals
-    the predicted one exactly up to rounding.
+    ``vertices`` span a full-dimensional convex polytope in one time slice;
+    every vertex must causally precede y. The map x -> geodesic_point(x, y, t)
+    is affine on the slice with Jacobian (1-t)**d, so the measured image
+    volume equals the predicted one exactly up to rounding.
 
     On the cylinder the polytope must not straddle the seam (volumes are
     taken in the stored coordinates). Returns ``(measured, predicted)``.
     """
     xs = np.array([v.coords() for v in vertices], dtype=float)
-    if len(xs) < 2:
-        raise ValueError("polytope needs at least two vertices")
+    d = model.spatial_dim
+    if len(xs) <= d or np.linalg.matrix_rank(xs[1:, :-1] - xs[0, :-1]) < d:
+        raise ValueError(f"polytope needs {d + 1} affinely independent vertices")
     if (xs[:, -1] != xs[0, -1]).any():
         raise ValueError("polytope vertices must lie in a single time slice")
     image = model.geodesic_points(xs, np.array(y.coords()), t)
-    predicted = (1.0 - t) ** model.spatial_dim * polytope_volume(model, xs[:, :-1])
+    predicted = (1.0 - t) ** d * polytope_volume(model, xs[:, :-1])
     if t == 1.0:
         return 0.0, predicted
     return polytope_volume(model, image[:, :-1]), predicted

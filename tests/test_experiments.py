@@ -181,6 +181,22 @@ class TestCylinderPotential:
             with pytest.raises(ValueError, match=f"got {bad}$"):
                 cylinder_potential(build_profile(0.25), [[1.0, 0.5]], bad)
 
+    @pytest.mark.parametrize("ys, message", [
+        ([[1.0, np.nan]], r"target row 0 .* got \[1.0, nan\]$"),
+        ([[np.inf, 0.5]], r"target row 0 .* got \[inf, 0.5\]$"),
+        ([[1.0, 0.5], [2.0, -1e-300], [1.0, np.nan]], r"target row 1 .* got \[2.0, -1e-300\]$"),
+        ([[1.0, 0.2, 0.5]], r"got shape \(1, 3\)$"),
+        ([1.0, 0.5], r"got shape \(2,\)$"),
+    ], ids=["nan-time", "inf-angle", "first-bad-row", "three-columns", "one-target-flat"])
+    def test_malformed_targets_rejected(self, ys, message):
+        with pytest.raises(ValueError, match=message):
+            cylinder_potential(build_profile(0.25), ys, 1000)
+
+    def test_fractional_grid_rejected(self):
+        with pytest.raises(ValueError, match="got 1.5$"):
+            cylinder_potential(build_profile(0.25), [[1.0, 0.5]], 1.5)
+        assert np.isfinite(cylinder_potential(build_profile(0.25), [[1.0, 0.5]], np.int64(1)))
+
     @pytest.mark.parametrize("t", [1.0, 0.5, 1e-200])
     def test_cusp_targets_match_per_target_search(self, t):
         f = build_profile(0.25)

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from lorot.errors import BadGrid, SchemaError
+from lorot.experiments import line_blowup_problem
 from lorot.measures import (
     DiscreteMeasure,
+    _is_number,
     grid_segment,
     measure_from_json,
     strictify,
 )
-from lorot.spacetime import Cylinder, Minkowski
+from lorot.spacetime import Cylinder, Minkowski, SpacetimeModel
 
 MK1 = Minkowski(1)
 
@@ -209,6 +211,139 @@ class TestJson:
         as_float = measure_from_json(MK1, {"atoms": [{"x": [-1e20], "t": 1e20, "w": 1.0}]})
         assert as_int.coords_array().tobytes() == as_float.coords_array().tobytes()
         assert as_int.points == as_float.points
+
+
+def reference_measure_from_json(model, obj):
+    """The reader as it stood when every atom went through ``make_point``."""
+    if not isinstance(obj, dict) or "atoms" not in obj:
+        raise SchemaError("measure must be an object with an 'atoms' list")
+    atoms = obj["atoms"]
+    if not isinstance(atoms, list) or not atoms:
+        raise SchemaError("empty measure")
+    rows, weights = [], []
+    for a in atoms:
+        if not isinstance(a, dict) or not {"x", "t", "w"} <= set(a):
+            raise SchemaError("each atom needs 'x', 't' and 'w' fields")
+        x, t, w = a["x"], a["t"], a["w"]
+        if not isinstance(x, list) or not all(_is_number(c) for c in x):
+            raise SchemaError("atom 'x' must be a list of numbers")
+        if not _is_number(t) or not _is_number(w):
+            raise SchemaError("atom 't' and 'w' must be numbers")
+        try:  # a JSON integer may fit no int64, or no binary64 (OverflowError)
+            x, t, w = [float(c) for c in x], float(t), float(w)
+            finite = np.isfinite(x).all() and np.isfinite([t, w]).all()
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise SchemaError("atom coordinates and weight must be finite")
+        if not w > 0:
+            raise SchemaError("atom weight must be positive")
+        try:
+            rows.append(model.make_point(x, t).coords())
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
+        weights.append(float(w))
+    try:
+        return DiscreteMeasure.from_arrays(rows, weights)[0]
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+FUZZ_MODELS = (Minkowski(1), Minkowski(2), Cylinder(5.0))
+# values no atom may hold, and numbers at the edges of what one may
+FAULTS = (True, False, None, "1", [0.0], float("nan"), float("inf"), -float("inf"),
+          10**400, -10**400)
+EDGES = (10**20, -10**20, -0.0, 0, 7, 5.0, -5.0, -1e-17, 12.5, 1e300)
+
+
+def fuzz_value(rng, fault_rate):
+    r = rng.random()
+    if r < fault_rate:
+        return FAULTS[rng.integers(len(FAULTS))]
+    if r < fault_rate + 0.15:
+        return EDGES[rng.integers(len(EDGES))]
+    return float(rng.uniform(-7.0, 7.0))
+
+
+def fuzz_measure(rng, model):
+    """A JSON measure of 1-5 atoms, mostly well formed, with faults mixed in:
+    non-numbers, non-finite or oversized numbers, wrong-length ``x``,
+    missing fields, repeated events and weights that miss a total of 1."""
+    n = int(rng.integers(1, 6))
+    fault_rate = (0.0, 0.02, 0.1)[rng.integers(3)]
+    weights = rng.dirichlet(np.ones(n)).tolist()
+    if rng.random() < 0.1:
+        weights[rng.integers(n)] *= 2.0
+    atoms = []
+    for w in weights:
+        if atoms and rng.random() < 0.15:  # the same event again
+            atoms.append(dict(atoms[-1], w=w))
+            continue
+        d = model.spatial_dim + (int(rng.integers(-1, 2)) if rng.random() < 0.05 else 0)
+        atom = {"x": [fuzz_value(rng, fault_rate) for _ in range(d)],
+                "t": fuzz_value(rng, fault_rate),
+                "w": fuzz_value(rng, fault_rate / 2) if rng.random() < fault_rate else w}
+        if rng.random() < 0.02:
+            del atom[("x", "t", "w")[rng.integers(3)]]
+        atoms.append(atom)
+    return {"atoms": atoms}
+
+
+def read_outcome(reader, model, obj):
+    """The coordinate and weight bytes a reader returns, or what it raises."""
+    try:
+        m = reader(model, obj)
+    except Exception as exc:  # noqa: BLE001 - the outcome under test
+        return type(exc), str(exc)
+    return m.coords_array().tobytes(), m.weights_array().tobytes()
+
+
+class TestReaderAgainstReference:
+    def test_fuzz_matches_reference(self):
+        rng = np.random.default_rng(2020)
+        outcomes = set()
+        for k in range(6000):
+            model = FUZZ_MODELS[k % 3]
+            obj = fuzz_measure(rng, model)
+            expected = read_outcome(reference_measure_from_json, model, obj)
+            assert read_outcome(measure_from_json, model, obj) == expected, (model, obj)
+            outcomes.add(expected[0] if isinstance(expected[0], type) else "read")
+        # the set reaches success and both error paths, not one of them only
+        assert outcomes == {"read", SchemaError}
+
+    def test_wrapper_faults_match_reference(self):
+        for obj in (None, [], {}, {"atoms": None}, {"atoms": []}, {"atoms": [1.0]},
+                    {"atoms": {"x": [0.0], "t": 0.0, "w": 1.0}}):
+            expected = read_outcome(reference_measure_from_json, MK1, obj)
+            assert read_outcome(measure_from_json, MK1, obj) == expected
+
+    def test_dimension_message_is_make_points(self):
+        for model in FUZZ_MODELS:
+            for k in (0, model.spatial_dim + 1):
+                with pytest.raises(ValueError) as expected:
+                    model.make_point([0.5] * k, 0.0)
+                with pytest.raises(SchemaError) as got:
+                    measure_from_json(model, {"atoms": [{"x": [0.5] * k, "t": 0.0, "w": 1.0}]})
+                assert str(got.value) == str(expected.value)
+
+    def test_reads_without_make_point(self, monkeypatch):
+        line = line_blowup_problem(400).mu.to_json_obj()
+        angles = [-1e-17, -2.5, 0.0, 4.75, 5.0, 7.5, 12.25, -7.0]
+        cylinder = {"atoms": [{"x": [a], "t": 0.125 * k, "w": 0.125}
+                              for k, a in enumerate(angles)]}
+        cases = [(MK1, line), (Cylinder(5.0), cylinder)]
+        expected = [reference_measure_from_json(model, obj) for model, obj in cases]
+
+        def refuse(self, spatial, time):
+            raise AssertionError("the reader built a Point")
+
+        monkeypatch.setattr(SpacetimeModel, "make_point", refuse)
+        for (model, obj), want in zip(cases, expected):
+            got = measure_from_json(model, obj)
+            assert got.coords_array().tobytes() == want.coords_array().tobytes()
+            assert got.weights_array().tobytes() == want.weights_array().tobytes()
+        assert expected[0].n_atoms == 400
+        assert (expected[1].coords_array()[:, 0] < 5.0).all()
 
 
 class TestFromArrays:

@@ -153,6 +153,21 @@ class TestContraction:
         with pytest.raises(ValueError):
             contraction_check(MK2, verts, pt(MK2, 0, 0, 9), 0.5)
 
+    @pytest.mark.parametrize("model, spatial", [
+        (MK1, [[0.5], [0.5]]),
+        (MK2, [[0, 0], [1, 1]]),
+        (MK2, [[0, 0], [1, 1], [3, 3]]),
+        (MK2, [[0.1, 0.2], [0.3, 0.6], [0.7, 1.4], [0.2, 0.4]]),
+        (MK3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 5, 0]]),
+        (MK3, [[0, 0, 0], [1, 0, 0], [0, 1, 0]]),
+    ], ids=["d1-coincident", "d2-two", "d2-collinear", "d2-collinear-rounded",
+            "d3-coplanar", "d3-three"])
+    def test_flat_polytope_rejected(self, model, spatial):
+        verts = [model.make_point(x, 0.0) for x in spatial]
+        y = model.make_point([0.0] * model.spatial_dim, 20.0)
+        with pytest.raises(ValueError, match="affinely independent vertices"):
+            contraction_check(model, verts, y, 0.5)
+
 
 class TestRayDecomposition:
     def test_two_parallel_rays(self):
