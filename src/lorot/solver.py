@@ -153,39 +153,33 @@ class Coupling:
         ii, jj, masses = ii[order], jj[order], masses[order]
         if exact_masses is not None:
             exact_masses = tuple([exact_masses[k] for k in order.tolist()])
-        # the checks of each entry, in the order they are made
-        outside = (ii < 0) | (ii >= n) | (jj < 0) | (jj >= m)
-        cost = C[np.where(outside, 0, ii), np.where(outside, 0, jj)]
-        checks = (outside, ~(masses > 0), ~np.isfinite(cost),
-                  np.concatenate(([False], (ii[1:] == ii[:-1]) & (jj[1:] == jj[:-1]))))
-        bad = np.logical_or.reduce(checks)
-        if bad.any():
-            k = int(np.argmax(bad))
-            i, j, mass = ii.item(k), jj.item(k), masses.item(k)
-            raise ValueError(next(message for check, message in zip(checks, (
-                f"entry ({i},{j}) lies outside the {n}x{m} problem",
-                f"entry ({i},{j}) has nonpositive mass {mass}",
-                f"entry ({i},{j}) pairs non-causal atoms",
-                f"entry ({i},{j}) appears more than once",
-            )) if check[k]))
+        il, jl = ii.tolist(), jj.tolist()
+        inside = 0 <= il[0] and il[-1] < n and 0 <= min(jl) and max(jl) < m
+        if inside:
+            # the flat index of each pair rises strictly unless a pair repeats
+            flat = ii * m + jj
+            cost = C.take(flat)
+        if not (inside and masses.min() > 0 and np.isfinite(cost).all()
+                and (flat[1:] > flat[:-1]).all()):
+            raise ValueError(_first_bad_entry(C, ii, jj, masses))
         # summed in (i, j) order, one entry after the other, as a Python loop
         # from 0 would: accumulate adds sequentially, and + 0.0 turns the
         # -0.0 of an all -0.0 sum into the loop's 0.0
         total = float(np.add.accumulate(masses * cost)[-1]) + 0.0
-        entries = tuple(zip(ii.tolist(), jj.tolist(), masses.tolist()))
-        coupling = cls(problem, entries, total, exact_masses, exact_denominator,
-                       columns=(ii, jj, masses))
-        for side, index, measure in (("mu", ii, problem.mu), ("nu", jj, problem.nu)):
-            w = measure.weights_array()
-            sums = np.bincount(index, weights=masses, minlength=len(w))
-            off = np.flatnonzero(np.abs(sums - w) > 1e-9 * (1.0 + w))
-            if len(off):
-                k = off[0]
-                raise ValueError(
-                    f"{side}-atom {k} carries mass {float(sums[k])!r} in the coupling, "
-                    f"not its weight {float(w[k])!r}"
-                )
-        return coupling
+        # both marginals in one count: node i is mu-atom i, node n + j nu-atom j
+        w = np.concatenate((problem.mu.weights_array(), problem.nu.weights_array()))
+        sums = np.bincount(np.concatenate((ii, jj + n)), np.concatenate((masses, masses)), n + m)
+        off = np.abs(sums - w) > 1e-9 * (1.0 + w)
+        if off.any():
+            k = int(off.argmax())
+            side, atom = ("mu", k) if k < n else ("nu", k - n)
+            raise ValueError(
+                f"{side}-atom {atom} carries mass {float(sums[k])!r} in the coupling, "
+                f"not its weight {float(w[k])!r}"
+            )
+        entries = tuple(zip(il, jl, masses.tolist()))
+        return cls(problem, entries, total, exact_masses, exact_denominator,
+                   columns=(ii, jj, masses))
 
     @property
     def n_entries(self) -> int:
@@ -201,6 +195,24 @@ class Coupling:
         return self.mu.coords_array()[ii], self.nu.coords_array()[jj]
 
 
+def _first_bad_entry(C, ii, jj, masses):
+    """The fault of the first bad entry of columns sorted by (i, j): out of
+    range, nonpositive mass, non-causal or repeated, checked in that order."""
+    n, m = C.shape
+    outside = (ii < 0) | (ii >= n) | (jj < 0) | (jj >= m)
+    cost = C[np.where(outside, 0, ii), np.where(outside, 0, jj)]
+    checks = (outside, ~(masses > 0), ~np.isfinite(cost),
+              np.concatenate(([False], (ii[1:] == ii[:-1]) & (jj[1:] == jj[:-1]))))
+    k = int(np.argmax(np.logical_or.reduce(checks)))
+    i, j, mass = ii.item(k), jj.item(k), masses.item(k)
+    return next(message for check, message in zip(checks, (
+        f"entry ({i},{j}) lies outside the {n}x{m} problem",
+        f"entry ({i},{j}) has nonpositive mass {mass}",
+        f"entry ({i},{j}) pairs non-causal atoms",
+        f"entry ({i},{j}) appears more than once",
+    )) if check[k])
+
+
 def _integer_marginals(wa, wb):
     """Put both weight vectors over their least common denominator.
 
@@ -211,17 +223,20 @@ def _integer_marginals(wa, wb):
     """
     ra = [w.as_integer_ratio() for w in wa]
     rb = [w.as_integer_ratio() for w in wb]
-    # every denominator is a power of two, so their lcm is the largest
+    # every denominator is a power of two, so their lcm is the largest; the
+    # weight with that denominator has an odd numerator (unless the
+    # denominator is 1), so a, b and denom share no factor
     denom = max(d for _, d in itertools.chain(ra, rb))
     a = [p * (denom // d) for p, d in ra]
     b = [p * (denom // d) for p, d in rb]
     sa, sb = sum(a), sum(b)
-    if sa != sb:
-        # b scaled by sa / sb, with a and b over denom * (sb / g)
-        g = gcd(sa, sb)
-        a = [q * (sb // g) for q in a]
-        b = [q * (sa // g) for q in b]
-        denom *= sb // g
+    if sa == sb:
+        return a, b, denom
+    # b scaled by sa / sb, with a and b over denom * (sb / g)
+    g = gcd(sa, sb)
+    a = [q * (sb // g) for q in a]
+    b = [q * (sa // g) for q in b]
+    denom *= sb // g
     assert sum(a) == sum(b)
     g = gcd(denom, *a, *b)
     return [q // g for q in a], [q // g for q in b], denom // g
@@ -262,14 +277,15 @@ class _Basis:
         # labels of p are final, so those of x are set here as _relabel would
         x, p = n, 0
         while True:
-            q = min(a, b)
+            q = a if a < b else b
             parent[x], flow[x] = p, q
             children[p].append(x)
             depth[x] = depth[p] + 1
-            c, d = cost(i, j), 0
-            if not isfinite(c):
+            c = cost(i, j)
+            d = not isfinite(c)
+            if d:
                 artificial[x] = True
-                c, d = 0.0, 1
+                c = 0.0
             if x >= n:
                 pot[x] = pot[p] + c
                 art[x] = art[p] + d
@@ -298,13 +314,14 @@ class _Basis:
     def support(self):
         """``(ii, jj, flows)`` of the real tree arcs that carry flow, in node
         order: two index arrays and the exact flows as a list."""
-        carries = np.fromiter(map(bool, self.flow), bool, len(self.flow))
-        nodes = np.flatnonzero(carries & ~np.array(self.artificial))
-        above = np.array(self.parent)[nodes]
-        mu_side = nodes < self.n
-        ii = np.where(mu_side, nodes, above)
-        jj = np.where(mu_side, above, nodes) - self.n
-        return ii, jj, [self.flow[x] for x in nodes.tolist()]
+        n, ii, jj, flows = self.n, [], [], []
+        for x, (p, q, artificial) in enumerate(zip(self.parent, self.flow, self.artificial)):
+            if q and not artificial:
+                i, j = (x, p - n) if x < n else (p, x - n)
+                ii.append(i)
+                jj.append(j)
+                flows.append(q)
+        return np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64), flows
 
     def stranded(self):
         """Mass each mu-atom ships on artificial arcs, where it is nonzero."""
@@ -325,12 +342,12 @@ class _Basis:
             x = stack.pop()
             p = parent[x]
             depth[x] = depth[p] + 1
-            c, a = (0.0, 1) if artificial[x] else (cost(min(x, p), max(x, p) - n), 0)
+            a = artificial[x]
             if x >= n:
-                pot[x] = pot[p] + c
+                pot[x] = pot[p] + (0.0 if a else cost(p, x - n))
                 art[x] = art[p] + a
             else:
-                pot[x] = pot[p] - c
+                pot[x] = pot[p] - (0.0 if a else cost(x, p - n))
                 art[x] = art[p] - a
             stack.extend(children[x])
 
@@ -352,15 +369,19 @@ class _Basis:
             x = parent[x]
             side_j.append(y)
             y = parent[y]
-        # walk the cycle from the apex down to nu-atom j, across to mu-atom i
-        # and back up; flow rises on (i, j), so it falls on the arcs above the
-        # nu-atoms of side_j and the mu-atoms of side_i
-        walk = [(y, y >= n) for y in reversed(side_j)] + [(x, x < n) for x in side_i]
-        delta = min(flow[x] for x, falls in walk if falls)
-        leave = next(x for x, falls in reversed(walk) if falls and flow[x] == delta)
+        # flow rises on (i, j), so it falls on the arcs above the nu-atoms of
+        # side_j and the mu-atoms of side_i; listed as the cycle is walked,
+        # from the apex down to nu-atom j, across to mu-atom i and back up
+        falling = [y for y in reversed(side_j) if y >= n] + [x for x in side_i if x < n]
+        flows = [flow[x] for x in falling]
+        delta = min(flows)
+        # the last arc met at the least flow leaves
+        leave = falling[len(flows) - 1 - flows[::-1].index(delta)]
         if delta:
-            for x, falls in walk:
-                flow[x] += -delta if falls else delta
+            for x in side_j:
+                flow[x] += -delta if x >= n else delta
+            for x in side_i:
+                flow[x] += -delta if x < n else delta
         # hang the subtree cut off by the leaving arc from the entering arc,
         # reversing the tree path in between
         top, side, p = (i, side_i, n + j) if leave in side_i else (n + j, side_j, i)
@@ -412,9 +433,9 @@ def _optimize(basis, finite, tol, stranded=False):
             block -= v
             if ua is not None:
                 block[flags] = np.inf
-            b = int(np.argmin(block))
-            if block.flat[b] < best:
-                best, k = block.flat[b], first + b
+            b = int(block.argmin())
+            if block.item(b) < best:
+                best, k = block.item(b), first + b
         if k is None:
             return u, v
         basis.pivot(*divmod(k, m))
@@ -459,11 +480,10 @@ def solve(problem: TransportProblem):
     n, m = C.shape
     finite = np.isfinite(C)
     for side, other, axis in (("mu", "nu", 1), ("nu", "mu", 0)):
-        alone = np.flatnonzero(~finite.any(axis=axis))
-        if len(alone):
-            raise Infeasible(
-                f"{side}-atom {alone[0]} has no causal partner among the {other}-atoms"
-            )
+        reached = finite.any(axis=axis)
+        if not reached.all():
+            raise Infeasible(f"{side}-atom {int(reached.argmin())} has no causal partner "
+                             f"among the {other}-atoms")
 
     supplies, demands, denom = _integer_marginals(mu.weights, nu.weights)
     basis = _Basis(C, supplies, demands)

@@ -217,12 +217,23 @@ class SpacetimeModel:
         :meth:`geodesic_point`. Raises :class:`NotCausalPair` naming the first
         spacelike pair.
         """
+        return self.segment_points(*self.causal_pairs(xs, ys), t)
+
+    def causal_pairs(self, xs, ys):
+        """``xs`` and ``ys`` as float arrays broadcast to one shape, once each
+        pair ``(xs[k], ys[k])`` is known causal; raises :class:`NotCausalPair`
+        naming the first spacelike pair."""
         xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
         dtau, dist = self.separation(xs, ys)
-        spacelike = np.flatnonzero(causal_band(dtau - dist) < 0)
-        if len(spacelike):
-            x, y = _points(np.stack([xs[spacelike[0]], ys[spacelike[0]]]))
+        spacelike = causal_band(dtau - dist) < 0
+        if spacelike.any():
+            k = int(spacelike.argmax())
+            x, y = _points(np.stack([xs[k], ys[k]]))
             raise NotCausalPair(f"{x} does not causally precede {y}")
+        return xs, ys
+
+    def segment_points(self, xs, ys, t: float) -> np.ndarray:
+        """:meth:`geodesic_points` for pairs that :meth:`causal_pairs` passed."""
         t = float(t)
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"parameter must lie in [0, 1], got {t}")
@@ -230,8 +241,10 @@ class SpacetimeModel:
             return xs
         if t == 1.0:
             return ys
-        spatial = self.normalize(xs[:, :-1] + t * self.displacement(xs[:, :-1], ys[:, :-1]))
-        return np.column_stack([spatial, (1.0 - t) * xs[:, -1] + t * ys[:, -1]])
+        out = np.empty(xs.shape)
+        out[:, :-1] = self.normalize(xs[:, :-1] + t * self.displacement(xs[:, :-1], ys[:, :-1]))
+        np.add((1.0 - t) * xs[:, -1], t * ys[:, -1], out=out[:, -1])
+        return out
 
     # -- one pair ---------------------------------------------------------
 

@@ -22,7 +22,7 @@ from .diagnostics import _two_cycle_violations
 from .errors import MonotonicityViolation
 from .measures import DiscreteMeasure
 from .solver import Coupling, TransportProblem, solve
-from .spacetime import Point, SpacetimeModel
+from .spacetime import Point, SpacetimeModel, row_block_buffers, row_blocks
 
 COLLINEARITY_RTOL = 1e-10
 
@@ -63,10 +63,10 @@ class TransportRay:
     identical: bool = False
 
     def cdf_mu(self) -> RayCDF:
-        return RayCDF(self.mu_taus, tuple(np.cumsum(self.mu_masses)))
+        return RayCDF(self.mu_taus, tuple(np.cumsum(self.mu_masses).tolist()))
 
     def cdf_nu(self) -> RayCDF:
-        return RayCDF(self.nu_taus, tuple(np.cumsum(self.nu_masses)))
+        return RayCDF(self.nu_taus, tuple(np.cumsum(self.nu_masses).tolist()))
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,18 @@ class AtomSplit:
     detail: str
 
 
+def _merge(key, mass):
+    """The distinct values of the int array ``key`` in increasing order, the
+    first entry holding each, and the masses of its entries added in entry
+    order: one stable sort groups them."""
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    new = np.empty(len(key), bool)
+    new[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    return ranked[new], order[new], np.bincount(np.cumsum(new) - 1, weights=mass[order])
+
+
 def interpolate(model: SpacetimeModel, coupling: Coupling, t: float) -> DiscreteMeasure:
     """Push each entry's mass to the time-affine point of its segment.
 
@@ -111,14 +123,14 @@ def restrict(model: SpacetimeModel, coupling: Coupling, s1: float, s2: float,
     """
     if not 0.0 <= s1 <= s2 <= 1.0:
         raise ValueError(f"need 0 <= s1 <= s2 <= 1, got {s1}, {s2}")
-    xs, ys = coupling.entry_coords()
+    # one causal check of the entry segments serves both interpolants
+    xs, ys = model.causal_pairs(*coupling.entry_coords())
     mass = coupling.index_arrays()[2]
     (m1, map1), (m2, map2) = (
-        DiscreteMeasure.from_arrays(model.geodesic_points(xs, ys, s), mass) for s in (s1, s2)
+        DiscreteMeasure.from_arrays(model.segment_points(xs, ys, s), mass) for s in (s1, s2)
     )
-    # entries landing on one (atom of m1, atom of m2) pair merge, masses added in entry order
-    pairs, merged_at = np.unique(map1 * m2.n_atoms + map2, return_inverse=True)
-    merged = np.bincount(merged_at, weights=mass)
+    # entries landing on one (atom of m1, atom of m2) pair merge
+    pairs, _, merged = _merge(map1 * m2.n_atoms + map2, mass)
     problem = TransportProblem(model, m1, m2)
     restricted = Coupling.from_columns(problem, pairs // m2.n_atoms, pairs % m2.n_atoms, merged)
     if verify:
@@ -167,30 +179,78 @@ def contraction_check(model: SpacetimeModel, vertices, y: Point, t: float):
 
 
 def _check_two_cycles(model: SpacetimeModel, coupling: Coupling):
-    """All-pairs two-cycle audit of the support; raises on a violation."""
+    """All-pairs two-cycle audit of the support, in row blocks; raises on
+    the first violation in row-major order."""
+    C = coupling.cost_matrix(model)
     ii, jj, _ = coupling.index_arrays()
     k = np.arange(len(ii))
-    bad, lhs, rhs = _two_cycle_violations(
-        coupling.cost_matrix(model), ii, jj, k[:, None], k[None, :]
-    )
-    if bad.any():
-        e, f = np.argwhere(bad)[0]
-        raise MonotonicityViolation(
-            f"two-cycle improvement between entries {int(e)} and {int(f)}: "
-            f"{lhs[e, f]!r} > {rhs[e, f]!r}"
-        )
+    for rows in row_blocks(len(ii), len(ii)):
+        bad, lhs, rhs = _two_cycle_violations(C, ii, jj, k[rows, None], k[None, :])
+        if bad.any():
+            e, f = np.argwhere(bad)[0]
+            raise MonotonicityViolation(
+                f"two-cycle improvement between entries {int(e) + rows.start} and {int(f)}: "
+                f"{lhs[e, f]!r} > {rhs[e, f]!r}"
+            )
+
+
+def _joins(model: SpacetimeModel, xs, ys) -> np.ndarray:
+    """Which of the segments from xs to ys share a ray, as an E x E boolean
+    matrix: each lies on the other's line (cross-displacement of both ends
+    below ``COLLINEARITY_RTOL`` times the segment length) and their time
+    intervals intersect. The pairwise geometry walks rows in blocks, so the
+    only E x E arrays are boolean."""
+    E, width = xs.shape
+    # spacetime direction of each segment, wrap-aware in the spatial part
+    dirs = ys - xs
+    model.displacement(xs[:, :-1], ys[:, :-1], out=dirs[:, :-1])
+    # np.linalg.norm's arithmetic, without its call overhead
+    lens = np.sqrt(np.add.reduce(dirs * dirs, axis=1))
+    unit = dirs / lens[:, None]
+    tol = COLLINEARITY_RTOL * lens
+    ends = np.concatenate((xs, ys))
+    on_line = np.empty((E, E), bool)
+    for rows, (w, prod) in row_block_buffers(E, 2 * E * width, float, float):
+        w, prod = w.reshape(-1, 2 * E, width), prod.reshape(-1, 2 * E, width)
+        # displacement of both ends of every segment from each base point,
+        # less its part along the base segment; one coordinate plane at a
+        # time, as a broadcast over a short last axis is slow
+        for c in range(width - 1):
+            model.displacement(xs[rows, None, c], ends[:, c], out=w[..., c])
+        np.subtract(ends[:, -1], xs[rows, None, -1], out=w[..., -1])
+        along = np.einsum("efc,ec->ef", w, unit[rows])
+        for c in range(width):
+            np.multiply(along, unit[rows, None, c], out=prod[..., c])
+        w -= prod
+        w *= w
+        # squared distance off the line, its coordinates added in order
+        off = w[..., 0].copy()
+        for c in range(1, width):
+            off += w[..., c]
+        # the farther end decides; sqrt is monotone, so it is taken once
+        off_line = np.sqrt(np.maximum(off[:, :E], off[:, E:]))
+        # time overlap is symmetric, so it may go in before the transpose
+        np.less_equal(off_line, tol[rows, None], out=on_line[rows])
+        on_line[rows] &= (np.maximum(xs[rows, None, -1], xs[:, -1])
+                          <= np.minimum(ys[rows, None, -1], ys[:, -1]))
+    return on_line & on_line.T
 
 
 def _components(join: np.ndarray) -> np.ndarray:
     """Smallest node of each node's connected component in the symmetric
     boolean matrix ``join``: min-label propagation with pointer jumping."""
-    label = np.arange(len(join))
+    label, step = np.arange(len(join)), np.empty(len(join), np.int64)
+    blocks = list(row_block_buffers(len(join), len(join), np.int64))
     while True:
-        step = np.where(join, label, label[:, None]).min(axis=1)
-        step = step[step]
-        if (step == label).all():
+        for rows, (pick,) in blocks:
+            # a node's label where join holds, the row's own label elsewhere
+            np.copyto(pick, label[rows, None])
+            np.copyto(pick, label, where=join[rows])
+            np.min(pick, axis=1, out=step[rows])
+        jumped = step[step]
+        if (jumped == label).all():
             return label
-        label = step
+        label = jumped
 
 
 def ray_decomposition(model: SpacetimeModel, coupling: Coupling):
@@ -208,49 +268,29 @@ def ray_decomposition(model: SpacetimeModel, coupling: Coupling):
     _check_two_cycles(model, coupling)
     ii, jj, mass = coupling.index_arrays()
     xs, ys = coupling.entry_coords()
-    root = np.arange(len(ii))
-    moving = np.flatnonzero(~np.all(xs == ys, axis=1))
+    stay = (xs == ys).all(axis=1)
+    moving = np.flatnonzero(~stay)
+    entry = np.arange(len(ii))
+    root = entry.copy()
     if len(moving):
-        xc, yc = xs[moving], ys[moving]
-        # spacetime direction of each segment, wrap-aware in the spatial part
-        dirs = np.concatenate(
-            [model.displacement(xc[:, :-1], yc[:, :-1]), yc[:, -1:] - xc[:, -1:]], axis=1
-        )
-        lens = np.linalg.norm(dirs, axis=1)
-        unit = dirs / lens[:, None]
-        # displacement of every segment endpoint from every base point
-        dx = model.displacement(xc[:, None, :-1], xc[None, :, :-1])
-        dy = model.displacement(xc[:, None, :-1], yc[None, :, :-1])
-        wx = np.concatenate([dx, xc[None, :, -1:] - xc[:, None, -1:]], axis=2)
-        wy = np.concatenate([dy, yc[None, :, -1:] - xc[:, None, -1:]], axis=2)
-
-        def perp_norm(w):
-            along = np.einsum("efc,ec->ef", w, unit)
-            perp = w - along[:, :, None] * unit[:, None, :]
-            return np.linalg.norm(perp, axis=2)
-
-        off_line = np.maximum(perp_norm(wx), perp_norm(wy))
-        collinear = off_line <= COLLINEARITY_RTOL * lens[:, None]
-        lo = np.maximum(xc[:, -1][:, None], xc[:, -1][None, :])
-        hi = np.minimum(yc[:, -1][:, None], yc[:, -1][None, :])
-        join = collinear & collinear.T & (lo <= hi)
-        root[moving] = moving[_components(join)]
-    roots, ray_of = np.unique(root, return_inverse=True)
-    identical = np.all(xs[roots] == ys[roots], axis=1)
+        root[moving] = moving[_components(_joins(model, xs[moving], ys[moving]))]
+    # a ray is numbered by the rank of its root, its smallest entry
+    heads = root == entry
+    ray_of = (np.cumsum(heads) - 1)[root]
+    identical = stay[heads]
 
     def side(atoms, measure):
         """Ray, atom, time and mass of each (ray, atom) pair, sorted by ray,
         then time, then first appearance; masses add in entry order."""
-        n = measure.n_atoms
-        keys, first, at = np.unique(ray_of * n + atoms, return_index=True, return_inverse=True)
-        ray, atom = keys // n, keys % n
+        _, first, pair_mass = _merge(ray_of * measure.n_atoms + atoms, mass)
+        ray, atom = ray_of[first], atoms[first]
         tau = measure.coords_array()[atom, -1]
-        order = np.lexsort((first, tau, ray))
-        return ray[order], atom[order], tau[order], np.bincount(at, weights=mass)[order]
+        by_time = np.lexsort((first, tau, ray))
+        return ray[by_time], atom[by_time], tau[by_time], pair_mass[by_time]
 
     def per_ray(ray, *columns):
         """Each column, grouped by the sorted ``ray``, as one tuple per ray."""
-        cuts = np.searchsorted(ray, np.arange(len(roots) + 1)).tolist()
+        cuts = np.searchsorted(ray, np.arange(len(identical) + 1)).tolist()
         return [[tuple(col[a:b]) for a, b in zip(cuts, cuts[1:])]
                 for col in (c.tolist() for c in columns)]
 
@@ -258,8 +298,8 @@ def ray_decomposition(model: SpacetimeModel, coupling: Coupling):
     nu_ray, nu_atom, nu_tau, nu_mass = side(jj, coupling.nu)
     on_moving = ~identical[mu_ray]
     feeds = np.bincount(mu_atom[on_moving], minlength=coupling.mu.n_atoms)
-    branch = np.flatnonzero(on_moving & (feeds[mu_atom] > 1))
-    if len(branch):
+    if feeds.max() > 1:
+        branch = np.flatnonzero(on_moving & (feeds[mu_atom] > 1))
         i = mu_atom[branch[0]]
         rs = mu_ray[on_moving & (mu_atom == i)].tolist()
         raise MonotonicityViolation(

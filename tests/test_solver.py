@@ -494,6 +494,135 @@ class TestFromEntries:
         assert coupling.n_entries == 2
 
 
+def reference_from_columns(problem, ii, jj, masses, exact_masses=None, exact_denominator=None):
+    """The mask-per-check ``Coupling.from_columns`` the one-pass checks replaced."""
+    if not len(ii):
+        raise ValueError("coupling must have at least one entry")
+    C = problem.cost_matrix()
+    n, m = C.shape
+    order = np.lexsort((jj, ii))
+    ii, jj, masses = ii[order], jj[order], masses[order]
+    if exact_masses is not None:
+        exact_masses = tuple([exact_masses[k] for k in order.tolist()])
+    outside = (ii < 0) | (ii >= n) | (jj < 0) | (jj >= m)
+    cost = C[np.where(outside, 0, ii), np.where(outside, 0, jj)]
+    checks = (outside, ~(masses > 0), ~np.isfinite(cost),
+              np.concatenate(([False], (ii[1:] == ii[:-1]) & (jj[1:] == jj[:-1]))))
+    bad = np.logical_or.reduce(checks)
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j, mass = ii.item(k), jj.item(k), masses.item(k)
+        raise ValueError(next(message for check, message in zip(checks, (
+            f"entry ({i},{j}) lies outside the {n}x{m} problem",
+            f"entry ({i},{j}) has nonpositive mass {mass}",
+            f"entry ({i},{j}) pairs non-causal atoms",
+            f"entry ({i},{j}) appears more than once",
+        )) if check[k]))
+    total = float(np.add.accumulate(masses * cost)[-1]) + 0.0
+    entries = tuple(zip(ii.tolist(), jj.tolist(), masses.tolist()))
+    coupling = Coupling(problem, entries, total, exact_masses, exact_denominator,
+                        columns=(ii, jj, masses))
+    for side, index, measure in (("mu", ii, problem.mu), ("nu", jj, problem.nu)):
+        w = measure.weights_array()
+        sums = np.bincount(index, weights=masses, minlength=len(w))
+        off = np.flatnonzero(np.abs(sums - w) > 1e-9 * (1.0 + w))
+        if len(off):
+            k = off[0]
+            raise ValueError(
+                f"{side}-atom {k} carries mass {float(sums[k])!r} in the coupling, "
+                f"not its weight {float(w[k])!r}"
+            )
+    return coupling
+
+
+def overlapping_problem(rng):
+    """Random 1-D instance whose time ranges overlap, so some pairs are not causal."""
+    n, m = (int(k) for k in rng.integers(2, 7, size=2))
+    sides = [DiscreteMeasure.from_arrays(
+        np.column_stack([rng.uniform(-1, 1, k), rng.uniform(lo, lo + 1.5, k)]),
+        np.full(k, 1.0 / k))[0] for k, lo in ((n, 0.0), (m, 0.5))]
+    return TransportProblem(MK1, *sides)
+
+
+def column_faults(rng, problem, coupling):
+    """The coupling's columns, shuffled, with zero to two faults mixed in:
+    an index out of range, a nonpositive or NaN mass, a non-causal pair, a
+    repeated pair, or a missed row or column sum."""
+    ii, jj, masses = (np.array(c) for c in coupling.index_arrays())
+    exact = list(coupling.exact_masses)
+    C = problem.cost_matrix()
+    n, m = C.shape
+    for fault in rng.choice(7, size=int(rng.integers(0, 3))):
+        k = int(rng.integers(len(ii)))
+        if fault == 0:
+            if rng.random() < 0.5:
+                ii[k] = rng.choice([-1, n, n + 3, -2**62])
+            else:
+                jj[k] = rng.choice([-1, m, 2**62])
+        elif fault == 1:
+            masses[k] = rng.choice([0.0, -0.0, -masses[k], np.nan])
+        elif fault == 2:
+            blocked = np.argwhere(~np.isfinite(C))
+            if len(blocked):
+                ii[k], jj[k] = blocked[rng.integers(len(blocked))]
+        elif fault == 3:
+            # one entry split in two halves of the same pair: the sums still hold
+            masses[k] /= 2
+            ii, jj, masses = np.append(ii, ii[k]), np.append(jj, jj[k]), np.append(masses, masses[k])
+            exact.append(exact[k])
+        elif fault == 4:
+            masses[k] *= 1.5
+        elif fault == 5:
+            jj[k] = rng.integers(m)
+        else:
+            ii[k] = rng.integers(n)
+    order = rng.permutation(len(ii))
+    return ii[order], jj[order], masses[order], [exact[q] for q in order]
+
+
+FAULT_MESSAGES = {"outside": "lies outside", "nonpositive": "nonpositive mass",
+                  "non-causal": "non-causal", "repeated": "more than once",
+                  "mu-sum": "mu-atom", "nu-sum": "nu-atom"}
+
+
+class TestFromColumnsAgainstReference:
+    def test_fuzz_matches_reference(self):
+        # entries, total-cost bits and exact masses, or the error message,
+        # on shuffled columns carrying up to two faults
+        rng = np.random.default_rng(2121)
+        problems = [line_blowup_problem(6), *(random_strict_problem(s, max_side=12)
+                                               for s in range(3))]
+        problems += [random_weighted_causal_problem(rng) for _ in range(6)]
+        problems += [overlapping_problem(rng) for _ in range(12)]
+        outcomes = set()
+        for problem in problems:
+            try:
+                coupling, _ = solve(problem)
+            except Infeasible:
+                continue
+            for _ in range(80):
+                ii, jj, masses, exact = column_faults(rng, problem, coupling)
+                results = []
+                for build in (Coupling.from_columns, reference_from_columns):
+                    try:
+                        got = build(problem, ii, jj, masses, exact, coupling.exact_denominator)
+                    except ValueError as exc:
+                        results.append(("ValueError", str(exc)))
+                    else:
+                        results.append((got.entries, repr(got.total_cost), got.exact_masses,
+                                        got.exact_denominator,
+                                        [a.tobytes() for a in got.index_arrays()]))
+                assert results[0] == results[1]
+                kind, message = results[0][:2]
+                if kind == "ValueError":
+                    outcomes.add(next(name for name, text in FAULT_MESSAGES.items()
+                                      if text in message))
+                else:
+                    outcomes.add("valid")
+        # every fault is met, and so is a valid coupling
+        assert outcomes == set(FAULT_MESSAGES) | {"valid"}
+
+
 def pivoting_problem(n, seed):
     """2-D instance with uniform weights and every pair causal, which pivots."""
     rng = np.random.default_rng(seed)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from lorot.errors import MonotonicityViolation, NotCausalPair
 from lorot.experiments import line_blowup_problem, random_strict_problem, separated_rays_problem
 from lorot.measures import DiscreteMeasure
 from lorot.solver import Coupling, TransportProblem, solve
-from lorot.spacetime import Minkowski, Point
+from lorot import spacetime
+from lorot.spacetime import Cylinder, Minkowski, Point
 from lorot.transport import (
     COLLINEARITY_RTOL,
     AtomSplit,
@@ -255,6 +258,15 @@ class TestRayDecomposition:
         assert cdf(1.0) == cdf(99.0) == cdf.total == 1.0
         assert ray.cdf_nu().total == pytest.approx(1.0)
 
+    def test_ray_cdf_holds_python_floats(self):
+        # like every other field of a ray, the levels are Python floats
+        coupling, _ = solve(separated_rays_problem(0))
+        for ray in ray_decomposition(MK1, coupling):
+            for cdf in (ray.cdf_mu(), ray.cdf_nu()):
+                assert all(type(level) is float for level in cdf.cumulative)
+                assert type(cdf(ray.nu_taus[-1])) is float
+                assert "np." not in repr(cdf)
+
 
 class TestMongeMap:
     def test_constant_map_to_single_target(self):
@@ -448,6 +460,21 @@ def reference_ray_decomposition(model, coupling):
     return tuple(rays)
 
 
+def across_the_seam(problem):
+    """``problem`` on ``Cylinder(5.0)``, every atom moved by x -> x + 4.98 +
+    0.04 t: the rays tilt, ray 0 crosses the seam and the others lie past
+    it. Its spatial spread stays below 0.75 + 0.04 dt < dt for every pair of
+    atoms, so every pair stays causal."""
+    cyl = Cylinder(5.0)
+
+    def moved(measure):
+        coords = measure.coords_array().copy()
+        coords[:, 0] = cyl.normalize(coords[:, 0] + 4.98 + 0.04 * coords[:, 1])
+        return DiscreteMeasure.from_arrays(coords, measure.weights_array())[0]
+
+    return TransportProblem(cyl, moved(problem.mu), moved(problem.nu))
+
+
 def mirrored(problem):
     """The problem reflected in space, x -> -x (0.0 becomes -0.0)."""
     flip = np.array([-1.0, 1.0])
@@ -470,6 +497,7 @@ FAMILIES = {
     "rays_mirrored": lambda: [mirrored(separated_rays_problem(s)) for s in range(50)],
     "strict": lambda: [random_strict_problem(s) for s in range(5)],
     "line25": lambda: [line_blowup_problem(25)],
+    "cylinder_seam": lambda: [across_the_seam(separated_rays_problem(s)) for s in range(20)],
     "weighted": lambda: [random_weighted_causal_problem(np.random.default_rng(s))
                          for s in range(20)],
 }
@@ -500,6 +528,30 @@ class TestArrayPathMatchesReference:
             assert outcome(ray_decomposition, model, coupling) == outcome(
                 reference_ray_decomposition, model, coupling)
 
+    def test_cylinder_family_moves_mass_across_the_seam(self):
+        # some entry's stored angles lie more than half the circumference apart
+        crossing = 0
+        for problem in FAMILIES["cylinder_seam"]():
+            xs, ys = solve(problem)[0].entry_coords()
+            crossing += int((np.abs(ys[:, 0] - xs[:, 0]) > 2.5).sum())
+        assert crossing > 0
+
+    def test_masses_on_a_shared_atom_add_in_entry_order(self):
+        # forty entries up one line, nu-atom j taking those of mu-atoms i = j
+        # mod 4: each nu-atom's entries interleave with the others', and their
+        # masses span six decades, so the sum's bits depend on its order
+        rng = np.random.default_rng(0)
+        w = 10.0 ** rng.uniform(-6, 0, 40)
+        w /= w.sum()
+        mu = DiscreteMeasure.from_arrays([[0.0, 0.01 * i] for i in range(40)], w)[0]
+        nu = DiscreteMeasure.from_arrays([[0.0, 2.0 + 0.1 * j] for j in range(4)],
+                                         [sum(w[j::4].tolist()) for j in range(4)])[0]
+        coupling = Coupling.from_entries(TransportProblem(MK1, mu, nu),
+                                         [(i, i % 4, w[i]) for i in range(40)])
+        rays = ray_decomposition(MK1, coupling)
+        assert len(rays) == 1
+        assert repr(rays) == repr(reference_ray_decomposition(MK1, coupling))
+
     def test_mirrored_family_holds_negative_zeros(self):
         # the reflection of x = 0.0 is -0.0, which merges with 0.0 when equal
         assert np.signbit(mirrored(separated_rays_problem(0)).mu.coords_array()[:, 0]).any()
@@ -529,3 +581,53 @@ class TestArrayPathMatchesReference:
         assert len(rays) == 1
         assert rays[0].nu_atoms == (1, 0) and rays[0].nu_taus == (1.0, 1.0)
         assert rays == reference_ray_decomposition(MK1, coupling)
+
+
+class TestRayRowBlocks:
+    """The pairwise passes of ``ray_decomposition`` walk row blocks: any
+    block size gives the same rays and errors, and the traced peak is the
+    E x E boolean join and its one-sided half plus a few block buffers."""
+
+    BLOCK = spacetime.BLOCK_PAIRS * 8
+
+    def test_one_row_blocks_give_the_same_outcome(self, monkeypatch):
+        # entries 1 and 2 cross, so the violation lies below the first row block
+        third = 1.0 / 3.0
+        mu = DiscreteMeasure.from_atoms([(pt(MK1, x, 0), third) for x in (0, 1, 2)])
+        nu = DiscreteMeasure.from_atoms([(pt(MK1, x, 2), third) for x in (0, 1, 2)])
+        crossed = Coupling.from_entries(TransportProblem(MK1, mu, nu),
+                                        [(0, 0, third), (1, 2, third), (2, 1, third)])
+        mu = DiscreteMeasure.from_atoms([(pt(MK1, 0, 0), 1.0)])
+        nu = DiscreteMeasure.from_atoms([(pt(MK1, -1, 2), 0.5), (pt(MK1, 1, 2), 0.5)])
+        branching = Coupling.from_entries(TransportProblem(MK1, mu, nu), [(0, 0, 0.5), (0, 1, 0.5)])
+        couplings = [crossed, branching] + [
+            solve(problem)[0] for problem in (
+                separated_rays_problem(4), mirrored(separated_rays_problem(5)),
+                across_the_seam(separated_rays_problem(6)), line_blowup_problem(30),
+                random_strict_problem(1))]
+
+        def run():
+            return [outcome(ray_decomposition, c.problem.model, c) for c in couplings]
+
+        default = run()
+        assert default[0].startswith(
+            "MonotonicityViolation: two-cycle improvement between entries 1 and 2: ")
+        assert default[1].startswith("MonotonicityViolation: mu-atom 0 feeds")
+        monkeypatch.setattr(spacetime, "BLOCK_PAIRS", 1)
+        assert run() == default
+
+    def test_line_800_holds_the_join_and_a_few_blocks(self):
+        # the index-shift coupling of the line: 800 lightlike segments
+        n = 800
+        problem = line_blowup_problem(n)
+        k = np.arange(n)
+        coupling = Coupling.from_columns(problem, k, k.copy(), problem.mu.weights_array().copy())
+        coupling.cost_matrix(MK1)  # built before tracing
+        tracemalloc.start()
+        try:
+            rays = ray_decomposition(MK1, coupling)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rays) == n
+        assert peak < 2 * n * n + 8 * self.BLOCK, f"ray_decomposition peaked at {peak} bytes"
