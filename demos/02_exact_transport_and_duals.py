@@ -40,7 +40,7 @@ print(f"  dual objective {dual_objective(coupling, (u, v))}, gap "
       f"{abs(coupling.total_cost - dual_objective(coupling, (u, v))):.1e}")
 
 oracle = brute_force_oracle(problem)
-print(f"  brute-force enumeration agrees: {oracle.total_cost}")
+print(f"  the independent assignment oracle agrees: {oracle.total_cost}")
 
 print()
 print("=== Dual potentials from the chain construction ===")

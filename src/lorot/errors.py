@@ -18,7 +18,8 @@ class Infeasible(LorotError):
 
 
 class TooLarge(LorotError):
-    """Instance exceeds the brute-force oracle's size cap."""
+    """A side of the instance has more atoms than the oracle's cap,
+    ``solver.ORACLE_CAP``."""
 
 
 class UnreachableAtom(LorotError):

@@ -36,7 +36,6 @@ Costs stay in binary64.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import gcd, isfinite
@@ -47,7 +46,8 @@ from .errors import Infeasible, SchemaError, TooLarge
 from .measures import DiscreteMeasure, measure_from_json
 from .spacetime import SpacetimeModel, model_from_config, row_block_buffers
 
-ORACLE_CAP = 6
+#: atoms a side above which brute_force_oracle raises TooLarge
+ORACLE_CAP = 200
 #: an arc enters the basis when its reduced cost is below -PRICE_TOL * (1 + max |C|)
 PRICE_TOL = 1e-11
 PROBLEM_FIELDS = ("model", "mu", "nu")
@@ -226,7 +226,7 @@ def _integer_marginals(wa, wb):
     # every denominator is a power of two, so their lcm is the largest; the
     # weight with that denominator has an odd numerator (unless the
     # denominator is 1), so a, b and denom share no factor
-    denom = max(d for _, d in itertools.chain(ra, rb))
+    denom = max(d for _, d in ra + rb)
     a = [p * (denom // d) for p, d in ra]
     b = [p * (denom // d) for p, d in rb]
     sa, sb = sum(a), sum(b)
@@ -523,65 +523,53 @@ def dual_objective(coupling: Coupling, duals) -> float:
 
 
 def brute_force_oracle(problem: TransportProblem) -> Coupling:
-    """Independent exact optimum for small instances.
+    """Independent optimum by scipy, for up to ``ORACLE_CAP`` atoms a side.
 
-    With equal atom counts and uniform weights the vertices of the coupling
-    polytope are permutation matrices, so the optimum is found by enumerating
-    permutations that avoid forbidden arcs. Other small instances are solved
-    by linear programming (scipy HiGHS), an entirely separate code path from
-    :func:`solve`. Raises :class:`TooLarge` above the size cap.
+    With equal atom counts and one uniform weight the vertices of the
+    coupling polytope are permutation matrices, so the optimum is an
+    assignment: ``linear_sum_assignment`` (Crouse 2016), exact and
+    combinatorial, with each non-causal pair a forbidden arc. Every other
+    instance is a linear program over the causal arcs, solved by HiGHS with a
+    sparse equality matrix; its masses meet the marginals to HiGHS's
+    feasibility tolerance. Neither path shares code with :func:`solve`.
+    Raises :class:`TooLarge` above the cap, before any cost is computed, and
+    :class:`Infeasible` when no causal coupling exists.
     """
     mu, nu = problem.mu, problem.nu
-    n, m = mu.n_atoms, nu.n_atoms
-    if n > ORACLE_CAP or m > ORACLE_CAP:
-        raise TooLarge(f"oracle handles at most {ORACLE_CAP} atoms per side")
+    for side, measure in (("mu", mu), ("nu", nu)):
+        if measure.n_atoms > ORACLE_CAP:
+            raise TooLarge(f"oracle handles at most {ORACLE_CAP} atoms per side; "
+                           f"{side} has {measure.n_atoms}")
     C = problem.cost_matrix()
-    wa = mu.weights_array()
-    wb = nu.weights_array()
+    n, m = C.shape
+    wa, wb = mu.weights_array(), nu.weights_array()
+    if n == m and (wa == wa[0]).all() and (wb == wa[0]).all():
+        from scipy.optimize import linear_sum_assignment
 
-    uniform = (
-        n == m
-        and np.all(wa == wa[0])
-        and np.all(wb == wb[0])
-        and wa[0] == wb[0]
-    )
-    if uniform:
-        best_total = np.inf
-        best_sigma = None
-        rows = np.arange(n)
-        for sigma in itertools.permutations(range(n)):
-            costs = C[rows, sigma]
-            if not np.isfinite(costs).all():
-                continue
-            total = float(np.dot(wa, costs))
-            if total < best_total:
-                best_total = total
-                best_sigma = sigma
-        if best_sigma is None:
-            raise Infeasible("no permutation avoids the forbidden arcs")
-        entries = [(i, best_sigma[i], wa[i]) for i in range(n)]
-        return Coupling.from_entries(problem, entries)
+        try:
+            ii, jj = linear_sum_assignment(C)
+        except ValueError:
+            raise Infeasible("no permutation avoids the forbidden arcs") from None
+        return Coupling.from_columns(problem, ii, jj, wa)
 
     from scipy.optimize import linprog
+    from scipy.sparse import csc_array
 
-    arcs = [(i, j) for i in range(n) for j in range(m) if np.isfinite(C[i, j])]
-    if not arcs:
+    ii, jj = np.nonzero(np.isfinite(C))
+    if not len(ii):
         raise Infeasible("no causal arcs at all")
-    costs = np.array([C[i, j] for i, j in arcs])
-    a_eq = np.zeros((n + m, len(arcs)))
-    for k, (i, j) in enumerate(arcs):
-        a_eq[i, k] = 1.0
-        a_eq[n + j, k] = 1.0
-    b_eq = np.concatenate([wa, wb])
-    res = linprog(costs, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    # column k is arc (ii[k], jj[k]): a 1 in row ii[k] and in row n + jj[k]
+    rows = np.column_stack((ii, n + jj)).ravel()
+    a_eq = csc_array((np.ones(len(rows)), rows, np.arange(0, len(rows) + 1, 2)),
+                     shape=(n + m, len(ii)))
+    res = linprog(C[ii, jj], A_eq=a_eq, b_eq=np.concatenate((wa, wb)), bounds=(0, None),
+                  method="highs")
     if res.status == 2:
         raise Infeasible("no causal coupling exists")
     if not res.success:
         raise RuntimeError(f"oracle LP failed: {res.message}")
-    entries = [
-        (arcs[k][0], arcs[k][1], res.x[k]) for k in range(len(arcs)) if res.x[k] > 1e-13
-    ]
-    return Coupling.from_entries(problem, entries)
+    keep = res.x > 1e-13
+    return Coupling.from_columns(problem, ii[keep], jj[keep], res.x[keep])
 
 
 def check_problem_fields(obj) -> None:

@@ -218,7 +218,12 @@ def _joins(model: SpacetimeModel, xs, ys) -> np.ndarray:
         for c in range(width - 1):
             model.displacement(xs[rows, None, c], ends[:, c], out=w[..., c])
         np.subtract(ends[:, -1], xs[rows, None, -1], out=w[..., -1])
-        along = np.einsum("efc,ec->ef", w, unit[rows])
+        # projection on the base direction, its products added in coordinate
+        # order, so that the bits do not depend on the CPU's SIMD lanes
+        np.multiply(w, unit[rows, None], out=prod)
+        along = prod[..., 0].copy()
+        for c in range(1, width):
+            along += prod[..., c]
         for c in range(width):
             np.multiply(along, unit[rows, None, c], out=prod[..., c])
         w -= prod

@@ -18,10 +18,12 @@ from lorot.diagnostics import audit
 from lorot.dual import DualPotential, PositiveCycle, chain_potential, dkp_verify
 from lorot.errors import Infeasible, SchemaError, TooLarge
 from lorot.experiments import (
+    build_profile,
     line_blowup_problem,
     random_strict_problem,
     run_line_counterexample,
     separated_rays_problem,
+    subdifferential_field,
 )
 from lorot.measures import DiscreteMeasure, grid_segment
 from lorot.solver import (
@@ -203,16 +205,81 @@ class TestOracle:
         assert oracle.entries == ((0, 0, 1.0),)
 
     def test_too_large(self):
-        mu = grid_segment(MK1, pt(0, 0), pt(1, 0), 7)
-        nu = grid_segment(MK1, pt(0, 5), pt(1, 5), 7)
-        with pytest.raises(TooLarge):
-            brute_force_oracle(TransportProblem(MK1, mu, nu))
+        big = grid_segment(MK1, pt(0, 0), pt(1, 0), 201)
+        small = grid_segment(MK1, pt(0, 5), pt(1, 5), 7)
+        for side, problem in (("mu", TransportProblem(MK1, big, small)),
+                              ("nu", TransportProblem(MK1, small, big))):
+            with pytest.raises(TooLarge, match=f"^oracle handles at most 200 atoms per side; "
+                                               f"{side} has 201$"):
+                brute_force_oracle(problem)
+            # refused before the cost matrix is built
+            assert "_cost" not in problem.__dict__
 
     def test_oracle_infeasible(self):
         mu = DiscreteMeasure.from_atoms([(pt(0, 1), 1.0)])
         nu = DiscreteMeasure.from_atoms([(pt(0, 0), 1.0)])
         with pytest.raises(Infeasible):
             brute_force_oracle(TransportProblem(MK1, mu, nu))
+
+
+def plane_problem(n, seed, weighted=False):
+    """n atoms a side in 2-D Minkowski space, uniform over [-0.5, 0.5]^2:
+    sources at t in [0, 0.2] and targets at t in [2, 2.2], so every pair is
+    causal. Uniform weights, or integer weights 1 to 7 normalised."""
+    rng = np.random.default_rng(seed)
+
+    def side(t0):
+        rows = np.column_stack((rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(t0, t0 + 0.2, n)))
+        w = rng.integers(1, 8, n).astype(float) if weighted else np.ones(n)
+        return DiscreteMeasure.from_arrays(rows, w / w.sum())[0]
+
+    return TransportProblem(Minkowski(2), side(0.0), side(2.0))
+
+
+def cylinder_field_problem(N):
+    """The cylinder field as a discrete instance: N cell-centred sources at
+    t = 0, each matched to its target y_theta at t = 1 (eps 0.25), all with
+    weight 1 / N. The optimum is the sorted order shifted cyclically (by 18
+    at N = 100), and the north-west staircase crosses non-causal pairs, so
+    the solve starts on artificial arcs."""
+    thetas, _, u, skipped = subdifferential_field(build_profile(0.25), 1.0, N)
+    assert skipped == 0
+    w = np.full(N, 1.0 / N)
+    mu, _ = DiscreteMeasure.from_arrays(np.column_stack((thetas, np.zeros(N))), w)
+    nu, _ = DiscreteMeasure.from_arrays(np.column_stack(((thetas + u) % 5.0, np.ones(N))), w)
+    return TransportProblem(Cylinder(5.0), mu, nu)
+
+
+#: instance families for the differential test; uniform n = m goes to the
+#: oracle's assignment path, the rest to HiGHS
+DIFFERENTIAL_FAMILIES = {
+    "plane": lambda: [plane_problem(n, seed) for n in (100, 200) for seed in (0, 1)],
+    "cylinder": lambda: [cylinder_field_problem(100)],
+    "strict": lambda: [random_strict_problem(seed) for seed in range(5)],
+    "rays": lambda: [separated_rays_problem(seed) for seed in range(5)],
+    "weighted": lambda: [plane_problem(n, 0, weighted=True) for n in (50, 100)],
+}
+
+
+@pytest.fixture(scope="module", params=list(DIFFERENTIAL_FAMILIES))
+def differential(request):
+    """``(solve's coupling and duals, oracle coupling)`` per instance."""
+    return [(solve(p), brute_force_oracle(p)) for p in DIFFERENTIAL_FAMILIES[request.param]()]
+
+
+class TestDifferential:
+    """solve against the independent oracle, at sizes where pivots happen."""
+
+    def test_cost_matches_oracle(self, differential):
+        for k, ((coupling, _), oracle) in enumerate(differential):
+            scale = 1e-12 * (1.0 + abs(oracle.total_cost))
+            assert abs(coupling.total_cost - oracle.total_cost) <= scale, k
+
+    def test_strong_duality_against_oracle(self, differential):
+        # solve's duals reach the independent optimum, not just solve's own cost
+        for k, ((coupling, duals), oracle) in enumerate(differential):
+            scale = 1e-12 * (1.0 + abs(oracle.total_cost))
+            assert abs(dual_objective(coupling, duals) - oracle.total_cost) <= scale, k
 
 
 class TestDuals:

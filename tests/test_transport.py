@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from lorot.transport import (
     MongeMap,
     TransportRay,
     _check_two_cycles,
+    _joins,
     contraction_check,
     interpolate,
     monge_map,
@@ -170,6 +172,67 @@ class TestContraction:
         y = model.make_point([0.0] * model.spatial_dim, 20.0)
         with pytest.raises(ValueError, match="affinely independent vertices"):
             contraction_check(model, verts, y, 0.5)
+
+
+def in_order(values):
+    """Sum of ``values`` added one after the other, as a float loop from 0.
+    (Python 3.12's ``sum`` of floats compensates, so it is not used.)"""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def coordinate_order_joins(xs, ys):
+    """``_joins`` for Minkowski segments, one pair at a time in Python floats,
+    every sum over coordinates taken in coordinate order."""
+    xs, ys = xs.tolist(), ys.tolist()
+    dirs = [[q - p for p, q in zip(x, y)] for x, y in zip(xs, ys)]
+    lens = [math.sqrt(in_order([c * c for c in d])) for d in dirs]
+    units = [[c / length for c in d] for d, length in zip(dirs, lens)]
+
+    def on_line(a, b):
+        off = []
+        for end in (xs[b], ys[b]):
+            w = [p - q for p, q in zip(end, xs[a])]
+            along = in_order([wc * uc for wc, uc in zip(w, units[a])])
+            off.append(math.sqrt(in_order([(wc - along * uc) ** 2
+                                           for wc, uc in zip(w, units[a])])))
+        return max(off) <= COLLINEARITY_RTOL * lens[a]
+
+    return np.array([[on_line(a, b) and on_line(b, a)
+                      and max(xs[a][-1], xs[b][-1]) <= min(ys[a][-1], ys[b][-1])
+                      for b in range(len(xs))] for a in range(len(xs))])
+
+
+def knife_edge_pairs(d, pairs, seed):
+    """Pairs of parallel segments in d + 1 dimensions, each the other shifted
+    along its line and off it by COLLINEARITY_RTOL times its length within a
+    relative 1e-6, so that rounding decides whether the pair joins."""
+    rng = np.random.default_rng(seed)
+    xs, ys = [], []
+    for _ in range(pairs):
+        x = np.append(rng.uniform(-1, 1, d), rng.uniform(0, 0.2))
+        direction = np.append(rng.uniform(-0.9, 0.9, d), 1.0) * rng.uniform(0.5, 2)
+        perp = rng.normal(size=d + 1)
+        perp -= (perp @ direction) / (direction @ direction) * direction
+        perp /= np.linalg.norm(perp)
+        h = COLLINEARITY_RTOL * np.linalg.norm(direction) * (1 + rng.uniform(-1e-6, 1e-6))
+        shift = rng.uniform(-0.3, 0.3) * direction + h * perp
+        xs += [x, x + shift]
+        ys += [x + direction, x + direction + shift]
+    return np.array(xs), np.array(ys)
+
+
+class TestJoinsInCoordinateOrder:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_knife_edge_pairs_match_reference(self, d):
+        xs, ys = knife_edge_pairs(d, 80, d)
+        joins = _joins(Minkowski(d), xs, ys)
+        expected = coordinate_order_joins(xs, ys)
+        # both outcomes occur, so the edge is where the pairs sit
+        assert 0 < np.count_nonzero(expected[0::2, 1::2].diagonal()) < 80
+        np.testing.assert_array_equal(joins, expected)
 
 
 class TestRayDecomposition:
