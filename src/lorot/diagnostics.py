@@ -34,6 +34,7 @@ class DiagnosticsReport:
 
 def _entry_margins(model: SpacetimeModel, coupling: Coupling):
     """Cone margin, mass and stay-put flag of each support entry."""
+    coupling.check_model(model)
     xs, ys = coupling.entry_coords()
     dtau, dist = model.separation(xs, ys)
     return dtau - dist, coupling.index_arrays()[2], np.all(xs == ys, axis=-1)
@@ -113,7 +114,10 @@ def count_monotonicity_violations(model: SpacetimeModel, coupling: Coupling,
 
 def audit(model: SpacetimeModel, problem: TransportProblem, coupling: Coupling,
           lp_duals, samples: int = 1000, seed: int = 0) -> DiagnosticsReport:
-    """Assemble the standard report for a solved instance."""
+    """Assemble the standard report for a solved instance; ``ValueError``
+    unless ``problem`` is the coupling's own, and ``model`` its model."""
+    if problem != coupling.problem:
+        raise ValueError("coupling does not solve the audited problem")
     gap = abs(coupling.total_cost - dual_objective(coupling, lp_duals))
     margins = _entry_margins(model, coupling)
     return DiagnosticsReport(

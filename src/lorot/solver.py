@@ -113,12 +113,14 @@ class Coupling:
     def nu(self) -> DiscreteMeasure:
         return self.problem.nu
 
-    def cost_matrix(self, model) -> np.ndarray:
-        """The problem's cost matrix; ``model`` must be the problem's own."""
+    def check_model(self, model):
+        """``ValueError`` naming both models unless ``model`` is the problem's."""
         if model != self.problem.model:
-            raise ValueError(
-                f"coupling is priced under {self.problem.model!r}, not {model!r}"
-            )
+            raise ValueError(f"coupling is priced under {self.problem.model!r}, not {model!r}")
+
+    def cost_matrix(self, model) -> np.ndarray:
+        """The problem's cost matrix, after :meth:`check_model`."""
+        self.check_model(model)
         return self.problem.cost_matrix()
 
     @classmethod

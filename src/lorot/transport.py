@@ -106,8 +106,9 @@ def interpolate(model: SpacetimeModel, coupling: Coupling, t: float) -> Discrete
     """Push each entry's mass to the time-affine point of its segment.
 
     t=0 reproduces mu and t=1 reproduces nu exactly (atom positions are
-    returned bitwise, weights re-accumulate per atom).
-    """
+    returned bitwise, weights re-accumulate per atom). ``ValueError`` unless
+    ``model`` is the coupling's own."""
+    coupling.check_model(model)
     coords = model.geodesic_points(*coupling.entry_coords(), t)
     return DiscreteMeasure.from_arrays(coords, coupling.index_arrays()[2])[0]
 
@@ -119,10 +120,11 @@ def restrict(model: SpacetimeModel, coupling: Coupling, s1: float, s2: float,
     Each entry's mass moves between its two interpolated points. Returns
     ``(problem, coupling)`` for the restricted transport; with ``verify`` the
     restricted coupling is checked to be optimal for its own marginals
-    against a fresh solve, to a relative 1e-9.
-    """
+    against a fresh solve, to a relative 1e-9. ``ValueError`` unless
+    0 <= s1 <= s2 <= 1 and ``model`` is the coupling's own."""
     if not 0.0 <= s1 <= s2 <= 1.0:
         raise ValueError(f"need 0 <= s1 <= s2 <= 1, got {s1}, {s2}")
+    coupling.check_model(model)
     # one causal check of the entry segments serves both interpolants
     xs, ys = model.causal_pairs(*coupling.entry_coords())
     mass = coupling.index_arrays()[2]
@@ -319,28 +321,9 @@ def ray_decomposition(model: SpacetimeModel, coupling: Coupling):
                      mu_masses, nu_masses, identical.tolist()))
 
 
-def _ray_rearrangement(ray: TransportRay, mu_cum, nu_cum, assignment):
-    """Monotone CDF matching on one ray with exact cumulative masses.
-
-    ``mu_cum``/``nu_cum`` are exact cumulative masses, integers over the
-    coupling's one denominator, aligned with the ray's sorted atoms; both end
-    at the ray's total, so the search always lands inside ``nu_cum``.
-    Writes the nu-atom of each mu-atom into ``assignment``; returns the index
-    of an atom that must split, or None.
-    """
-    for k, i in enumerate(ray.mu_atoms):
-        lo = mu_cum[k - 1] if k else 0
-        hi = mu_cum[k]
-        b = bisect_left(nu_cum, hi)
-        prev = nu_cum[b - 1] if b else 0
-        if prev > lo:
-            return i
-        assignment[i] = ray.nu_atoms[b]
-    return None
-
-
 def monge_map(model: SpacetimeModel, problem: TransportProblem):
-    """Solve, decompose into rays, and rearrange monotonically per ray.
+    """Solve, decompose into rays, and rearrange monotonically along all
+    rays in one pass with exact integer masses.
 
     Returns a :class:`MongeMap` when every mu-atom's mass lands on a single
     nu-atom, in which case its cost matches the solver optimum within 1e-9;
@@ -348,14 +331,11 @@ def monge_map(model: SpacetimeModel, problem: TransportProblem):
     """
     coupling, _ = solve(problem)
     rays = ray_decomposition(model, coupling)
-    # a ray lists each of its mu-atoms once, so an atom listed twice is split
-    atom = np.sort(np.concatenate([ray.mu_atoms for ray in rays]))
-    split = atom[1:][atom[1:] == atom[:-1]]
-    if len(split):
-        return AtomSplit(int(split[0]), "atom mass is split across rays")
-
+    # each ray's atoms in time order with their exact masses, all rays end to
+    # end: both sides carry each ray's total, so the running totals meet at
+    # every ray boundary and each mu-atom's search ends on its own ray
     exact = coupling.exact_masses
-    assignment = np.full(problem.mu.n_atoms, -1, dtype=np.int64)
+    mu_atoms, mu_mass, nu_atoms, nu_mass = [], [], [], []
     for ray in rays:
         mu_m = dict.fromkeys(ray.mu_atoms, 0)
         nu_m = dict.fromkeys(ray.nu_atoms, 0)
@@ -363,11 +343,22 @@ def monge_map(model: SpacetimeModel, problem: TransportProblem):
             i, j, _ = coupling.entries[e]
             mu_m[i] += exact[e]
             nu_m[j] += exact[e]
-        split_atom = _ray_rearrangement(
-            ray, list(accumulate(mu_m.values())), list(accumulate(nu_m.values())), assignment
-        )
-        if split_atom is not None:
-            return AtomSplit(int(split_atom), "mass interval straddles a nu-atom boundary")
+        mu_atoms += ray.mu_atoms
+        mu_mass += mu_m.values()
+        nu_atoms += ray.nu_atoms
+        nu_mass += nu_m.values()
+    # a ray lists each of its mu-atoms once, so an atom listed twice is split
+    atom = sorted(mu_atoms)
+    split = [a for a, b in zip(atom, atom[1:]) if a == b]
+    if split:
+        return AtomSplit(split[0], "atom mass is split across rays")
+    mu_cum, nu_cum = list(accumulate(mu_mass)), list(accumulate(nu_mass))
+    assignment = [0] * problem.mu.n_atoms
+    for i, lo, hi in zip(mu_atoms, [0] + mu_cum, mu_cum):
+        b = bisect_left(nu_cum, hi)
+        if b and nu_cum[b - 1] > lo:
+            return AtomSplit(i, "mass interval straddles a nu-atom boundary")
+        assignment[i] = nu_atoms[b]
 
     C = coupling.cost_matrix(model)
     w = problem.mu.weights_array()
@@ -379,4 +370,4 @@ def monge_map(model: SpacetimeModel, problem: TransportProblem):
             f"rearranged map cost {map_cost!r} differs from optimum "
             f"{coupling.total_cost!r}"
         )
-    return MongeMap(tuple(int(j) for j in assignment), map_cost, rays)
+    return MongeMap(tuple(assignment), map_cost, rays)

@@ -9,10 +9,12 @@ from lorot.diagnostics import (
     lightlike_fraction,
     strict_margin,
 )
-from lorot.experiments import line_blowup_problem, strictified_line_problem
+from lorot.dual import chain_potential
+from lorot.experiments import line_blowup_problem, separated_rays_problem, strictified_line_problem
 from lorot.measures import DiscreteMeasure
 from lorot.solver import Coupling, TransportProblem, solve
-from lorot.spacetime import CausalClass, Minkowski
+from lorot.spacetime import CausalClass, Cylinder, Minkowski
+from lorot.transport import interpolate, ray_decomposition, restrict
 
 MK1 = Minkowski(1)
 
@@ -111,3 +113,38 @@ class TestAudit:
             "dual_gap",
             "monotonicity_violations",
         }
+
+    def test_foreign_problem_rejected(self):
+        problem, coupling, duals = solved(separated_rays_problem(0))
+        with pytest.raises(ValueError, match="does not solve the audited problem"):
+            audit(MK1, separated_rays_problem(1), coupling, duals)
+        # an equal problem built afresh is the coupling's own
+        assert audit(MK1, separated_rays_problem(0), coupling, duals).dual_gap <= 1e-8
+
+    def test_foreign_model_rejected(self):
+        problem, coupling, duals = solved(separated_rays_problem(0))
+        with pytest.raises(ValueError, match=r"Minkowski\(d=1\), not Minkowski\(d=2\)"):
+            audit(Minkowski(2), problem, coupling, duals)
+
+
+class TestForeignModel:
+    """Every layer that reads a coupling under a model refuses any model but
+    the coupling's own, naming both."""
+
+    LAYERS = {
+        "chain_potential": chain_potential,
+        "ray_decomposition": ray_decomposition,
+        "lightlike_fraction": lightlike_fraction,
+        "strict_margin": strict_margin,
+        "class_fractions": class_fractions,
+        "interpolate": lambda model, coupling: interpolate(model, coupling, 0.5),
+        "restrict": lambda model, coupling: restrict(model, coupling, 0.25, 0.75),
+    }
+
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_layer_names_both_models(self, layer):
+        coupling, _ = solve(separated_rays_problem(0))
+        with pytest.raises(ValueError) as info:
+            self.LAYERS[layer](Cylinder(0.5), coupling)
+        assert str(info.value) == (
+            "coupling is priced under Minkowski(d=1), not Cylinder(circumference=0.5)")

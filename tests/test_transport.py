@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -694,3 +696,125 @@ class TestRayRowBlocks:
             tracemalloc.stop()
         assert len(rays) == n
         assert peak < 2 * n * n + 8 * self.BLOCK, f"ray_decomposition peaked at {peak} bytes"
+
+
+# -- the per-ray Monge rearrangement, kept as a reference ---------------------
+
+
+def reference_ray_rearrangement(ray, mu_cum, nu_cum, assignment):
+    """Monotone CDF matching on one ray with exact cumulative masses.
+
+    ``mu_cum``/``nu_cum`` are exact cumulative masses, integers over the
+    coupling's one denominator, aligned with the ray's sorted atoms; both end
+    at the ray's total, so the search always lands inside ``nu_cum``.
+    Writes the nu-atom of each mu-atom into ``assignment``; returns the index
+    of an atom that must split, or None.
+    """
+    for k, i in enumerate(ray.mu_atoms):
+        lo = mu_cum[k - 1] if k else 0
+        hi = mu_cum[k]
+        b = bisect_left(nu_cum, hi)
+        prev = nu_cum[b - 1] if b else 0
+        if prev > lo:
+            return i
+        assignment[i] = ray.nu_atoms[b]
+    return None
+
+
+def reference_monge_map(model, problem):
+    """The Monge map with one search per ray: solve, decompose into rays,
+    and rearrange each ray on its own running totals."""
+    coupling, _ = solve(problem)
+    rays = ray_decomposition(model, coupling)
+    # a ray lists each of its mu-atoms once, so an atom listed twice is split
+    atom = np.sort(np.concatenate([ray.mu_atoms for ray in rays]))
+    split = atom[1:][atom[1:] == atom[:-1]]
+    if len(split):
+        return AtomSplit(int(split[0]), "atom mass is split across rays")
+
+    exact = coupling.exact_masses
+    assignment = np.full(problem.mu.n_atoms, -1, dtype=np.int64)
+    for ray in rays:
+        mu_m = dict.fromkeys(ray.mu_atoms, 0)
+        nu_m = dict.fromkeys(ray.nu_atoms, 0)
+        for e in ray.entry_indices:
+            i, j, _ = coupling.entries[e]
+            mu_m[i] += exact[e]
+            nu_m[j] += exact[e]
+        split_atom = reference_ray_rearrangement(
+            ray, list(accumulate(mu_m.values())), list(accumulate(nu_m.values())), assignment
+        )
+        if split_atom is not None:
+            return AtomSplit(int(split_atom), "mass interval straddles a nu-atom boundary")
+
+    C = coupling.cost_matrix(model)
+    w = problem.mu.weights_array()
+    map_cost = float(np.dot(w, C[np.arange(len(w)), assignment]))
+    if not math.isfinite(map_cost):
+        raise MonotonicityViolation("rearranged map uses a non-causal arc")
+    if abs(map_cost - coupling.total_cost) > 1e-9 * (1 + abs(coupling.total_cost)):
+        raise MonotonicityViolation(
+            f"rearranged map cost {map_cost!r} differs from optimum "
+            f"{coupling.total_cost!r}"
+        )
+    return MongeMap(tuple(int(j) for j in assignment), map_cost, rays)
+
+
+def shifted(measure, dt):
+    """``measure`` moved by dt in time."""
+    coords = measure.coords_array().copy()
+    coords[:, -1] += dt
+    return DiscreteMeasure.from_arrays(coords, measure.weights_array())[0]
+
+
+def coarse_to_fine(seed):
+    """A rays instance run backwards: mu is its nu moved down one time unit
+    and nu its mu moved up two, so each mu-atom must spread over k nu-atoms."""
+    problem = separated_rays_problem(seed)
+    return TransportProblem(problem.model, shifted(problem.nu, -1.0), shifted(problem.mu, 2.0))
+
+
+def measure(rows, weights):
+    return DiscreteMeasure.from_arrays(rows, weights)[0]
+
+
+class TestMongeMapMatchesReference:
+    """One rearrangement pass over all rays returns what one search per ray
+    did: the same map, rays and cost, or the same split atom and message."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_family(self, family):
+        expected = "MonotonicityViolation" if family in ("strict", "weighted") else "MongeMap"
+        for problem in FAMILIES[family]():
+            got = outcome(monge_map, problem.model, problem)
+            assert got == outcome(reference_monge_map, problem.model, problem)
+            assert got.startswith(expected)
+
+    def test_coarse_to_fine_splits_the_first_atom(self):
+        for seed in range(20):
+            problem = coarse_to_fine(seed)
+            got = outcome(monge_map, MK1, problem)
+            assert got == outcome(reference_monge_map, MK1, problem)
+            assert got == repr(AtomSplit(0, "mass interval straddles a nu-atom boundary"))
+
+    def test_straddle_on_the_second_ray(self):
+        # ray 0 (x = 0) maps both its atoms to nu-atom 0; on ray 1 (x = 1)
+        # mu-atom 3 carries 1/8..1/2 of the ray's mass across nu-atom 1's
+        # upper end at 1/4
+        problem = TransportProblem(
+            MK1, measure([[0, 0], [0, 0.1], [1, 0], [1, 0.1]], [0.25, 0.25, 0.125, 0.375]),
+            measure([[0, 2], [1, 2], [1, 2.1]], [0.5, 0.25, 0.25]))
+        got = outcome(monge_map, MK1, problem)
+        assert got == outcome(reference_monge_map, MK1, problem)
+        assert got == repr(AtomSplit(3, "mass interval straddles a nu-atom boundary"))
+
+    def test_rays_sharing_a_nu_atom(self):
+        # rays 0 and 2 come in from either side and end on nu-atom 1; ray 1
+        # runs up x = 0 between them and ends on nu-atom 0
+        problem = TransportProblem(
+            MK1, measure([[-1, 0], [0, 0.5], [0, 0.6], [1, 0]], [0.25] * 4),
+            measure([[0, 2], [0, 3]], [0.5, 0.5]))
+        got = monge_map(MK1, problem)
+        assert repr(got) == outcome(reference_monge_map, MK1, problem)
+        assert got.assignment == (1, 0, 0, 1)
+        assert [ray.nu_atoms for ray in got.rays] == [(1,), (0,), (1,)]
