@@ -36,8 +36,9 @@ print("  source levels:", [f"{v:.3f}" for v in cdf_mu.cumulative])
 print("  target levels:", [f"{v:.3f}" for v in cdf_nu.cumulative])
 print("  each source atom lands on the first target whose level covers it")
 
+# the coupling and its rays are still held here, so monge_map reuses both
 out = monge_map(problem.model, problem)
-assert isinstance(out, MongeMap)
+assert isinstance(out, MongeMap) and out.rays is rays
 print()
 print(f"=== The map ===")
 print(f"  assignment (source -> target): {out.assignment}")

@@ -113,8 +113,8 @@ def _cmd_solve(args, out_dir):
 
 
 def _cmd_dual(args, out_dir):
-    if not args.tol > 0:
-        raise SchemaError("--tol must be positive")
+    if not 0.0 < args.tol < math.inf:
+        raise SchemaError(f"--tol must be positive and finite, got {args.tol!r}")
     problem, coupling, duals = _solve_from_args(args)
     psi = chain_potential(problem.model, coupling)
     if isinstance(psi, PositiveCycle):

@@ -11,6 +11,7 @@ cyclically monotone, in which case no such potential exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -219,8 +220,11 @@ def dkp_verify(model: SpacetimeModel, coupling: Coupling, potential: DualPotenti
     finite. ``support_tight``: |phi[j] - psi[i] - cost(i, j)| <= tol on every
     support entry. ``max_violation`` is the larger of the worst feasibility
     excess (clipped at zero) and the worst support residual. Raises
-    ``ValueError`` unless psi and phi hold one non-NaN value per atom of their side.
+    ``ValueError`` unless 0 < tol < inf, and unless psi and phi hold one
+    non-NaN value per atom of their side.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     C = coupling.cost_matrix(model)
     psi = _per_atom("psi", potential.psi, C.shape[0], "mu")
     phi = _per_atom("phi", potential.phi, C.shape[1], "nu")

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import gcd, isfinite
+from weakref import ref
 
 import numpy as np
 
@@ -70,6 +71,10 @@ class TransportProblem:
             C.setflags(write=False)
             object.__setattr__(self, "_cost", C)
         return self._cost
+
+    def __getstate__(self):
+        # the optimum :func:`solve` holds is a weak reference, which does not pickle
+        return {k: v for k, v in self.__dict__.items() if k != "_optimum"}
 
 
 @dataclass(frozen=True)
@@ -474,9 +479,20 @@ def solve(problem: TransportProblem):
     Returns ``(coupling, (u, v))`` where the coupling attains the minimum
     over all couplings supported on finite-cost arcs and the LP duals
     satisfy ``v[j] - u[i] <= cost(i, j)`` on every finite arc with equality
-    on the support. Raises :class:`Infeasible` when no causal coupling
-    exists.
+    on the support. The duals are read-only arrays. Raises
+    :class:`Infeasible` when no causal coupling exists.
+
+    The problem holds its optimum weakly: while any caller still holds the
+    returned coupling, a later call on the same problem object returns that
+    same coupling and the same duals without solving again. Once the last
+    reference to the coupling is gone, the next call solves afresh. An
+    infeasible problem is solved, and raises, on every call.
     """
+    held = problem.__dict__.get("_optimum")
+    if held is not None:
+        coupling = held[0]()
+        if coupling is not None:
+            return coupling, held[1]
     mu, nu = problem.mu, problem.nu
     C = problem.cost_matrix()
     n, m = C.shape
@@ -514,7 +530,13 @@ def solve(problem: TransportProblem):
     ii, jj, exact = basis.support()
     coupling = Coupling.from_columns(problem, ii, jj, np.array([q / denom for q in exact]),
                                      exact_masses=exact, exact_denominator=denom)
-    return coupling, (u, v)
+    u.setflags(write=False)
+    v.setflags(write=False)
+    duals = (u, v)
+    # a weak reference: the coupling holds the problem, so a strong one would
+    # keep every optimum alive as long as its problem
+    object.__setattr__(problem, "_optimum", (ref(coupling), duals))
+    return coupling, duals
 
 
 def dual_objective(coupling: Coupling, duals) -> float:

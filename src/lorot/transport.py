@@ -120,7 +120,8 @@ def restrict(model: SpacetimeModel, coupling: Coupling, s1: float, s2: float,
     Each entry's mass moves between its two interpolated points. Returns
     ``(problem, coupling)`` for the restricted transport; with ``verify`` the
     restricted coupling is checked to be optimal for its own marginals
-    against a fresh solve, to a relative 1e-9. ``ValueError`` unless
+    against a fresh solve, to a relative 1e-9: each call builds a new
+    problem, so no optimum held by a caller is reused. ``ValueError`` unless
     0 <= s1 <= s2 <= 1 and ``model`` is the coupling's own."""
     if not 0.0 <= s1 <= s2 <= 1.0:
         raise ValueError(f"need 0 <= s1 <= s2 <= 1, got {s1}, {s2}")
@@ -270,8 +271,15 @@ def ray_decomposition(model: SpacetimeModel, coupling: Coupling):
     equal times in order of first appearance among its entries. Raises
     :class:`MonotonicityViolation` when the support fails the two-cycle
     audit, or when one mu-atom feeds two non-collinear moving segments (a
-    branch, for which no discrete prescription exists).
+    branch, for which no discrete prescription exists), and ``ValueError``
+    unless ``model`` is the coupling's own.
+
+    The coupling keeps its rays: a later call under its model returns the
+    same tuple without decomposing again. A raised violation is not kept.
     """
+    coupling.check_model(model)
+    if "_rays" in coupling.__dict__:
+        return coupling._rays
     _check_two_cycles(model, coupling)
     ii, jj, mass = coupling.index_arrays()
     xs, ys = coupling.entry_coords()
@@ -317,17 +325,22 @@ def ray_decomposition(model: SpacetimeModel, coupling: Coupling):
     (entry_indices,) = per_ray(ray_of[members], members)
     mu_atoms, mu_taus, mu_masses = per_ray(mu_ray, mu_atom, mu_tau, mu_mass)
     nu_atoms, nu_taus, nu_masses = per_ray(nu_ray, nu_atom, nu_tau, nu_mass)
-    return tuple(map(TransportRay, entry_indices, mu_atoms, nu_atoms, mu_taus, nu_taus,
+    rays = tuple(map(TransportRay, entry_indices, mu_atoms, nu_atoms, mu_taus, nu_taus,
                      mu_masses, nu_masses, identical.tolist()))
+    object.__setattr__(coupling, "_rays", rays)
+    return rays
 
 
 def monge_map(model: SpacetimeModel, problem: TransportProblem):
     """Solve, decompose into rays, and rearrange monotonically along all
     rays in one pass with exact integer masses.
 
-    Returns a :class:`MongeMap` when every mu-atom's mass lands on a single
-    nu-atom, in which case its cost matches the solver optimum within 1e-9;
-    otherwise returns :class:`AtomSplit` naming the obstructing atom.
+    While the caller holds an optimum of this problem object from
+    :func:`solve` (and, if it called :func:`ray_decomposition`, that
+    optimum's rays), both are reused rather than computed again. Returns a
+    :class:`MongeMap` when every mu-atom's mass lands on a single nu-atom,
+    in which case its cost matches the solver optimum within 1e-9; otherwise
+    returns :class:`AtomSplit` naming the obstructing atom.
     """
     coupling, _ = solve(problem)
     rays = ray_decomposition(model, coupling)

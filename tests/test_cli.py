@@ -157,6 +157,13 @@ class TestOtherCommands:
         assert result["feasible"] and result["support_tight"]
         assert (out / "psi.csv").exists() and (out / "phi.csv").exists()
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
+    def test_dual_refuses_a_tolerance_not_positive_and_finite(self, tol, problem_file,
+                                                             tmp_path, capsys):
+        argv = ["dual", "--input", str(problem_file), f"--tol={tol}", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        assert f"--tol must be positive and finite, got {tol}" in capsys.readouterr().err
+
     def test_dual_builds_one_cost_matrix(self, problem_file, tmp_path, cost_matrix_calls):
         # phi is the c-transform over the problem's own matrix, not a second build
         assert main(["dual", "--input", str(problem_file), "--out", str(tmp_path)]) == 0

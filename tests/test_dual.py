@@ -365,6 +365,16 @@ class TestPotentialLengths:
         with pytest.raises(ValueError, match="phi has 53 values for 54 nu-atoms"):
             dkp_verify(MK1, coupling, DualPotential.from_arrays(u, v[1:]))
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-8, -math.inf])
+    def test_dkp_verify_refuses_a_tolerance_not_positive_and_finite(self, tol):
+        # an infinite tolerance would certify any potential
+        problem = two_by_two_problem()
+        coupling, _ = solve(problem)
+        far_off = DualPotential.from_arrays(np.zeros(2), np.full(2, 1e300))
+        with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol!r}"):
+            dkp_verify(MK1, coupling, far_off, tol=tol)
+        assert not dkp_verify(MK1, coupling, far_off).feasible
+
 
 class TestPotentialNan:
     """A NaN in a potential is refused, naming the side and the first NaN

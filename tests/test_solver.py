@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -769,10 +771,77 @@ class TestDeterminism:
         for _ in range(5):
             problem = random_weighted_causal_problem(rng)
             a, da = solve(problem)
-            b, db = solve(problem)
+            # an equal problem, so the held optimum is not handed back
+            b, db = solve(dataclasses.replace(problem))
             assert a.entries == b.entries
             assert repr(a.total_cost) == repr(b.total_cost)
             assert np.array_equal(da[0], db[0]) and np.array_equal(da[1], db[1])
+
+
+class TestHeldOptimum:
+    """While a caller holds the coupling ``solve`` returned, a later call on
+    the same problem object hands back that optimum; once the coupling is
+    dropped, the next call solves again."""
+
+    def test_second_solve_returns_the_same_objects(self, pivots):
+        problem = pivoting_problem(30, 1)
+        coupling, (u, v) = solve(problem)
+        made = len(pivots)
+        again, (u2, v2) = solve(problem)
+        assert again is coupling and u2 is u and v2 is v
+        assert len(pivots) == made > 10
+
+    def test_duals_are_read_only_on_a_miss_and_on_a_hit(self):
+        problem = separated_rays_problem(0)
+        miss = solve(problem)
+        hit = solve(problem)
+        assert hit[0] is miss[0]
+        for _, duals in (miss, hit):
+            for dual in duals:
+                with pytest.raises(ValueError, match="read-only"):
+                    dual[0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    dual += 1.0
+
+    def test_a_dropped_optimum_is_freed_and_solved_again(self, pivots):
+        problem = pivoting_problem(30, 1)
+        coupling, (u, v) = solve(problem)
+        first = (coupling.entries, coupling.exact_masses, repr(coupling.total_cost),
+                 u.tobytes(), v.tobytes())
+        made = pivots[:]
+        held = weakref.ref(coupling)
+        del coupling, u, v
+        # no gc.collect(): the problem holds the coupling weakly, so no cycle
+        # keeps it alive
+        assert held() is None
+        pivots.clear()
+        coupling, (u, v) = solve(problem)
+        assert pivots == made
+        assert (coupling.entries, coupling.exact_masses, repr(coupling.total_cost),
+                u.tobytes(), v.tobytes()) == first
+
+    def test_infeasible_raises_on_every_call(self):
+        problem = partially_reachable_problem()
+        for _ in range(3):
+            with pytest.raises(Infeasible, match="mu-atom 0 cannot place mass 1/2: "):
+                solve(problem)
+        assert "_optimum" not in problem.__dict__
+
+    def test_a_replaced_coupling_is_never_returned(self):
+        problem = separated_rays_problem(0)
+        coupling, _ = solve(problem)
+        copy = dataclasses.replace(coupling)
+        assert solve(problem)[0] is coupling
+        del coupling
+        again, _ = solve(problem)
+        assert again is not copy and again == copy
+
+    def test_a_solved_problem_pickles_without_its_optimum(self):
+        problem = separated_rays_problem(0)
+        coupling, _ = solve(problem)
+        back = pickle.loads(pickle.dumps(problem))
+        assert back == problem and "_optimum" not in back.__dict__
+        assert solve(back)[0] == coupling
 
 
 class TestProblemJson:

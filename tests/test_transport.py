@@ -1,6 +1,8 @@
 import math
+import re
 import tracemalloc
 from bisect import bisect_left
+from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
@@ -13,7 +15,7 @@ from lorot.errors import MonotonicityViolation, NotCausalPair
 from lorot.experiments import line_blowup_problem, random_strict_problem, separated_rays_problem
 from lorot.measures import DiscreteMeasure
 from lorot.solver import Coupling, TransportProblem, solve
-from lorot import spacetime
+from lorot import solver, spacetime, transport
 from lorot.spacetime import Cylinder, Minkowski, Point
 from lorot.transport import (
     COLLINEARITY_RTOL,
@@ -672,7 +674,8 @@ class TestRayRowBlocks:
                 random_strict_problem(1))]
 
         def run():
-            return [outcome(ray_decomposition, c.problem.model, c) for c in couplings]
+            # copies, which hold no rays from an earlier run
+            return [outcome(ray_decomposition, c.problem.model, replace(c)) for c in couplings]
 
         default = run()
         assert default[0].startswith(
@@ -818,3 +821,71 @@ class TestMongeMapMatchesReference:
         assert repr(got) == outcome(reference_monge_map, MK1, problem)
         assert got.assignment == (1, 0, 0, 1)
         assert [ray.nu_atoms for ray in got.rays] == [(1,), (0,), (1,)]
+
+
+def spy(fn, calls):
+    """``fn``, appending to ``calls`` on every call."""
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return counted
+
+
+class TestHeldRays:
+    """A coupling keeps its rays, and ``monge_map`` reuses the optimum and
+    the rays its caller holds."""
+
+    def test_second_call_returns_the_same_rays(self):
+        problem = separated_rays_problem(0)
+        coupling, _ = solve(problem)
+        rays = ray_decomposition(problem.model, coupling)
+        assert ray_decomposition(problem.model, coupling) is rays
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_monge_map_reuses_the_held_optimum_and_rays(self, seed, monkeypatch):
+        problem = separated_rays_problem(seed)
+        model = problem.model
+        coupling, _ = solve(problem)
+        rays = ray_decomposition(model, coupling)
+        bases, joins = [], []
+        monkeypatch.setattr(solver, "_Basis", spy(solver._Basis, bases))
+        monkeypatch.setattr(transport, "_joins", spy(transport._joins, joins))
+        held = monge_map(model, problem)
+        assert bases == [] and joins == []
+        assert held.rays is rays
+        # an equal problem that holds no optimum: solved and decomposed afresh
+        fresh = monge_map(model, replace(problem))
+        assert len(bases) == 1 and len(joins) == 1
+        assert repr(held) == repr(fresh)
+
+    def test_foreign_model_still_named_after_the_rays_are_kept(self):
+        problem = separated_rays_problem(0)
+        coupling, _ = solve(problem)
+        ray_decomposition(MK1, coupling)
+        message = "coupling is priced under Minkowski(d=1), not Cylinder(circumference=0.5)"
+        for layer in (lambda: ray_decomposition(Cylinder(0.5), coupling),
+                      lambda: monge_map(Cylinder(0.5), problem)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                layer()
+
+    def test_violation_is_not_kept(self, monkeypatch):
+        third = 1.0 / 3.0
+        mu = DiscreteMeasure.from_atoms([(pt(MK1, x, 0), third) for x in (0, 1, 2)])
+        nu = DiscreteMeasure.from_atoms([(pt(MK1, x, 2), third) for x in (0, 1, 2)])
+        crossed = Coupling.from_entries(TransportProblem(MK1, mu, nu),
+                                        [(0, 0, third), (1, 2, third), (2, 1, third)])
+        audits = []
+        monkeypatch.setattr(transport, "_check_two_cycles", spy(_check_two_cycles, audits))
+        for _ in range(2):
+            with pytest.raises(MonotonicityViolation, match="two-cycle improvement"):
+                ray_decomposition(MK1, crossed)
+        assert len(audits) == 2
+
+    def test_restrict_verifies_against_a_fresh_solve(self, monkeypatch):
+        problem = separated_rays_problem(0)
+        coupling, _ = solve(problem)
+        bases = []
+        monkeypatch.setattr(solver, "_Basis", spy(solver._Basis, bases))
+        for k in (1, 2):
+            restrict(problem.model, coupling, 0.25, 0.75, verify=True)
+            assert len(bases) == k
