@@ -7,6 +7,8 @@ monotonically in time; when the source is refined enough that no atom has
 to split, this produces a genuine map with the optimal cost.
 """
 
+import numpy as np
+
 from lorot import (
     MongeMap,
     monge_map,
@@ -29,12 +31,12 @@ for k, ray in enumerate(rays):
           f"targets, time span [{ray.mu_taus[0]:.3f}, {ray.nu_taus[-1]:.3f}]")
 
 print()
-print("=== Per-ray cumulative masses drive the rearrangement ===")
+print("=== Per-ray running totals of mass, in time order ===")
 ray = rays[0]
-cdf_mu, cdf_nu = ray.cdf_mu(), ray.cdf_nu()
-print("  source levels:", [f"{v:.3f}" for v in cdf_mu.cumulative])
-print("  target levels:", [f"{v:.3f}" for v in cdf_nu.cumulative])
-print("  each source atom lands on the first target whose level covers it")
+print("  source levels:", [f"{v:.3f}" for v in np.cumsum(ray.mu_masses)])
+print("  target levels:", [f"{v:.3f}" for v in np.cumsum(ray.nu_masses)])
+print("  each source atom lands on the first target whose level covers it;")
+print("  monge_map computes the same running totals exactly, in integers")
 
 # the coupling and its rays are still held here, so monge_map reuses both
 out = monge_map(problem.model, problem)

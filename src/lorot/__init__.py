@@ -72,7 +72,6 @@ from .spacetime import (
 from .transport import (
     AtomSplit,
     MongeMap,
-    RayCDF,
     TransportRay,
     contraction_check,
     interpolate,

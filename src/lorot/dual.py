@@ -39,9 +39,10 @@ class DualPotential:
 
     @classmethod
     def from_arrays(cls, psi, phi) -> "DualPotential":
-        """Raises ``ValueError`` on a ``None`` in phi (see :func:`c_transform`)."""
-        if any(p is None for p in phi):
-            raise ValueError("some nu-atom has no causal source; phi is -inf there")
+        """Raises ``ValueError`` naming the first ``None`` in phi (see :func:`c_transform`)."""
+        if None in phi:
+            j = list(phi).index(None)
+            raise ValueError(f"nu-atom {j} has no causal source; phi is +inf there")
         return cls(tuple(float(x) for x in psi), tuple(float(x) for x in phi))
 
     @classmethod
@@ -74,10 +75,10 @@ def c_transform(model: SpacetimeModel, mu, psi, nu):
     """phi(y) = inf over mu-atoms x of psi(x) + cost(x, y).
 
     Returns one value per nu-atom; ``None`` marks atoms with no causal
-    source at all (the infimum is minus infinity there). The sentinel is an
-    explicit tagged value so it never enters float arithmetic. The costs are
-    evaluated one row block at a time, so the full matrix is never held.
-    Raises ``ValueError`` unless psi has one non-NaN value per mu-atom.
+    source at all, where every cost and so the infimum is +inf. The sentinel
+    is an explicit tagged value so it never enters float arithmetic. The
+    costs are evaluated one row block at a time, so the full matrix is never
+    held. Raises ``ValueError`` unless psi has one non-NaN value per mu-atom.
     """
     xs, ys = mu.coords_array(), nu.coords_array()
     return _column_infima(_per_atom("psi", psi, len(xs), "mu"), len(ys),
@@ -186,8 +187,8 @@ def _longest_paths(C: np.ndarray, ii: np.ndarray, jj: np.ndarray, root: int):
     return None, PositiveCycle(tuple(atoms), gain)
 
 
-def chain_potential(model: SpacetimeModel, coupling: Coupling, root=None):
-    """Longest-path potential psi on the mu-support, rooted at a support pair.
+def chain_potential(model: SpacetimeModel, coupling: Coupling):
+    """Longest-path potential psi on the mu-support, rooted at the least entry's mu-atom.
 
     Returns a numpy array with psi(root atom) = 0, or a
     :class:`PositiveCycle` when the chain graph contains a cycle of positive
@@ -196,13 +197,7 @@ def chain_potential(model: SpacetimeModel, coupling: Coupling, root=None):
     from the root; the construction needs a connected support.
     """
     ii, jj, _ = coupling.index_arrays()
-    if root is None:
-        root = coupling.entries[0][:2]  # entries are sorted: the lexicographic minimum
-    else:
-        root = (int(root[0]), int(root[1]))
-        if not np.any((ii == root[0]) & (jj == root[1])):
-            raise ValueError(f"root {root} is not a support pair")
-    psi, cycle = _longest_paths(coupling.cost_matrix(model), ii, jj, root[0])
+    psi, cycle = _longest_paths(coupling.cost_matrix(model), ii, jj, int(ii[0]))
     if cycle is not None:
         return cycle
 

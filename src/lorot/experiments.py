@@ -325,6 +325,12 @@ def build_profile(eps: float) -> ProfileFunction:
     return f
 
 
+def _grid_size(n) -> int:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"theta_grid must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
 def cylinder_potential(profile: ProfileFunction, ys, theta_grid: int = 100000) -> np.ndarray:
     """inf over the circle of profile(theta) + cost((theta, 0), y), per target.
 
@@ -336,8 +342,7 @@ def cylinder_potential(profile: ProfileFunction, ys, theta_grid: int = 100000) -
     argmin to width 1e-10. All k searches run in lockstep, each until its own
     width is reached.
     """
-    if not isinstance(theta_grid, (int, np.integer)) or theta_grid < 1:
-        raise ValueError(f"theta_grid must be an integer >= 1, got {theta_grid!r}")
+    theta_grid = _grid_size(theta_grid)
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 2 or ys.shape[1] != 2:
         raise ValueError(f"targets must form a (k, 2) array, got shape {ys.shape}")
@@ -396,9 +401,7 @@ def subdifferential_field(profile: ProfileFunction, t: float, theta_grid: int):
     if not sys.float_info.min <= t <= 1.0:
         # below the normal range u = t * s keeps too few bits, and u + t rounds to 0
         raise ValueError(f"t must lie in [{sys.float_info.min!r}, 1], got {t!r}")
-    N = int(theta_grid)
-    if N < 1:
-        raise ValueError(f"theta_grid must be at least 1, got {theta_grid!r}")
+    N = _grid_size(theta_grid)
     thetas = (np.arange(N) + 0.5) * (5.0 / N)
     fp = profile.derivative(thetas)
     ok = np.abs(fp) <= _slope(1.0 - 1e-14)  # false on NaN
@@ -427,14 +430,13 @@ def run_cylinder_example(eps: float, theta_grid: int, t: float,
     thetas, fp, u, skipped = subdifferential_field(profile, t, theta_grid)
     ok = np.isfinite(u)
     margins = t - np.abs(u[ok])
-    cell = 5.0 / int(theta_grid)
 
     report = ExperimentReport(name="cylinder-example")
     report.scalars["eps"] = ScalarResult(eps)
     report.scalars["t"] = ScalarResult(t)
     report.scalars["skipped_thetas"] = ScalarResult(float(skipped))
     for eta in etas:
-        measure = cell * float(np.count_nonzero(margins < eta))
+        measure = 5.0 / len(thetas) * float(np.count_nonzero(margins < eta))
         _check(measure > 0, f"near-null set at eta={eta} has zero measure")
         report.scalars[f"near_null_measure_eta_{eta}"] = ScalarResult(
             measure, window=(np.nextafter(0.0, 1.0), 5.0)

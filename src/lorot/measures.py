@@ -84,6 +84,9 @@ class DiscreteMeasure:
     def weights_array(self) -> np.ndarray:
         return self._weights
 
+    def __reduce__(self):  # through __init__, so the arrays come back read-only
+        return DiscreteMeasure, (self._coords, self._weights)
+
     def __eq__(self, other):
         if not isinstance(other, DiscreteMeasure):
             return NotImplemented

@@ -72,9 +72,8 @@ class TransportProblem:
             object.__setattr__(self, "_cost", C)
         return self._cost
 
-    def __getstate__(self):
-        # the optimum :func:`solve` holds is a weak reference, which does not pickle
-        return {k: v for k, v in self.__dict__.items() if k != "_optimum"}
+    def __reduce__(self):  # the cached costs and the held optimum are derived state
+        return TransportProblem, (self.model, self.mu, self.nu)
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,10 @@ class Coupling:
         for name, array in zip(("_ii", "_jj", "_masses"), columns):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+
+    def __reduce__(self):  # from its entries: read-only columns, no kept rays
+        return Coupling, (self.problem, self.entries, self.total_cost,
+                          self.exact_masses, self.exact_denominator)
 
     @property
     def mu(self) -> DiscreteMeasure:

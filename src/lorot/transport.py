@@ -12,7 +12,7 @@ map whenever no atom has to split.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -25,22 +25,6 @@ from .solver import Coupling, TransportProblem, solve
 from .spacetime import Point, SpacetimeModel, row_block_buffers, row_blocks
 
 COLLINEARITY_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class RayCDF:
-    """Right-continuous step function: mass at time levels <= a on one ray."""
-
-    taus: tuple[float, ...]
-    cumulative: tuple[float, ...]
-
-    def __call__(self, a: float) -> float:
-        k = bisect_right(self.taus, a)
-        return 0.0 if k == 0 else self.cumulative[k - 1]
-
-    @property
-    def total(self) -> float:
-        return self.cumulative[-1]
 
 
 @dataclass(frozen=True)
@@ -61,12 +45,6 @@ class TransportRay:
     mu_masses: tuple[float, ...]
     nu_masses: tuple[float, ...]
     identical: bool = False
-
-    def cdf_mu(self) -> RayCDF:
-        return RayCDF(self.mu_taus, tuple(np.cumsum(self.mu_masses).tolist()))
-
-    def cdf_nu(self) -> RayCDF:
-        return RayCDF(self.nu_taus, tuple(np.cumsum(self.nu_masses).tolist()))
 
 
 @dataclass(frozen=True)

@@ -79,9 +79,14 @@ class TestCTransform:
 
     def test_sentinel_not_allowed_in_potential(self):
         mu = DiscreteMeasure.from_atoms([(pt(0, 0), 1.0)])
-        nu = DiscreteMeasure.from_atoms([(pt(9, 1), 1.0)])
-        with pytest.raises(ValueError):
-            DualPotential.from_psi(MK1, mu, [0.0], nu)
+        # outside the mu-atom's cone every cost, and so the infimum, is +inf;
+        # the error names the first such nu-atom
+        for atoms, first in (([(pt(9, 1), 1.0)], 0),
+                             ([(pt(0, 2), 0.5), (pt(5, 1), 0.25), (pt(9, 1), 0.25)], 1)):
+            nu = DiscreteMeasure.from_atoms(atoms)
+            with pytest.raises(ValueError, match=rf"^nu-atom {first} has no causal source; "
+                                                 r"phi is \+inf there$"):
+                DualPotential.from_psi(MK1, mu, [0.0], nu)
 
 
 class TestChainPotential:
@@ -172,14 +177,6 @@ class TestChainPotential:
         np.testing.assert_array_equal(
             chain_potential(MK1, coupling), chain_potential(MK1, shuffled)
         )
-
-    def test_explicit_root(self):
-        problem = two_by_two_problem()
-        coupling, _ = solve(problem)
-        psi = chain_potential(MK1, coupling, root=(1, 1))
-        assert psi[1] == 0.0
-        with pytest.raises(ValueError):
-            chain_potential(MK1, coupling, root=(0, 1))
 
 
 def reference_atom_arc_matrix(C, coupling):

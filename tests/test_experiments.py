@@ -177,8 +177,8 @@ class TestCylinderPotential:
             cylinder_potential(f, [[0.0, -1.0]], 1000)
 
     def test_grid_size_named(self):
-        for bad in (0, -3):
-            with pytest.raises(ValueError, match=f"got {bad}$"):
+        for bad in (0, -3, 2.7, True):
+            with pytest.raises(ValueError, match=f"^theta_grid must be an integer >= 1, got {bad}$"):
                 cylinder_potential(build_profile(0.25), [[1.0, 0.5]], bad)
 
     @pytest.mark.parametrize("ys, message", [
@@ -327,8 +327,8 @@ class TestSubdifferentialField:
         assert report.scalars["delta_trailing_cone"].value > 0
 
     def test_grid_size_named(self):
-        for bad in (0, -3):
-            with pytest.raises(ValueError, match=f"got {bad}$"):
+        for bad in (0, -3, 2.7, True):
+            with pytest.raises(ValueError, match=f"^theta_grid must be an integer >= 1, got {bad}$"):
                 subdifferential_field(build_profile(0.25), 1.0, bad)
 
     def test_tiny_t_scales_the_unit_field(self):
@@ -356,6 +356,14 @@ class TestRunCylinderExample:
         stable = 1.0 * (1 - math.pi / math.sqrt(1 + math.pi**2))
         assert rep.scalars["delta_leading_cone"].value == pytest.approx(stable, abs=1e-3)
         assert rep.scalars["critical_equation_residual"].value < 1e-9
+
+    def test_grid_size_named(self):
+        # the rule of cylinder_potential and subdifferential_field, not int()
+        for bad in (0, 2.7, True):
+            with pytest.raises(ValueError, match=f"^theta_grid must be an integer >= 1, got {bad}$"):
+                run_cylinder_example(0.25, bad, 1.0)
+        rep = run_cylinder_example(0.25, np.int64(1000), 1.0)
+        assert rep.scalars["near_null_measure_eta_0.01"].value > 0
 
     @pytest.mark.parametrize("eps", [1e-12, 0.01, 0.25, 0.4999])
     @pytest.mark.parametrize("grid", range(250, 261))

@@ -1,3 +1,4 @@
+import ast
 import os
 import runpy
 import subprocess
@@ -49,3 +50,30 @@ def test_demos_found():
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def unused_imports(source):
+    """Names a module imports and never reads; ``__future__`` imports aside."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_unused_import_check_sees_an_unread_name():
+    assert unused_imports("from bisect import bisect_left, bisect_right\n"
+                          "import numpy as np\nbisect_left(np.arange(3), 1)\n") == [(1, "bisect_right")]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py imports its names only to export them
+    found = {p.name: unused_imports(p.read_text(encoding="utf-8"))
+             for p in Path(lorot.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py"}
+    assert {name: unused for name, unused in found.items() if unused} == {}

@@ -843,6 +843,27 @@ class TestHeldOptimum:
         assert back == problem and "_optimum" not in back.__dict__
         assert solve(back)[0] == coupling
 
+    def test_a_pickle_round_trip_keeps_every_array_read_only(self):
+        problem = separated_rays_problem(0)
+        coupling, _ = solve(problem)
+        ray_decomposition(problem.model, coupling)
+
+        def measure_arrays(m):
+            return [m.coords_array(), m.weights_array()]
+
+        def problem_arrays(p):
+            return [p.cost_matrix(), *measure_arrays(p.mu), *measure_arrays(p.nu)]
+
+        for original, arrays_of in ((problem, problem_arrays),
+                                    (coupling, lambda c: [*c.index_arrays(), *problem_arrays(c.problem)]),
+                                    (problem.mu, measure_arrays)):
+            back = pickle.loads(pickle.dumps(original))
+            assert back == original
+            assert not {"_cost", "_optimum", "_rays"} & set(back.__dict__)
+            for array in arrays_of(back):
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = 0.0
+
 
 class TestProblemJson:
     def test_roundtrip(self):

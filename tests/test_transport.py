@@ -311,29 +311,6 @@ class TestRayDecomposition:
         )
         assert measured == predicted == 0.5
 
-    def test_ray_cdf_shape(self):
-        mu = DiscreteMeasure.from_atoms([(pt(MK1, 0, 0), 0.75), (pt(MK1, 0, 1), 0.25)])
-        nu = DiscreteMeasure.from_atoms([(pt(MK1, 0, 2), 1.0)])
-        coupling = Coupling.from_entries(
-            TransportProblem(MK1, mu, nu), [(0, 0, 0.75), (1, 0, 0.25)]
-        )
-        ray = ray_decomposition(MK1, coupling)[0]
-        cdf = ray.cdf_mu()
-        assert cdf(-1.0) == 0.0
-        assert cdf(0.0) == 0.75  # right continuous: includes the atom at 0
-        assert cdf(0.5) == 0.75
-        assert cdf(1.0) == cdf(99.0) == cdf.total == 1.0
-        assert ray.cdf_nu().total == pytest.approx(1.0)
-
-    def test_ray_cdf_holds_python_floats(self):
-        # like every other field of a ray, the levels are Python floats
-        coupling, _ = solve(separated_rays_problem(0))
-        for ray in ray_decomposition(MK1, coupling):
-            for cdf in (ray.cdf_mu(), ray.cdf_nu()):
-                assert all(type(level) is float for level in cdf.cumulative)
-                assert type(cdf(ray.nu_taus[-1])) is float
-                assert "np." not in repr(cdf)
-
 
 class TestMongeMap:
     def test_constant_map_to_single_target(self):
