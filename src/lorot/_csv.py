@@ -1,13 +1,14 @@
 """CSV tables formatted in numpy, byte for byte as ``%.17g`` and ``%d``.
 
-``write_csv`` is the CLI's one table writer. Each value's text is laid out
-in column-major ``uint8`` planes, one plane per character position and a
-NUL wherever a character is absent. The planes of a chunk of rows live in
-one buffer per call, zeroed per chunk: the sign and digit planes are
-written at every row, the ``0.000`` and exponent planes only at the rows
-whose value uses them. The planes that hold a character are transposed
-into row order and ``bytes.translate`` deletes the NULs in one C pass,
-which leaves the CSV text of those rows.
+``CsvWriter`` is the CLI's one table writer: a header, then any number of
+record-array blocks; ``write_csv`` calls it with one block. Each value's
+text is laid out in column-major ``uint8`` planes, one plane per character
+position and a NUL wherever a character is absent. The planes of a chunk of
+rows live in one buffer per block, zeroed per chunk: the sign and digit
+planes are written at every row, the ``0.000`` and exponent planes only at
+the rows whose value uses them. The planes that hold a character are
+transposed into row order and ``bytes.translate`` deletes the NULs in one C
+pass, which leaves the CSV text of those rows.
 """
 
 from __future__ import annotations
@@ -16,17 +17,17 @@ from pathlib import Path
 
 import numpy as np
 
-_CHUNK = 8192  # rows per block of planes, so memory stays bounded
+_CHUNK = 8192  # rows per chunk of planes and cells per cylinder field block
 _MARGIN = 2.0 ** -30  # a rounding or exponent decision closer than this falls back
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for a Dekker product
 _POW10 = np.array([10 ** (8 - k) for k in range(9)], dtype=np.int32)
 _ZERO, _DOT, _MINUS = ord("0"), ord("."), ord("-")
 
 # planes of one float value: sign, the "0.000" of 1e-4 <= |x| < 1,
-# 17 digits each followed by an optional ".", then "e", sign, 3 digits
-_FLOAT_WIDTH = 1 + 5 + 2 * 17 + 5
+# 17 digits and an optional "." among them, then "e", sign, 3 digits
+_FLOAT_WIDTH = 1 + 5 + 18 + 5
 _DIGIT0 = 1 + 5
-_EXP0 = _DIGIT0 + 2 * 17
+_EXP0 = _DIGIT0 + 18
 
 
 def _split(a):
@@ -54,7 +55,8 @@ class _PowersOfTen:
 
     def __call__(self, k):
         idx = k + self.OFFSET
-        for i in np.unique(idx[~self.built[idx]]).tolist():
+        new = [] if self.built.take(idx).all() else np.unique(idx[~self.built[idx]]).tolist()
+        for i in new:
             e = i - self.OFFSET
             num, den = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
             hi = num / den
@@ -63,7 +65,7 @@ class _PowersOfTen:
             self.hi_hi[i], self.hi_lo[i] = _split(hi)
             self.lo[i] = (num * d - n * den) / (den * d)
             self.built[i] = True
-        return self.hi[idx], self.hi_hi[idx], self.hi_lo[idx], self.lo[idx]
+        return self.hi.take(idx), self.hi_hi.take(idx), self.hi_lo.take(idx), self.lo.take(idx)
 
 
 def _scaled(a, k, powers):
@@ -88,12 +90,13 @@ def _float_planes(x, powers, out):
     a = np.where(fast, ax, 1.0)
     E = np.floor(np.log10(a)).astype(np.int64)
     p, t, exact = _scaled(a, 16 - E, powers)
-    shift = ((p - 1e17) + t >= 0).astype(np.int64) - ((p - 1e16) + t < 0)
+    below, above = (p - 1e16) + t, (p - 1e17) + t
+    shift = (above >= 0).astype(np.int64) - (below < 0)
     moved = np.flatnonzero(shift)
     if len(moved):
         E[moved] += shift[moved]
         p[moved], t[moved], exact[moved] = _scaled(a[moved], 16 - E[moved], powers)
-    below, above = (p - 1e16) + t, (p - 1e17) + t
+        below[moved], above[moved] = (p[moved] - 1e16) + t[moved], (p[moved] - 1e17) + t[moved]
     edge = (np.abs(below) <= _MARGIN) | (np.abs(above) <= _MARGIN)
     tie = np.abs(t - np.floor(t) - 0.5) <= _MARGIN
     ok = fast & (below >= 0) & (above < 0) & ~(edge & ~exact) & ~tie
@@ -125,9 +128,15 @@ def _float_planes(x, powers, out):
         lead = lead[E[lead] < -j]
         out[2 + j, lead] = _ZERO
     digits += np.uint8(_ZERO)
-    np.multiply(digits, ks <= np.maximum(last_nonzero, point), out=out[_DIGIT0:_EXP0:2])
-    dotted = np.flatnonzero((last_nonzero > point) & (point >= 0))
-    out[_DIGIT0 + 1 + 2 * point[dotted].astype(np.intp), dotted] = _DOT
+    digits *= ks <= np.maximum(last_nonzero, point)  # NUL after the last digit shown
+    # the point takes the plane after digit `point`, and the digits after it
+    # move one plane on; dot = 18 (no plane) where no point is printed
+    dot = np.where((last_nonzero > point) & (point >= 0), point + 1, 18)
+    planes = out[_DIGIT0:_EXP0]
+    planes[:17] = digits
+    np.copyto(planes[1:], digits, where=ks + 1 > dot)
+    dotted = np.flatnonzero(dot < 18)
+    planes[dot[dotted].astype(np.intp), dotted] = _DOT
     out[_DIGIT0, zero] = _ZERO
     expo = np.flatnonzero(~fixed)
     Ex = E[expo]
@@ -168,6 +177,62 @@ def _int_width(column) -> int:
     return len(str(max(abs(int(column.max())), abs(int(column.min())))))
 
 
+class CsvWriter:
+    """A CSV file written block by block: a header of the first block's
+    field names, then one line per record of every block, in order.
+
+    Used as a context manager, it is called with record-array blocks of
+    the same fields (a block may be empty). A block of any length is
+    formatted ``_CHUNK`` rows at a time, so memory stays bounded per chunk,
+    not per table. Leaving the context by an exception removes the file, so
+    a failed run leaves no partial table behind. The bytes follow the rule
+    of ``write_csv``, whatever the block sizes.
+    """
+
+    def __init__(self, path: Path):
+        self.path = Path(path)
+        self._names = None
+        self._powers = _PowersOfTen()
+
+    def __enter__(self):
+        self._fh = open(self.path, "wb")
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self._fh.close()
+        if exc_type is not None:
+            self.path.unlink()
+
+    def __call__(self, table: np.recarray):
+        names = table.dtype.names
+        if self._names is None:
+            self._names = names
+            self._fh.write((",".join(names) + "\n").encode("utf-8"))
+        is_float = [table.dtype[name].kind == "f" for name in names]
+        widths = [_FLOAT_WIDTH if f else 1 + _int_width(table[name])
+                  for name, f in zip(names, is_float)]
+        n_planes = sum(widths) + len(names)  # a "," after each column but the last, "\n" at the end
+        buffer = np.zeros((n_planes, min(len(table), _CHUNK)), dtype=np.uint8)
+        for start in range(0, len(table), _CHUNK):
+            rows = table[start:start + _CHUNK]
+            block = buffer[:, :len(rows)]
+            if start:  # np.zeros has zeroed it for the first chunk
+                block.fill(0)
+            at = 0
+            for name, f, width in zip(names, is_float, widths):
+                planes = block[at:at + width]
+                if f:
+                    _float_planes(np.asarray(rows[name], dtype=np.float64), self._powers, planes)
+                else:
+                    _int_planes(np.asarray(rows[name]), planes)
+                at += width
+                block[at] = ord(",")
+                at += 1
+            block[at - 1] = ord("\n")
+            # planes without a character dropped, rows in order, NULs deleted
+            self._fh.write(block[block.any(axis=1)].T.tobytes().translate(None, b"\0"))
+
+
 def write_csv(path: Path, table: np.recarray):
     """One line per record under a header of the field names; floats as
     ``%.17g``, which round-trips, and integers (and bools) as ``%d``.
@@ -199,29 +264,5 @@ def write_csv(path: Path, table: np.recarray):
     instead, one value at a time, and so are non-finite values and
     ``|x|`` outside [1e-280, 1e280]; zero is spelt out directly.
     """
-    names = table.dtype.names
-    is_float = [table.dtype[name].kind == "f" for name in names]
-    widths = [_FLOAT_WIDTH if f else 1 + _int_width(table[name])
-              for name, f in zip(names, is_float)]
-    n_planes = sum(widths) + len(names)  # a "," after each column but the last, "\n" at the end
-    powers = _PowersOfTen()
-    buffer = np.empty((n_planes, min(len(table), _CHUNK)), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write((",".join(names) + "\n").encode("utf-8"))
-        for start in range(0, len(table), _CHUNK):
-            rows = table[start:start + _CHUNK]
-            block = buffer[:, :len(rows)]
-            block.fill(0)
-            at = 0
-            for name, f, width in zip(names, is_float, widths):
-                planes = block[at:at + width]
-                if f:
-                    _float_planes(np.asarray(rows[name], dtype=np.float64), powers, planes)
-                else:
-                    _int_planes(np.asarray(rows[name]), planes)
-                at += width
-                block[at] = ord(",")
-                at += 1
-            block[at - 1] = ord("\n")
-            # planes without a character dropped, rows in order, NULs deleted
-            fh.write(block[block.any(axis=1)].T.tobytes().translate(None, b"\0"))
+    with CsvWriter(path) as write:
+        write(table)

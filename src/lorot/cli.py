@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._csv import write_csv as _write_csv
+from ._csv import CsvWriter, write_csv as _write_csv
 from .diagnostics import audit
 from .dual import DualPotential, PositiveCycle, c_transform_costs, chain_potential, dkp_verify
 from .errors import Infeasible, LorotError, SchemaError
@@ -186,8 +186,9 @@ def _cmd_cylinder(args, out_dir):
     # = 0.02 * (1 + eps**2) / t, which every grid >= 250 meets for t <= 1.
     if args.grid < 250:
         raise SchemaError("--grid must be at least 250")
-    report = run_cylinder_example(args.eps, args.grid, args.t)
-    _write_csv(out_dir / "subdifferential.csv", report.tables["subdifferential"])
+    # the rows stream to the CSV block by block; a failed check removes it
+    with CsvWriter(out_dir / "subdifferential.csv") as rows:
+        report = run_cylinder_example(args.eps, args.grid, args.t, rows=rows)
     return report.as_dict(), 0
 
 

@@ -25,9 +25,9 @@ class TooLarge(LorotError):
 class UnreachableAtom(LorotError):
     """A source atom cannot be reached by any chain from the root pair."""
 
-    def __init__(self, atom_index, message=None):
+    def __init__(self, atom_index):
         self.atom_index = atom_index
-        super().__init__(message or f"no chain from the root reaches mu-atom {atom_index}")
+        super().__init__(f"no chain from the root reaches mu-atom {atom_index}")
 
 
 class MonotonicityViolation(LorotError):
@@ -37,9 +37,9 @@ class MonotonicityViolation(LorotError):
 class ValidationFailed(LorotError):
     """A profile function violated one of its defining conditions."""
 
-    def __init__(self, condition, message=None):
+    def __init__(self, condition):
         self.condition = condition
-        super().__init__(message or f"profile condition ({condition}) violated")
+        super().__init__(f"profile condition ({condition}) violated")
 
 
 class ExperimentCheckFailed(LorotError):

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csv import _CHUNK  # one block of the cylinder field is one chunk of CSV rows
 from .diagnostics import audit
 from .dual import chain_potential, PositiveCycle
 from .errors import ExperimentCheckFailed, ValidationFailed
@@ -62,7 +63,9 @@ class ExperimentReport:
     """Named scalars and tables of one experiment run.
 
     Each table is a numpy record array: ``table["margin"]`` is a column,
-    ``table[k]`` a record, and ``for row in table: row["n"]`` reads rows.
+    ``table[k]`` a record, and ``for row in table: row["n"]`` reads rows. A
+    table streamed to a sink (``run_cylinder_example(..., rows=sink)``) is
+    not kept here; the sink gets it as record-array blocks.
     """
 
     name: str
@@ -382,7 +385,8 @@ def _slope(s):
     return s / np.sqrt(1.0 - s * s)
 
 
-def subdifferential_field(profile: ProfileFunction, t: float, theta_grid: int):
+def subdifferential_field(profile: ProfileFunction, t: float, theta_grid: int,
+                          cells: slice = slice(None)):
     """Solve the critical-point equation of the potential's subdifferential.
 
     For each theta on a cell-centered grid (which provably never hits the
@@ -395,23 +399,29 @@ def subdifferential_field(profile: ProfileFunction, t: float, theta_grid: int):
     A grid point is skipped, with u = NaN, when profile' there is not finite
     or exceeds in modulus the slope at |s| = 1 - 1e-14 (about 7.07e6).
 
-    Returns (thetas, fp, u, skipped): fp holds profile' on the grid, and
-    skipped counts the skipped points (reported, never silently dropped).
+    ``cells`` selects the grid cells to solve, as a slice of
+    ``range(theta_grid)`` (default all); each cell's values do not depend on
+    which other cells are solved with it.
+
+    Returns (thetas, fp, u, skipped) over the selected cells: fp holds
+    profile' there, and skipped counts the skipped points (reported, never
+    silently dropped).
     """
     if not sys.float_info.min <= t <= 1.0:
         # below the normal range u = t * s keeps too few bits, and u + t rounds to 0
         raise ValueError(f"t must lie in [{sys.float_info.min!r}, 1], got {t!r}")
     N = _grid_size(theta_grid)
-    thetas = (np.arange(N) + 0.5) * (5.0 / N)
+    index = range(N)[cells]
+    thetas = (np.arange(index.start, index.stop, index.step) + 0.5) * (5.0 / N)
     fp = profile.derivative(thetas)
     ok = np.abs(fp) <= _slope(1.0 - 1e-14)  # false on NaN
-    u = np.full(N, np.nan)
+    u = np.full(len(thetas), np.nan)
     u[ok] = t * (fp[ok] / np.hypot(1.0, fp[ok]))
-    return thetas, fp, u, N - int(np.count_nonzero(ok))
+    return thetas, fp, u, len(thetas) - int(np.count_nonzero(ok))
 
 
 def run_cylinder_example(eps: float, theta_grid: int, t: float,
-                         etas=(0.1, 0.05, 0.01)) -> ExperimentReport:
+                         etas=(0.1, 0.05, 0.01), rows=None) -> ExperimentReport:
     """Measure how close the cylinder transport comes to the light cone.
 
     For every source (theta, 0) on a grid avoiding the cusp, the matched
@@ -425,33 +435,56 @@ def run_cylinder_example(eps: float, theta_grid: int, t: float,
         y_theta -- positive on any finite grid; the distance to the leading
         cone point (theta + t, t) is reported too, and that one stays
         bounded away from zero uniformly in the grid.
+
+    The grid is solved in blocks of ``_CHUNK`` cells, and every reduction
+    above is accumulated exactly across blocks, so memory does not grow with
+    the grid. Each block's record array of (theta, y_theta, margin) rows,
+    skipped cells left out, is passed to ``rows`` as soon as it is made,
+    before the checks run; with ``rows=None`` the blocks are collected into
+    the report's ``subdifferential`` table.
     """
     profile = build_profile(eps)
-    thetas, fp, u, skipped = subdifferential_field(profile, t, theta_grid)
-    ok = np.isfinite(u)
-    margins = t - np.abs(u[ok])
+    n = _grid_size(theta_grid)
+    blocks = []
+    sink = blocks.append if rows is None else rows
+    skipped = 0
+    near_null = [0] * len(etas)
+    delta = delta_leading = math.inf
+    residual = -math.inf
+    for start in range(0, n, _CHUNK):
+        theta, fp, u, skip = subdifferential_field(profile, t, n, slice(start, start + _CHUNK))
+        if skip:
+            skipped += skip
+            ok = np.isfinite(u)
+            theta, fp, u = theta[ok], fp[ok], u[ok]
+        margins = t - np.abs(u)
+        for k, eta in enumerate(etas):
+            near_null[k] += int(np.count_nonzero(margins < eta))
+        # The cone points lie u + t behind and t - u ahead of y_theta on the
+        # circle: as |u| <= t <= 1, both are below half the circumference and
+        # never wrap. np.minimum and np.maximum propagate NaN, as np.min does.
+        delta = np.minimum(delta, np.min(u + t, initial=math.inf))
+        delta_leading = np.minimum(delta_leading, np.min(t - u, initial=math.inf))
+        residual = np.maximum(residual, np.max(np.abs(fp - _slope(u / t)), initial=-math.inf))
+        sink(np.rec.fromarrays([theta, (theta + u) % 5.0, margins], names="theta,y_theta,margin"))
 
     report = ExperimentReport(name="cylinder-example")
     report.scalars["eps"] = ScalarResult(eps)
     report.scalars["t"] = ScalarResult(t)
     report.scalars["skipped_thetas"] = ScalarResult(float(skipped))
-    for eta in etas:
-        measure = 5.0 / len(thetas) * float(np.count_nonzero(margins < eta))
+    for eta, count in zip(etas, near_null):
+        measure = 5.0 / n * float(count)
         _check(measure > 0, f"near-null set at eta={eta} has zero measure")
         report.scalars[f"near_null_measure_eta_{eta}"] = ScalarResult(
             measure, window=(np.nextafter(0.0, 1.0), 5.0)
         )
-    circle = Cylinder(5.0)
-    dist_trailing = np.abs(circle.displacement(0.0, u[ok] + t))
-    dist_leading = np.abs(circle.displacement(0.0, u[ok] - t))
-    delta = float(np.min(dist_trailing))
+    delta = float(delta)
     _check(delta > 0, "transport touches the trailing cone point on the grid")
     report.scalars["delta_trailing_cone"] = ScalarResult(
         delta, window=(np.nextafter(0.0, 1.0), math.inf)
     )
-    report.scalars["delta_leading_cone"] = ScalarResult(float(np.min(dist_leading)))
-    resid = np.abs(fp[ok] - _slope(u[ok] / t))
-    report.scalars["critical_equation_residual"] = ScalarResult(float(np.max(resid)))
+    report.scalars["delta_leading_cone"] = ScalarResult(float(delta_leading))
+    report.scalars["critical_equation_residual"] = ScalarResult(float(residual))
 
     # the potential's modulus of continuity across the cusp image, reported
     # only: |phi(2+h) - phi(2-h)| / sqrt(h) over dyadic offsets
@@ -461,8 +494,6 @@ def run_cylinder_example(eps: float, theta_grid: int, t: float,
     modulus = np.max(np.abs(phi[:len(hs)] - phi[len(hs):]) / np.sqrt(hs))
     report.scalars["potential_sqrt_modulus_at_cusp"] = ScalarResult(float(modulus))
 
-    theta = thetas[ok]
-    report.tables["subdifferential"] = np.rec.fromarrays(
-        [theta, (theta + u[ok]) % 5.0, margins], names="theta,y_theta,margin"
-    )
+    if rows is None:
+        report.tables["subdifferential"] = np.concatenate(blocks).view(np.recarray)
     return report

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lorot import _csv, cli, problem_to_json
+from lorot import _csv, cli, experiments, problem_to_json
 from lorot.cli import build_parser, main
 from lorot.experiments import run_cylinder_example, separated_rays_problem
 
@@ -228,11 +228,13 @@ class TestOtherCommands:
 
     def test_failed_experiment_check_exits_3(self, tmp_path, capsys, monkeypatch):
         # no margin lies below eta = 0, so that near-null set is always empty
-        monkeypatch.setattr(cli, "run_cylinder_example",
-                            lambda eps, grid, t: run_cylinder_example(eps, grid, t, etas=(0.0,)))
+        monkeypatch.setattr(cli, "run_cylinder_example", lambda eps, grid, t, rows: (
+            run_cylinder_example(eps, grid, t, etas=(0.0,), rows=rows)))
         assert main(["counterexample-cylinder", "--grid", "250", "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == (
             "lorot: experiment check failed: near-null set at eta=0.0 has zero measure\n")
+        # the rows were streamed before the check failed; no output is left
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("t", ["2.2250738585072014e-308", "1e-200"])
     def test_counterexample_cylinder_tiny_normal_t(self, t, tmp_path):
@@ -283,15 +285,25 @@ def reference_csv(table) -> bytes:
 class TestCsvWriter:
     @pytest.fixture
     def written(self, monkeypatch):
-        """Every (path, table) the CLI writes as CSV."""
+        """Every (path, table) the CLI writes as CSV, a streamed table's
+        blocks joined into one record array."""
         calls = []
-        write = cli._write_csv
 
-        def spy(path, table):
-            calls.append((path, table))
-            write(path, table)
+        class Spy(_csv.CsvWriter):
+            def __init__(self, path):
+                super().__init__(path)
+                self.blocks = []
 
-        monkeypatch.setattr(cli, "_write_csv", spy)
+            def __call__(self, table):
+                self.blocks.append(table.copy())
+                super().__call__(table)
+
+            def __exit__(self, *exc_info):
+                super().__exit__(*exc_info)
+                calls.append((self.path, np.concatenate(self.blocks).view(np.recarray)))
+
+        monkeypatch.setattr(_csv, "CsvWriter", Spy)  # write_csv's writer
+        monkeypatch.setattr(cli, "CsvWriter", Spy)  # the cylinder command's writer
         return calls
 
     @pytest.mark.parametrize("problem", [PROBLEM, problem_to_json(separated_rays_problem(0))],
@@ -386,13 +398,33 @@ class TestCsvWriter:
         table = run_cylinder_example(0.25, 100_000, 1.0).tables["subdifferential"]
         block = (3 * _csv._FLOAT_WIDTH + 3) * _csv._CHUNK  # the planes of one chunk
         _csv.write_csv(tmp_path / "warm-up.csv", table[:100])  # numpy imports some code lazily
+        # blocks of uneven sizes, one of them empty and one across a chunk edge
+        cuts = [0, 1, 1, 5000, 5000 + _csv._CHUNK + 7, len(table)]
         tracemalloc.start()
         try:
             _csv.write_csv(tmp_path / "t.csv", table)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks = [tracemalloc.get_traced_memory()[1]]
+            tracemalloc.reset_peak()
+            with _csv.CsvWriter(tmp_path / "blocks.csv") as write:
+                for a, b in zip(cuts, cuts[1:]):
+                    write(table[a:b])
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak < 4 * block
+        assert max(peaks) < 4 * block
+        text = (tmp_path / "t.csv").read_bytes()
+        assert (tmp_path / "blocks.csv").read_bytes() == text == reference_csv(table)
+
+    def test_writer_removes_its_file_on_error(self, tmp_path):
+        table = np.rec.fromarrays([np.arange(3.0)], names="x")
+        with pytest.raises(KeyError):
+            with _csv.CsvWriter(tmp_path / "t.csv") as write:
+                write(table)
+                raise KeyError("a failure after some blocks")
+        assert list(tmp_path.iterdir()) == []
+        with _csv.CsvWriter(tmp_path / "t.csv") as write:
+            write(table)
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(table)
 
     def test_fallback_rows_across_chunks(self, tmp_path):
         n = 2 * _csv._CHUNK + 123
@@ -467,3 +499,24 @@ class TestValidateCommand:
         assert main(["validate", "--input", json.dumps(dict(PROBLEM, nu=[])), "--out", str(out)]) == 3
         assert read_result(out)["result"]["violations"] == [
             "nu: schema: measure must be an object with an 'atoms' list"]
+
+
+class TestStreamedCylinderTable:
+    """The cylinder command streams its table to CSV in blocks of
+    ``_csv._CHUNK`` cells; its bytes and scalars must not depend on that."""
+
+    @pytest.mark.parametrize("eps, t", [(0.25, 1.0), (0.1, 0.5), (0.4, 1e-200),
+                                        (0.49, 2.2250738585072014e-308)])
+    @pytest.mark.parametrize("grid", [250, 8191, 8192, 8193, 16385, 100_000])
+    def test_streamed_csv_equals_the_collected_table(self, grid, eps, t, tmp_path, monkeypatch):
+        assert main(["counterexample-cylinder", "--eps", repr(eps), "--t", repr(t),
+                     "--grid", str(grid), "--out", str(tmp_path)]) == 0
+        report = run_cylinder_example(eps, grid, t)
+        table = report.tables["subdifferential"]
+        assert (tmp_path / "subdifferential.csv").read_bytes() == reference_csv(table)
+        assert read_result(tmp_path)["result"] == cli._sanitize(report.as_dict())
+        # the same run in one block of the whole grid
+        monkeypatch.setattr(experiments, "_CHUNK", grid)
+        whole = run_cylinder_example(eps, grid, t)
+        assert whole.tables["subdifferential"].tobytes() == table.tobytes()
+        assert whole.as_dict() == report.as_dict()

@@ -1,10 +1,12 @@
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lorot._csv import _CHUNK, CsvWriter
 from lorot.errors import ValidationFailed
 from lorot.experiments import (
     ProfileFunction,
@@ -305,6 +307,16 @@ class TestSubdifferentialField:
         _, _, un, _ = subdifferential_field(StubProfile(-fp), 0.5, len(fp))
         assert (-un).tobytes() == up.tobytes()
 
+    @pytest.mark.parametrize("cells", [slice(0, _CHUNK), slice(_CHUNK, None), slice(5, 17),
+                                       slice(None, None, 3), slice(-7, None), slice(40, 40)])
+    def test_cells_match_the_whole_grid(self, cells):
+        f = build_profile(0.25)
+        whole = subdifferential_field(f, 0.5, 2 * _CHUNK + 11)
+        part = subdifferential_field(f, 0.5, 2 * _CHUNK + 11, cells)
+        for w, p in zip(whole[:3], part[:3]):
+            assert p.tobytes() == w[cells].tobytes()
+        assert part[3] == np.count_nonzero(np.isnan(whole[2][cells]))
+
     def test_offset_grid_avoids_cusp(self):
         for n in (100, 1234, 10000):
             thetas, _, _, _ = subdifferential_field(build_profile(0.2), 0.5, n)
@@ -393,6 +405,32 @@ class TestRunCylinderExample:
         rep = run_cylinder_example(eps, 100000, t)
         assert rep.scalars["skipped_thetas"].value == 0
         assert rep.scalars["critical_equation_residual"].value < 1e-9
+
+    def test_memory_is_flat_in_the_grid(self, tmp_path):
+        # the CLI's sink: every block is formatted as CSV text and dropped
+        def peak(grid):
+            tracemalloc.start()
+            try:
+                with CsvWriter(tmp_path / f"{grid}.csv") as rows:
+                    run_cylinder_example(0.25, grid, 1.0, rows=rows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1000)  # numpy imports some code lazily
+        small, large = peak(100_000), peak(400_000)
+        # one float64 array over the grid of 4e5 takes 3 MiB, so holding any breaks the bound
+        assert max(small, large) < 4 * 2**20
+        assert abs(large - small) < _CHUNK * 3 * 8  # one block of (theta, y_theta, margin) rows
+
+    def test_sink_receives_the_collected_table(self):
+        blocks = []
+        streamed = run_cylinder_example(0.25, 2 * _CHUNK + 1, 1.0, rows=blocks.append)
+        collected = run_cylinder_example(0.25, 2 * _CHUNK + 1, 1.0)
+        assert [len(b) for b in blocks] == [_CHUNK, _CHUNK, 1]
+        assert "subdifferential" not in streamed.tables
+        assert np.concatenate(blocks).tobytes() == collected.tables["subdifferential"].tobytes()
+        assert streamed.as_dict() == collected.as_dict()
 
     def test_near_null_measure_shrinks_with_eta(self):
         rep = run_cylinder_example(0.25, 4000, 1.0)
