@@ -3,7 +3,8 @@
 ``CsvWriter`` is the CLI's one table writer: a header, then any number of
 record-array blocks; ``write_csv`` calls it with one block. Each value's
 text is laid out in column-major ``uint8`` planes, one plane per character
-position and a NUL wherever a character is absent. The planes of a chunk of
+position and a NUL wherever a character is absent; integer and bool columns
+take the float columns' planes and kernel. The planes of a chunk of
 rows live in one buffer per block, zeroed per chunk: the sign and digit
 planes are written at every row, the ``0.000`` and exponent planes only at
 the rows whose value uses them. The planes that hold a character are
@@ -13,6 +14,7 @@ pass, which leaves the CSV text of those rows.
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for a Dekker product
 _POW10 = np.array([10 ** (8 - k) for k in range(9)], dtype=np.int32)
 _ZERO, _DOT, _MINUS = ord("0"), ord("."), ord("-")
 
-# planes of one float value: sign, the "0.000" of 1e-4 <= |x| < 1,
+# planes of one value of any column: sign, the "0.000" of 1e-4 <= |x| < 1,
 # 17 digits and an optional "." among them, then "e", sign, 3 digits
 _FLOAT_WIDTH = 1 + 5 + 18 + 5
 _DIGIT0 = 1 + 5
@@ -36,43 +38,32 @@ def _split(a):
     return hi, a - hi
 
 
-class _PowersOfTen:
-    """Double-double ``10**k = hi + lo`` for k in [-300, 300).
+@functools.cache
+def _powers_of_ten():
+    """Double-double ``10**k = hi + lo`` for k in [-300, 300), indexed by
+    ``k + 300``, with ``hi = hi_hi + hi_lo`` split as Veltkamp does.
 
     ``hi`` is ``10**k`` correctly rounded and ``lo`` is ``10**k - hi``
     correctly rounded, both from Python integers (integer true division is
-    correctly rounded). Entries are built on first use, once per exponent
-    seen: the whole table would cost far more than the few exponents a
-    table of values needs.
+    correctly rounded). Built once per process, when the first table is
+    written, as the read-only rows ``hi, hi_hi, hi_lo, lo``.
     """
-
-    OFFSET = 300
-
-    def __init__(self):
-        size = 2 * self.OFFSET
-        self.built = np.zeros(size, dtype=bool)
-        self.hi, self.hi_hi, self.hi_lo, self.lo = np.zeros((4, size))
-
-    def __call__(self, k):
-        idx = k + self.OFFSET
-        new = [] if self.built.take(idx).all() else np.unique(idx[~self.built[idx]]).tolist()
-        for i in new:
-            e = i - self.OFFSET
-            num, den = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
-            hi = num / den
-            n, d = hi.as_integer_ratio()
-            self.hi[i] = hi
-            self.hi_hi[i], self.hi_lo[i] = _split(hi)
-            self.lo[i] = (num * d - n * den) / (den * d)
-            self.built[i] = True
-        return self.hi.take(idx), self.hi_hi.take(idx), self.hi_lo.take(idx), self.lo.take(idx)
+    hi, lo = np.empty((2, 600))
+    for i, k in enumerate(range(-300, 300)):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi[i] = num / den
+        n, d = hi[i].as_integer_ratio()
+        lo[i] = (num * d - n * den) / (den * d)
+    table = np.array([hi, *_split(hi), lo])
+    table.setflags(write=False)  # one table, shared by every writer
+    return table
 
 
-def _scaled(a, k, powers):
+def _scaled(a, k):
     """``a * 10**k`` as an unevaluated pair ``p + t``, and whether the pair
     is exact; ``p = fl(a * hi)`` and ``t`` is the Dekker two-product's
     error term ``a * hi - p`` plus ``fl(a * lo)``."""
-    hi, hi_hi, hi_lo, lo = powers(k)
+    hi, hi_hi, hi_lo, lo = _powers_of_ten().take(k + 300, axis=1)
     p = a * hi
     a_hi, a_lo = _split(a)
     # |z - (p + t)| < 2**-46 for z = a * 10**k < 2**57 (see write_csv)
@@ -80,22 +71,24 @@ def _scaled(a, k, powers):
     return p, t, (t == 0) & (lo == 0)
 
 
-def _float_planes(x, powers, out):
-    """Write the ``%.17g`` text of float64 ``x`` into the zeroed planes
-    ``out`` and return the rows formatted by ``%``; the rounding argument
-    is in ``write_csv``."""
+def _float_planes(column, out):
+    """Write the text of ``column`` into the zeroed planes ``out`` and
+    return the rows formatted by ``%``: ``%.17g`` for floats and ``%d`` for
+    integers and bools, which is the ``%.17g`` of their float64 below 2**53
+    in magnitude. The rounding argument is in ``write_csv``."""
+    x = np.asarray(column, dtype=np.float64)
     ax = np.abs(x)
     zero = ax == 0
     fast = (ax >= 1e-280) & (ax <= 1e280)
     a = np.where(fast, ax, 1.0)
     E = np.floor(np.log10(a)).astype(np.int64)
-    p, t, exact = _scaled(a, 16 - E, powers)
+    p, t, exact = _scaled(a, 16 - E)
     below, above = (p - 1e16) + t, (p - 1e17) + t
     shift = (above >= 0).astype(np.int64) - (below < 0)
     moved = np.flatnonzero(shift)
     if len(moved):
         E[moved] += shift[moved]
-        p[moved], t[moved], exact[moved] = _scaled(a[moved], 16 - E[moved], powers)
+        p[moved], t[moved], exact[moved] = _scaled(a[moved], 16 - E[moved])
         below[moved], above[moved] = (p[moved] - 1e16) + t[moved], (p[moved] - 1e17) + t[moved]
     edge = (np.abs(below) <= _MARGIN) | (np.abs(above) <= _MARGIN)
     tie = np.abs(t - np.floor(t) - 0.5) <= _MARGIN
@@ -147,34 +140,17 @@ def _float_planes(x, powers, out):
     out[_EXP0 + 3, expo] = _ZERO + mag // 10 % 10
     out[_EXP0 + 4, expo] = _ZERO + mag % 10
 
-    fallback = np.flatnonzero(~ok & ~zero)
-    for r in fallback.tolist():
-        text = np.frombuffer(b"%.17g" % x[r], dtype=np.uint8)
+    slow = ~ok & ~zero
+    fmt, values = b"%.17g", x
+    if column.dtype.kind != "f":  # integers and bools, by %d from 2**53 up
+        fmt, values = b"%d", column
+        slow |= ax >= 2.0 ** 53
+    fallback = np.flatnonzero(slow)
+    for r, v in zip(fallback.tolist(), values[fallback].tolist()):
+        text = np.frombuffer(fmt % v, dtype=np.uint8)
         out[:, r] = 0
         out[:len(text), r] = text
     return fallback
-
-
-def _int_planes(v, out):
-    """Write the ``%d`` text of integers ``v`` into the zeroed planes ``out``:
-    a sign plane, then one plane per digit of the widest value."""
-    neg = v < 0
-    mag = v.astype(np.int64).view(np.uint64) if v.dtype.kind == "i" else v.astype(np.uint64)
-    mag = np.where(neg, ~mag + np.uint64(1), mag)
-    width = len(out) - 1
-    q = mag // np.array([10 ** (width - 1 - k) for k in range(width)], dtype=np.uint64)[:, None]
-    digits = q.copy()
-    digits[1:] -= np.uint64(10) * q[:-1]
-    shown = (q > 0) | (np.arange(width) == width - 1)[:, None]
-    out[0] = np.where(neg, _MINUS, 0)
-    out[1:] = np.where(shown, _ZERO + digits, 0)
-
-
-def _int_width(column) -> int:
-    """Digits of the column's largest magnitude."""
-    if not len(column):
-        return 1
-    return len(str(max(abs(int(column.max())), abs(int(column.min())))))
 
 
 class CsvWriter:
@@ -192,7 +168,6 @@ class CsvWriter:
     def __init__(self, path: Path):
         self.path = Path(path)
         self._names = None
-        self._powers = _PowersOfTen()
 
     def __enter__(self):
         self._fh = open(self.path, "wb")
@@ -208,27 +183,17 @@ class CsvWriter:
         if self._names is None:
             self._names = names
             self._fh.write((",".join(names) + "\n").encode("utf-8"))
-        is_float = [table.dtype[name].kind == "f" for name in names]
-        widths = [_FLOAT_WIDTH if f else 1 + _int_width(table[name])
-                  for name, f in zip(names, is_float)]
-        n_planes = sum(widths) + len(names)  # a "," after each column but the last, "\n" at the end
-        buffer = np.zeros((n_planes, min(len(table), _CHUNK)), dtype=np.uint8)
+        width = _FLOAT_WIDTH + 1  # a "," after each column but the last, "\n" at the end
+        buffer = np.zeros((width * len(names), min(len(table), _CHUNK)), dtype=np.uint8)
         for start in range(0, len(table), _CHUNK):
             rows = table[start:start + _CHUNK]
             block = buffer[:, :len(rows)]
             if start:  # np.zeros has zeroed it for the first chunk
                 block.fill(0)
-            at = 0
-            for name, f, width in zip(names, is_float, widths):
-                planes = block[at:at + width]
-                if f:
-                    _float_planes(np.asarray(rows[name], dtype=np.float64), self._powers, planes)
-                else:
-                    _int_planes(np.asarray(rows[name]), planes)
-                at += width
-                block[at] = ord(",")
-                at += 1
-            block[at - 1] = ord("\n")
+            for at, name in zip(range(0, len(block), width), names):
+                _float_planes(rows[name], block[at:at + _FLOAT_WIDTH])
+                block[at + _FLOAT_WIDTH] = ord(",")
+            block[-1] = ord("\n")
             # planes without a character dropped, rows in order, NULs deleted
             self._fh.write(block[block.any(axis=1)].T.tobytes().translate(None, b"\0"))
 
@@ -263,6 +228,11 @@ def write_csv(path: Path, table: np.recarray):
     (exact ties included, but not an exact pair) is formatted by ``%``
     instead, one value at a time, and so are non-finite values and
     ``|x|`` outside [1e-280, 1e280]; zero is spelt out directly.
+
+    An integer or bool ``v`` goes through the same kernel as ``float(v)``:
+    below 2**53 in magnitude the conversion is exact and the ``%.17g``
+    text has at most 16 digits and no point, which is ``%d``. Magnitudes
+    from 2**53 up join the per-value fallback, formatted by ``%d``.
     """
     with CsvWriter(path) as write:
         write(table)

@@ -78,7 +78,7 @@ def c_transform(model: SpacetimeModel, mu, psi, nu):
     source at all, where every cost and so the infimum is +inf. The sentinel
     is an explicit tagged value so it never enters float arithmetic. The
     costs are evaluated one row block at a time, so the full matrix is never
-    held. Raises ``ValueError`` unless psi has one non-NaN value per mu-atom.
+    held. Raises ``ValueError`` unless psi has one finite value per mu-atom.
     """
     xs, ys = mu.coords_array(), nu.coords_array()
     return _column_infima(_per_atom("psi", psi, len(xs), "mu"), len(ys),
@@ -88,19 +88,19 @@ def c_transform(model: SpacetimeModel, mu, psi, nu):
 
 def c_transform_costs(psi, C):
     """:func:`c_transform` over a built cost matrix, e.g. ``problem.cost_matrix()``;
-    psi needs one non-NaN value per row."""
+    psi needs one finite value per row."""
     return _column_infima(_per_atom("psi", psi, C.shape[0], "mu"), C.shape[1],
                           lambda rows, out, work: C[rows])
 
 
 def _per_atom(name, values, n, side) -> np.ndarray:
-    """``values`` as a float array, checked to hold one non-NaN value per atom of a side."""
+    """``values`` as a float array, checked to hold one finite value per atom of a side."""
     values = np.asarray(values, dtype=float)
     if values.shape != (n,):
         raise ValueError(f"{name} has {values.size} values for {n} {side}-atoms")
-    nan = np.flatnonzero(np.isnan(values))
-    if len(nan):
-        raise ValueError(f"{name}[{nan[0]}] is nan")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise ValueError(f"{name}[{bad[0]}] is {values[bad[0]]}")
     return values
 
 
@@ -216,7 +216,7 @@ def dkp_verify(model: SpacetimeModel, coupling: Coupling, potential: DualPotenti
     support entry. ``max_violation`` is the larger of the worst feasibility
     excess (clipped at zero) and the worst support residual. Raises
     ``ValueError`` unless 0 < tol < inf, and unless psi and phi hold one
-    non-NaN value per atom of their side.
+    finite value per atom of their side.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")

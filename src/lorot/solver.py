@@ -135,13 +135,17 @@ class Coupling:
     def from_entries(cls, problem, entries):
         """The coupling of ``problem`` with these ``(i, j, mass)`` entries.
 
-        Raises ``ValueError`` naming the first bad entry in (i, j) order: out
-        of range, nonpositive mass, a non-causal pair or a repeated pair; or
-        naming the first atom, mu side first, whose row or column sum misses
-        its weight w by more than ``1e-9 * (1 + w)``.
+        Raises ``ValueError`` naming the first entry, as given, with an index
+        that is not an integer (a bool included); then the first bad entry in
+        (i, j) order: out of range, nonpositive mass, a non-causal pair or a
+        repeated pair; or naming the first atom, mu side first, whose row or
+        column sum misses its weight w by more than ``1e-9 * (1 + w)``.
         """
         if not len(entries):
             raise ValueError("coupling must have at least one entry")
+        for i, j, _ in entries:
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (i, j)):
+                raise ValueError(f"entry ({i},{j}) has an index that is not an integer")
         ii, jj, masses = zip(*entries)
         try:
             ii, jj = np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64)

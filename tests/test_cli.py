@@ -1,6 +1,7 @@
 import argparse
 import json
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -363,7 +364,7 @@ class TestCsvWriter:
         x = np.array([10.0**k for k in range(17)] + [1e147, 1e-147] +
                      [np.nextafter(10.0**k, d) for k in range(-30, 31) for d in (0, np.inf)])
         planes = np.zeros((_csv._FLOAT_WIDTH, len(x)), dtype=np.uint8)
-        fallback = _csv._float_planes(x, _csv._PowersOfTen(), planes)
+        fallback = _csv._float_planes(x, planes)
         assert x[fallback].tolist() == [999999999999999.875]  # an exact tie at the 17th digit
 
     def test_seeded_bit_pattern_sweep(self, tmp_path):
@@ -379,16 +380,39 @@ class TestCsvWriter:
         assert written_bytes(table, tmp_path_factory.mktemp("csv")) == reference_csv(table)
 
     def test_integer_and_bool_columns(self, tmp_path):
+        """Integers print through the float kernel below 2**53 in magnitude
+        and through the ``%d`` fallback from there up."""
         info = np.iinfo(np.int64)
-        table = np.rec.fromarrays(
-            [np.array([info.min, info.max, 0, -1, 7]), np.array([True, False, True, True, False]),
-             np.array([0, 2**64 - 1, 10, 9, 100], dtype=np.uint64)],
-            names="k,b,u",
-        )
+        boundary = [2**53 - 1, 2**53, 2**53 + 1, 10**16, 10**17 - 1, 10**17]
+        k = np.array([info.min, info.max, 0, -1, 7] + boundary + [-v for v in boundary])
+        u = np.array([0, 2**64 - 1, 10, 9, 100] + 2 * boundary, dtype=np.uint64)
+        table = np.rec.fromarrays([k, np.arange(len(k)) % 3 == 0, u], names="k,b,u")
         text = written_bytes(table, tmp_path)
         assert text == reference_csv(table)
         assert text.decode().splitlines()[1:3] == ["-9223372036854775808,1,0",
                                                    "9223372036854775807,0,18446744073709551615"]
+        for column in (k, u):
+            planes = np.zeros((_csv._FLOAT_WIDTH, len(column)), dtype=np.uint8)
+            fallback = _csv._float_planes(column, planes)
+            assert fallback.tolist() == [i for i, v in enumerate(column.tolist()) if abs(v) >= 2**53]
+
+    def test_powers_of_ten_table(self):
+        """Every ``10**k = hi + lo`` of the kernel, against exact fractions."""
+        hi, hi_hi, hi_lo, lo = _csv._powers_of_ten()
+        assert len(hi) == 600
+
+        def nearest(value, exact):  # no neighbour of the float is closer
+            return all(abs(Fraction(n) - exact) >= abs(Fraction(value) - exact)
+                       for n in (np.nextafter(value, -np.inf), np.nextafter(value, np.inf)))
+
+        for i, k in enumerate(range(-300, 300)):
+            exact = Fraction(10) ** k
+            assert nearest(hi[i], exact), k
+            assert nearest(lo[i], exact - Fraction(hi[i])), k
+            assert hi_hi[i] + hi_lo[i] == hi[i], k
+            assert Fraction(hi_hi[i]) + Fraction(hi_lo[i]) == Fraction(hi[i]), k
+            n = hi_hi[i].as_integer_ratio()[0]
+            assert (n // (n & -n)).bit_length() <= 26, k
 
     def test_empty_table(self, tmp_path):
         table = np.rec.fromarrays([np.zeros(0), np.zeros(0, dtype=np.int64)], names="x,k")

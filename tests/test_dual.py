@@ -374,17 +374,19 @@ class TestPotentialLengths:
 
 
 class TestPotentialNan:
-    """A NaN in a potential is refused, naming the side and the first NaN
-    atom: it would otherwise drop out of every infimum and maximum."""
+    """A NaN or an infinity in a potential is refused, naming the side, the
+    first such atom and its value: either would drop out of every infimum
+    and maximum, an infinity with an ``inf - inf`` warning beside it."""
 
     def test_c_transforms_refuse_a_nan_psi(self):
         problem = random_strict_problem(0)
-        psi = np.zeros(70)
-        psi[[3, 5]] = np.nan
-        with pytest.raises(ValueError, match=r"psi\[3\] is nan"):
-            c_transform_costs(psi, problem.cost_matrix())
-        with pytest.raises(ValueError, match=r"psi\[3\] is nan"):
-            c_transform(MK1, problem.mu, psi, problem.nu)
+        for bad in (np.nan, np.inf, -np.inf):
+            psi = np.zeros(70)
+            psi[[3, 5]] = bad
+            with pytest.raises(ValueError, match=rf"psi\[3\] is {bad}$"):
+                c_transform_costs(psi, problem.cost_matrix())
+            with pytest.raises(ValueError, match=rf"psi\[3\] is {bad}$"):
+                c_transform(MK1, problem.mu, psi, problem.nu)
 
     def test_dkp_verify_refuses_a_nan_potential(self):
         problem = random_strict_problem(0)
@@ -392,13 +394,14 @@ class TestPotentialNan:
         psi = chain_potential(MK1, coupling)
         potential = DualPotential.from_psi(MK1, problem.mu, psi, problem.nu)
         assert dkp_verify(MK1, coupling, potential).feasible
-        psi[3] = np.nan
-        with pytest.raises(ValueError, match=r"psi\[3\] is nan"):
-            dkp_verify(MK1, coupling, DualPotential.from_arrays(psi, potential.phi))
-        phi = np.array(potential.phi)
-        phi[2] = np.nan
-        with pytest.raises(ValueError, match=r"phi\[2\] is nan"):
-            dkp_verify(MK1, coupling, DualPotential.from_arrays(potential.psi, phi))
+        for bad in (np.nan, np.inf, -np.inf):
+            psi[3] = bad
+            with pytest.raises(ValueError, match=rf"psi\[3\] is {bad}$"):
+                dkp_verify(MK1, coupling, DualPotential.from_arrays(psi, potential.phi))
+            phi = np.array(potential.phi)
+            phi[2] = bad
+            with pytest.raises(ValueError, match=rf"phi\[2\] is {bad}$"):
+                dkp_verify(MK1, coupling, DualPotential.from_arrays(potential.psi, phi))
 
 
 def traced_peak(run):

@@ -523,8 +523,16 @@ class TestFromEntries:
         ([(1, 1, 0.25), (0, 0, 0.5), (1, 1, 0.25)], r"entry \(1,1\) appears more than once"),
         ([(0, 0, 0.9), (1, 1, 0.9)],
          r"mu-atom 0 carries mass 0\.9 in the coupling, not its weight 0\.5"),
+        ([(0.9, 0, 0.5), (1, 1, 0.5)], r"entry \(0\.9,0\) has an index that is not an integer"),
+        ([(0, 0, 0.5), (1, 1.7, 0.5)], r"entry \(1,1\.7\) has an index that is not an integer"),
+        ([(0, 0, 0.5), (np.int64(1), np.float64(1.0), 0.5)],
+         r"entry \(1,1\.0\) has an index that is not an integer"),
+        ([(True, 0, 0.5), (1, 1, 0.5)], r"entry \(True,0\) has an index that is not an integer"),
+        ([(0, 0, 0.5), (1, np.bool_(True), 0.5)],
+         r"entry \(1,True\) has an index that is not an integer"),
     ], ids=["empty", "nonpositive-mass", "non-causal", "negative-index", "index-past-end",
-            "index-past-int64", "duplicate", "marginal-missed"])
+            "index-past-int64", "duplicate", "marginal-missed", "float-index", "float-column",
+            "numpy-float-index", "bool-index", "numpy-bool-index"])
     def test_rejects(self, entries, message):
         # nu's atoms sit 0.5 after mu's, so only the diagonal pairs are causal
         mu = DiscreteMeasure.from_atoms([(pt(0.0, 0.0), 0.5), (pt(1.0, 0.0), 0.5)])
