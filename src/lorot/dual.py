@@ -76,10 +76,12 @@ def c_transform(model: SpacetimeModel, mu, psi, nu):
 
     Returns one value per nu-atom; ``None`` marks atoms with no causal
     source at all, where every cost and so the infimum is +inf. The sentinel
-    is an explicit tagged value so it never enters float arithmetic. The
-    costs are evaluated one row block at a time, so the full matrix is never
-    held. Raises ``ValueError`` unless psi has one finite value per mu-atom.
+    is an explicit tagged value so it never enters float arithmetic. The costs
+    are evaluated one row block at a time, so the full matrix is never held.
+    Raises ``ValueError`` unless psi has one finite value per mu-atom and
+    each measure has the model's spatial dimension.
     """
+    model.check_measures(mu, nu)
     xs, ys = mu.coords_array(), nu.coords_array()
     return _column_infima(_per_atom("psi", psi, len(xs), "mu"), len(ys),
                           lambda rows, out, work: model.costs(xs[rows, None], ys[None], out, work),

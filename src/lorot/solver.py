@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from math import gcd, isfinite
+from math import fsum, gcd, isfinite
 from weakref import ref
 
 import numpy as np
@@ -59,6 +59,9 @@ class TransportProblem:
     model: SpacetimeModel
     mu: DiscreteMeasure
     nu: DiscreteMeasure
+
+    def __post_init__(self):
+        self.model.check_measures(self.mu, self.nu)
 
     def cost_matrix(self) -> np.ndarray:
         """The n x m costs of mu against nu, +inf on non-causal pairs.
@@ -265,7 +268,10 @@ class _Basis:
     ``children[x]`` lists the nodes whose parent is x, and ``depth`` counts
     arcs up to the root. ``pot`` holds the real potentials (u on mu-nodes, v
     on nu-nodes) and ``art`` the artificial ones; each makes its reduced cost
-    ``cost + u[i] - v[j]`` zero on every tree arc (i, j).
+    ``cost + u[i] - v[j]`` zero on every tree arc (i, j). Only :meth:`_relabel`
+    sets these labels and flags: from the root down at the start, and over
+    the subtree each pivot moves. The reported dual objective and Monge cost
+    are each one ``math.fsum`` of their products, whatever the BLAS kernel.
     """
 
     def __init__(self, C, supplies, demands):
@@ -278,34 +284,19 @@ class _Basis:
         m = len(demands)
         parent = self.parent = [-1] * (n + m)
         flow = self.flow = [0] * (n + m)
-        artificial = self.artificial = [False] * (n + m)
         children = self.children = [[] for _ in range(n + m)]
-        depth = self.depth = [0] * (n + m)
-        pot = self.pot = [0.0] * (n + m)
-        art = self.art = [0] * (n + m)
-        cost = C.item
+        # the root's labels; _relabel sets every other node's
+        self.depth, self.pot, self.art = [0] * (n + m), [0.0] * (n + m), [0] * (n + m)
+        self.artificial = [False] * (n + m)
         i = j = 0
         a, b = supplies[0], demands[0]
         # each cell brings in one atom x below a node p already in the tree:
-        # nu-atom j when the column advanced, mu-atom i when the row did. The
-        # labels of p are final, so those of x are set here as _relabel would
+        # nu-atom j when the column advanced, mu-atom i when the row did
         x, p = n, 0
         while True:
             q = a if a < b else b
             parent[x], flow[x] = p, q
             children[p].append(x)
-            depth[x] = depth[p] + 1
-            c = cost(i, j)
-            d = not isfinite(c)
-            if d:
-                artificial[x] = True
-                c = 0.0
-            if x >= n:
-                pot[x] = pot[p] + c
-                art[x] = art[p] + d
-            else:
-                pot[x] = pot[p] - c
-                art[x] = art[p] - d
             a -= q
             b -= q
             if b == 0 and j + 1 < m:
@@ -318,7 +309,8 @@ class _Basis:
                 x, p = i, n + j
             else:
                 break
-        self.n_artificial = sum(artificial)
+        self._relabel(*children[0])
+        self.n_artificial = sum(self.artificial)
 
     def potentials(self, art=False):
         """``(u, v)`` as float arrays; the artificial ones are exact integers."""
@@ -346,22 +338,24 @@ class _Basis:
                 out[i] = out.get(i, 0) + self.flow[x]
         return out
 
-    def _relabel(self, top):
-        """Set depth and potentials of ``top`` and its subtree."""
+    def _relabel(self, *tops):
+        """Label ``tops`` and their subtrees from their parents and arc costs:
+        depth, potentials, and the artificial flag (the cost is not finite)."""
         n, cost = self.n, self.C.item
         parent, depth, pot, art = self.parent, self.depth, self.pot, self.art
         artificial, children = self.artificial, self.children
-        stack = [top]
+        stack = list(tops)
         while stack:
             x = stack.pop()
             p = parent[x]
             depth[x] = depth[p] + 1
-            a = artificial[x]
+            c = cost(p, x - n) if x >= n else cost(x, p - n)
+            a = artificial[x] = not isfinite(c)
             if x >= n:
-                pot[x] = pot[p] + (0.0 if a else cost(p, x - n))
+                pot[x] = pot[p] + (0.0 if a else c)
                 art[x] = art[p] + a
             else:
-                pot[x] = pot[p] - (0.0 if a else cost(x, p - n))
+                pot[x] = pot[p] - (0.0 if a else c)
                 art[x] = art[p] - a
             stack.extend(children[x])
 
@@ -399,15 +393,14 @@ class _Basis:
         # hang the subtree cut off by the leaving arc from the entering arc,
         # reversing the tree path in between
         top, side, p = (i, side_i, n + j) if leave in side_i else (n + j, side_j, i)
-        q, artificial = delta, not isfinite(self.C.item(i, j))
-        self.n_artificial += artificial
+        # the relabel below sets the flag of every arc on the reversed path
+        self.n_artificial += (not isfinite(self.C.item(i, j))) - self.artificial[leave]
+        q = delta
         for x in side[: side.index(leave) + 1]:
             self.children[parent[x]].remove(x)
             self.children[p].append(x)
             p, parent[x] = x, p
             q, flow[x] = flow[x], q
-            artificial, self.artificial[x] = self.artificial[x], artificial
-        self.n_artificial -= artificial
         self._relabel(top)
 
 
@@ -548,9 +541,8 @@ def solve(problem: TransportProblem):
 
 def dual_objective(coupling: Coupling, duals) -> float:
     u, v = duals
-    return float(
-        np.dot(coupling.nu.weights_array(), v) - np.dot(coupling.mu.weights_array(), u)
-    )
+    products = np.concatenate((coupling.nu.weights_array() * v, coupling.mu.weights_array() * -u))
+    return fsum(products.tolist())
 
 
 def brute_force_oracle(problem: TransportProblem) -> Coupling:

@@ -146,6 +146,12 @@ class SpacetimeModel:
             raise ValueError("coordinates must be finite")
         return Point(tuple(self.normalize(np.array(spatial)).tolist()), time)
 
+    def check_measures(self, mu, nu):
+        """``ValueError`` naming the first side without ``spatial_dim`` spatial coordinates."""
+        for side, measure in (("mu", mu), ("nu", nu)):
+            if (d := measure.coords_array().shape[1] - 1) != self.spatial_dim:
+                raise ValueError(f"{side} has {d} spatial coordinates; {self!r} has {self.spatial_dim}")
+
     # -- the kernel -------------------------------------------------------
 
     def separation(self, xs, ys, out=None):

@@ -353,7 +353,7 @@ def monge_map(model: SpacetimeModel, problem: TransportProblem):
 
     C = coupling.cost_matrix(model)
     w = problem.mu.weights_array()
-    map_cost = float(np.dot(w, C[np.arange(len(w)), assignment]))
+    map_cost = math.fsum((w * C[np.arange(len(w)), assignment]).tolist())
     if not math.isfinite(map_cost):
         raise MonotonicityViolation("rearranged map uses a non-causal arc")
     if abs(map_cost - coupling.total_cost) > 1e-9 * (1 + abs(coupling.total_cost)):

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -88,6 +91,37 @@ class TestDeterminism:
         out = tmp_path / "out"
         main(["audit", "--input", str(problem_file), "--out", str(out), "--seed", "7"])
         assert read_result(out)["config"]["seed"] == 7
+
+
+def dynamic_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS built with ``DYNAMIC_ARCH``, whose
+    kernel ``OPENBLAS_CORETYPE`` picks when the library loads."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.25 cannot report its build as a dict
+        return False
+    return "openblas" in blas["name"] and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not dynamic_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH "
+                    "OpenBLAS, so OPENBLAS_CORETYPE cannot switch its kernel")
+@pytest.mark.parametrize("command, builder, seed", [
+    # audit reports dual_gap, and monge the Monge cost; monge needs a ray instance
+    ("audit", "random_strict_problem", 0),
+    ("monge", "separated_rays_problem", 3),
+])
+def test_result_block_is_the_same_under_two_blas_kernels(command, builder, seed, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem_to_json(getattr(experiments, builder)(seed))))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    results = []
+    for kernel in ("Prescott", "Haswell"):
+        out = tmp_path / kernel
+        subprocess.run([sys.executable, "-m", "lorot.cli", command, "--input", str(path),
+                        "--out", str(out)], check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": kernel})
+        results.append(read_result(out)["result"])
+    assert results[0] == results[1]
 
 
 # a flag is registered only on the commands whose handler reads it

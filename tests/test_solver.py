@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import itertools
 import math
 import pickle
+import re
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -17,7 +19,7 @@ from conftest import (
 )
 from lorot import spacetime
 from lorot.diagnostics import audit
-from lorot.dual import DualPotential, PositiveCycle, chain_potential, dkp_verify
+from lorot.dual import DualPotential, PositiveCycle, c_transform, chain_potential, dkp_verify
 from lorot.errors import Infeasible, SchemaError, TooLarge
 from lorot.experiments import (
     build_profile,
@@ -338,8 +340,24 @@ class TestDuals:
         self.check_duals(problem, coupling, duals)
 
 
+def check_flags(basis):
+    """Every non-root arc is flagged artificial exactly when its cost is not
+    finite, and ``n_artificial`` counts those arcs."""
+    n, C = basis.n, basis.C
+    flags = [False] + [not np.isfinite(C[(x, p - n) if x < n else (p, x - n)])
+                       for x, p in enumerate(basis.parent) if p >= 0]
+    assert basis.parent[0] == -1 and basis.artificial == flags
+    assert basis.n_artificial == sum(flags)
+
+
+def labels(basis):
+    return basis.depth, [p.hex() for p in basis.pot], basis.art
+
+
 class StrictlyCheckedBasis(_Basis):
-    """A basis that asserts strong feasibility after every pivot."""
+    """A basis that asserts after every pivot that the tree is strongly
+    feasible, that its labels equal a fresh relabel of the whole tree from
+    the root, and that its flags mark the non-causal arcs."""
 
     pivots = 0
 
@@ -350,12 +368,44 @@ class StrictlyCheckedBasis(_Basis):
             if p >= 0 and self.flow[x] == 0:
                 # a zero-flow arc must point away from the root: mu-parent, nu-child
                 assert x >= self.n, f"zero-flow arc above mu-atom {x} points to the root"
+        fresh, size = copy.copy(self), len(self.parent)
+        fresh.depth, fresh.pot, fresh.art = [0] * size, [0.0] * size, [0] * size
+        fresh.artificial = [False] * size
+        fresh._relabel(*self.children[0])
+        assert labels(fresh) == labels(self)
+        check_flags(self)
+
+
+def hall_failing_problem(seed):
+    """Five uniform atoms a side in 1-D Minkowski space, sources at t in
+    [0, 0.5] and targets at t in [1, 1.5], spread over [-2, 2]: most pairs
+    are not causal, and often no causal coupling exists."""
+    rng = np.random.default_rng(seed)
+
+    def side(t0):
+        rows = np.column_stack((rng.uniform(-2, 2, 5), rng.uniform(t0, t0 + 0.5, 5)))
+        return DiscreteMeasure.from_arrays(rows, np.full(5, 0.2))[0]
+
+    return TransportProblem(MK1, side(0.0), side(1.0))
+
+
+def checked_optimize(problem):
+    """Pivots of the solve of ``problem`` on a :class:`StrictlyCheckedBasis`,
+    and of its stranded-mass pass when mass stays stranded."""
+    C = problem.cost_matrix()
+    supplies, demands, _ = _integer_marginals(problem.mu.weights, problem.nu.weights)
+    basis = StrictlyCheckedBasis(C, supplies, demands)
+    finite = np.isfinite(C)
+    tol = PRICE_TOL * (1.0 + np.max(np.abs(C[finite])))
+    _optimize(basis, finite, tol)
+    pivots = basis.pivots
+    if basis.n_artificial and basis.stranded():
+        _optimize(basis, finite, tol, stranded=True)
+    return pivots, basis.pivots - pivots
 
 
 class TestBasis:
-    def test_setup_labels_equal_a_root_down_relabel(self):
-        # the set-up labels each atom as its staircase cell brings it in; a
-        # relabel from the root over the same tree must give the same bits
+    def test_setup_flags_mark_the_non_causal_arcs(self):
         rng = np.random.default_rng(7)
         problems = [line_blowup_problem(60), partially_reachable_problem(),
                     *(random_strict_problem(seed) for seed in range(4)),
@@ -364,28 +414,26 @@ class TestBasis:
         for problem in problems:
             supplies, demands, _ = _integer_marginals(problem.mu.weights, problem.nu.weights)
             basis = _Basis(problem.cost_matrix(), supplies, demands)
-            labels = (basis.depth[:], [p.hex() for p in basis.pot], basis.art[:])
-            size = len(basis.parent)
-            basis.depth[:], basis.pot[:], basis.art[:] = [0] * size, [0.0] * size, [0] * size
-            for x in basis.children[0]:
-                basis._relabel(x)
-            assert labels == (basis.depth, [p.hex() for p in basis.pot], basis.art)
+            check_flags(basis)
             artificial += basis.n_artificial
         assert artificial > 0
 
     def test_pivots_keep_the_tree_strongly_feasible(self):
         # equal weights make ties in the staircase and degenerate pivots
         rng = np.random.default_rng(3)
-        pivots = 0
-        for _ in range(60):
-            problem = random_uniform_causal_problem(rng, d=2)
-            C = problem.cost_matrix()
-            supplies, demands, _ = _integer_marginals(problem.mu.weights, problem.nu.weights)
-            basis = StrictlyCheckedBasis(C, supplies, demands)
-            finite = np.isfinite(C)
-            _optimize(basis, finite, PRICE_TOL * (1.0 + np.max(np.abs(C[finite]))))
-            pivots += basis.pivots
+        pivots = sum(checked_optimize(random_uniform_causal_problem(rng, d=2))[0]
+                     for _ in range(60))
         assert pivots > 0
+
+    def test_pivots_keep_the_labels_from_an_artificial_start(self):
+        # the staircase crosses non-causal pairs, so artificial arcs leave
+        pivots, _ = checked_optimize(cylinder_field_problem(40))
+        assert pivots > 100
+
+    def test_stranded_pivots_keep_the_labels(self):
+        # in the stranded pass non-causal arcs enter as artificial arcs
+        problems = [partially_reachable_problem(), *(hall_failing_problem(s) for s in range(10))]
+        assert sum(checked_optimize(problem)[1] for problem in problems) > 10
 
 
 def fraction_marginals(wa, wb):
@@ -900,3 +948,22 @@ class TestProblemJson:
         obj["optoins"] = {"tolerance": 1e-9}
         with pytest.raises(SchemaError, match="unknown field.*'optoins'"):
             problem_from_json(obj)
+
+
+class TestSpatialDimension:
+    """A measure whose spatial coordinates do not match the model's is
+    refused by name, not priced by the model's reading of its columns."""
+
+    @pytest.mark.parametrize("model, mu_rows, nu_rows, message", [
+        # nu-atom (x1, x2, t) = (0, 5, 1) is spacelike from the origin, but
+        # Minkowski(1) would price it as (0; 5) and find cost -1
+        (MK1, [[0.0, 0.0]], [[0.0, 5.0, 1.0]], "nu has 2 spatial coordinates; Minkowski(d=1) has 1"),
+        (Cylinder(5.0), [[0.0, 0.0, 0.0]], [[0.0, 3.0, 1.0]],
+         "mu has 2 spatial coordinates; Cylinder(circumference=5.0) has 1"),
+    ], ids=["minkowski", "cylinder"])
+    def test_refused(self, model, mu_rows, nu_rows, message):
+        mu, nu = DiscreteMeasure(mu_rows, [1.0]), DiscreteMeasure(nu_rows, [1.0])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TransportProblem(model, mu, nu)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            c_transform(model, mu, [0.0], nu)
