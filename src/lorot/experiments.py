@@ -211,7 +211,11 @@ def run_line_counterexample(n: int, levels: int = 3) -> ExperimentReport:
     for a, b, sa, sb in zip(sizes, sizes[1:], spreads, spreads[1:]):
         report.scalars[f"ratio_n{a}_to_n{b}"] = ScalarResult(sb / sa, window=(1.30, 1.48))
     if levels >= 2:
-        slope = float(np.polyfit(np.log(table["n"]), np.log(table["spread"]), 1)[0])
+        # the least-squares slope in closed form, each sum one math.fsum, so
+        # that no BLAS kernel enters it (np.polyfit's LAPACK fit varies by CPU)
+        x, y = np.log(table["n"]), np.log(table["spread"])
+        dx = x - math.fsum(x.tolist()) / levels
+        slope = math.fsum((dx * y).tolist()) / math.fsum((dx * dx).tolist())
         report.scalars["log_log_slope"] = ScalarResult(slope, window=(0.45, 0.55))
     return report
 

@@ -13,7 +13,8 @@ et al. 2011):
   root and the tree is strongly feasible (Cunningham 1976).
 * Each pivot prices every finite arc, walking the rows in blocks; the most
   negative reduced cost ``C + u - v`` enters, the lowest flat index winning
-  ties.
+  ties. One call prices, runs the stranded-mass pass and lifts the duals
+  (both below), all over one list of blocks.
 * The leaving arc is the last blocking arc met going round the cycle from
   its apex down to the entering arc's nu-atom, across the entering arc and
   back up. This keeps the tree strongly feasible, so the method cannot cycle.
@@ -404,24 +405,29 @@ class _Basis:
         self._relabel(top)
 
 
-def _optimize(basis, finite, tol, stranded=False):
+def _optimize(basis, finite, tol):
     """Pivot until no arc prices below ``-tol``; return the final ``(u, v)``.
 
-    Finite arcs are priced at their cost; with ``stranded`` so are the
-    non-causal ones, at real cost 0. The artificial cost (1 on non-causal
-    pairs) is compared first, the real cost second. Pricing walks the rows in
-    blocks; the most negative arc with the lowest flat index enters.
+    The artificial cost (1 on non-causal pairs) is compared first, the real
+    cost second; the most negative arc with the lowest flat index enters.
+    Finite arcs are priced at their cost; once no arc enters while mass is
+    stranded, so are the non-causal ones, at real cost 0. Artificial arcs
+    left with no mass stranded lift ``(u, v)`` along the artificial duals by
+    the least lam >= 0 that makes every finite arc dual feasible. All three
+    walk one list of row blocks, each with two float planes (the pricing
+    keys; the lift's artificial and real reduced costs) and one of flags.
     """
     C = basis.C
     m = C.shape[1]
-    # each block's rows of C and finite, and the scratch its keys go to
-    blocks = [(rows.start * m, rows, C[rows], finite[rows], key, flags)
-              for rows, (key, flags) in row_block_buffers(*C.shape, float, bool)]
+    blocks = [(rows.start * m, rows, C[rows], finite[rows], *pair.reshape(2, -1, m),
+               flags.reshape(2, -1, m)[0])
+              for rows, (pair, flags) in row_block_buffers(C.shape[0], 2 * m, float, bool)]
+    stranded = False
     while True:
         u, v = basis.potentials()
         ua, va = basis.potentials(art=True) if basis.n_artificial else (None, None)
         best, k = -tol, None
-        for first, rows, cost, fin, block, flags in blocks:
+        for first, rows, cost, fin, block, _, flags in blocks:
             if ua is not None:
                 # the artificial reduced costs ua - va + (1 if not causal) are
                 # small integers, exact in the block
@@ -443,34 +449,28 @@ def _optimize(basis, finite, tol, stranded=False):
             b = int(block.argmin())
             if block.item(b) < best:
                 best, k = block.item(b), first + b
-        if k is None:
-            return u, v
-        basis.pivot(*divmod(k, m))
-
-
-def _lift(C, finite, duals, art_duals):
-    """The least lam >= 0 with ``C + u - v + lam * (ua - va) >= 0`` on every
-    finite arc where ``ua - va > 0``, for ``(u, v) = duals`` and
-    ``(ua, va) = art_duals``.
-
-    Each pair needs two float values here, the artificial and the real
-    reduced cost, so the row blocks are sized for twice m.
-    """
-    (u, v), (ua, va) = duals, art_duals
-    n, m = C.shape
+        if k is not None:
+            basis.pivot(*divmod(k, m))
+        elif not stranded and basis.n_artificial and basis.stranded():
+            # so far only staircase cells could hold the stranded mass; offer it
+            # every non-causal pair, so that what stays stranded is the least
+            stranded = True
+        else:
+            break
+    if stranded or not basis.n_artificial:
+        return u, v
     lam = 0.0
-    for rows, (pair,) in row_block_buffers(n, 2 * m, float):
-        ra, rc = pair.reshape(2, -1, m)
+    for _, rows, cost, fin, ra, rc, flags in blocks:
         np.subtract(ua[rows, None], va, out=ra)
-        lift = ra > 0
-        lift &= finite[rows]
-        if lift.any():
-            np.add(C[rows], u[rows, None], out=rc)
+        np.greater(ra, 0, out=flags)
+        flags &= fin
+        if flags.any():
+            np.add(cost, u[rows, None], out=rc)
             rc -= v
             np.negative(rc, out=rc)
-            np.divide(rc, ra, out=rc, where=lift)
-            lam = max(lam, float(np.max(rc, where=lift, initial=-np.inf)))
-    return lam
+            np.divide(rc, ra, out=rc, where=flags)
+            lam = max(lam, float(np.max(rc, where=flags, initial=-np.inf)))
+    return u + lam * ua, v + lam * va
 
 
 def solve(problem: TransportProblem):
@@ -495,7 +495,6 @@ def solve(problem: TransportProblem):
             return coupling, held[1]
     mu, nu = problem.mu, problem.nu
     C = problem.cost_matrix()
-    n, m = C.shape
     finite = np.isfinite(C)
     for side, other, axis in (("mu", "nu", 1), ("nu", "mu", 0)):
         reached = finite.any(axis=axis)
@@ -511,22 +510,11 @@ def solve(problem: TransportProblem):
     tol = PRICE_TOL * (1.0 + float(max(top, -bottom)))
     u, v = _optimize(basis, finite, tol)
     if basis.n_artificial and basis.stranded():
-        # so far only staircase cells could hold the stranded mass; offer it
-        # every non-causal pair, so that what stays stranded is the least
-        _optimize(basis, finite, tol, stranded=True)
         i, q = min(basis.stranded().items())
         raise Infeasible(
             f"mu-atom {i} cannot place mass {Fraction(q, denom)}: "
             "no causal coupling carries all of mu"
         )
-
-    if basis.n_artificial:
-        # lift the real duals along the artificial ones, just far enough to
-        # make every finite arc dual feasible
-        ua, va = basis.potentials(art=True)
-        lam = _lift(C, finite, (u, v), (ua, va))
-        u, v = u + lam * ua, v + lam * va
-
     ii, jj, exact = basis.support()
     coupling = Coupling.from_columns(problem, ii, jj, np.array([q / denom for q in exact]),
                                      exact_masses=exact, exact_denominator=denom)

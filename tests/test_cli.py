@@ -109,16 +109,22 @@ def dynamic_openblas() -> bool:
     # audit reports dual_gap, and monge the Monge cost; monge needs a ray instance
     ("audit", "random_strict_problem", 0),
     ("monge", "separated_rays_problem", 3),
+    # the fitted log_log_slope, with no input file
+    ("counterexample-line", None, 5),
 ])
 def test_result_block_is_the_same_under_two_blas_kernels(command, builder, seed, tmp_path):
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps(problem_to_json(getattr(experiments, builder)(seed))))
+    if builder is None:
+        argv = [command, "--n", str(seed)]
+    else:
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem_to_json(getattr(experiments, builder)(seed))))
+        argv = [command, "--input", str(path)]
     src = str(Path(cli.__file__).resolve().parent.parent)
     results = []
     for kernel in ("Prescott", "Haswell"):
         out = tmp_path / kernel
-        subprocess.run([sys.executable, "-m", "lorot.cli", command, "--input", str(path),
-                        "--out", str(out)], check=True, capture_output=True,
+        subprocess.run([sys.executable, "-m", "lorot.cli", *argv, "--out", str(out)],
+                       check=True, capture_output=True,
                        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": kernel})
         results.append(read_result(out)["result"])
     assert results[0] == results[1]
