@@ -35,11 +35,16 @@ from .spacetime import Cylinder, Minkowski
 
 @dataclass(frozen=True)
 class ScalarResult:
-    """A named result together with how it was checked.
+    """A named result together with the check it is reported against.
 
     ``tolerance`` is the absolute tolerance of an equality check against
-    ``target``; ``window`` is an inclusive (lo, hi) range check. Both may be
-    None for values that are reported without assertion.
+    ``target``; ``window`` is the inclusive (lo, hi) range the value is
+    expected in. Both may be None for values that are reported without
+    assertion. A result only reports them: what an experiment asserts it
+    checks itself, and the line study's ratio and slope windows are
+    enforced only by ``scripts/line_study.py`` and the tests, so ``lorot
+    counterexample-line --n 5`` exits 0 with a slope of 0.6005, outside
+    (0.45, 0.55).
     """
 
     value: float

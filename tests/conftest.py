@@ -1,5 +1,6 @@
 """Shared instance builders and fixtures for the test suite."""
 
+import numpy as np
 import pytest
 
 from lorot.measures import DiscreteMeasure
@@ -22,6 +23,15 @@ def two_by_two_problem():
         [(point(model, 0.0, 2.0), 0.5), (point(model, 1.0, 2.0), 0.5)]
     )
     return TransportProblem(model, mu, nu)
+
+
+def mirrored(problem):
+    """The 1-D problem reflected in space, x -> -x (0.0 becomes -0.0)."""
+    flip = np.array([-1.0, 1.0])
+    return TransportProblem(*[problem.model] + [
+        DiscreteMeasure.from_arrays(m.coords_array() * flip, m.weights_array())[0]
+        for m in (problem.mu, problem.nu)
+    ])
 
 
 def random_uniform_causal_problem(rng, n_max=6, d=1):

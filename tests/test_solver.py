@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    mirrored,
     random_uniform_causal_problem,
     random_weighted_causal_problem,
     two_by_two_problem,
@@ -37,6 +38,7 @@ from lorot.solver import (
     _Basis,
     _integer_marginals,
     _optimize,
+    _staircase,
     brute_force_oracle,
     dual_objective,
     problem_from_json,
@@ -244,8 +246,8 @@ def cylinder_field_problem(N):
     """The cylinder field as a discrete instance: N cell-centred sources at
     t = 0, each matched to its target y_theta at t = 1 (eps 0.25), all with
     weight 1 / N. The optimum is the sorted order shifted cyclically (by 18
-    at N = 100), and the north-west staircase crosses non-causal pairs, so
-    the solve starts on artificial arcs."""
+    at N = 100), and both staircases cross non-causal pairs, so the solve
+    starts on artificial arcs."""
     thetas, _, u, skipped = subdifferential_field(build_profile(0.25), 1.0, N)
     assert skipped == 0
     w = np.full(N, 1.0 / N)
@@ -262,6 +264,9 @@ DIFFERENTIAL_FAMILIES = {
     "strict": lambda: [random_strict_problem(seed) for seed in range(5)],
     "rays": lambda: [separated_rays_problem(seed) for seed in range(5)],
     "weighted": lambda: [plane_problem(n, 0, weighted=True) for n in (50, 100)],
+    # the far-corner start on the rays, the north-west start on the line
+    "mirrored": lambda: [mirrored(line_blowup_problem(100)),
+                         *(mirrored(separated_rays_problem(seed)) for seed in range(5))],
 }
 
 
@@ -341,12 +346,14 @@ class TestDuals:
 
 
 def check_flags(basis):
-    """Every non-root arc is flagged artificial exactly when its cost is not
-    finite, and ``n_artificial`` counts those arcs."""
-    n, C = basis.n, basis.C
-    flags = [False] + [not np.isfinite(C[(x, p - n) if x < n else (p, x - n)])
-                       for x, p in enumerate(basis.parent) if p >= 0]
-    assert basis.parent[0] == -1 and basis.artificial == flags
+    """The root, a mu-atom, is the one node without a parent; every other
+    arc is flagged artificial exactly when its cost is not finite, and
+    ``n_artificial`` counts those arcs."""
+    n, C, root = basis.n, basis.C, basis.root
+    flags = [p >= 0 and not np.isfinite(C[(x, p - n) if x < n else (p, x - n)])
+             for x, p in enumerate(basis.parent)]
+    assert root < n and [x for x, p in enumerate(basis.parent) if p < 0] == [root]
+    assert basis.artificial == flags
     assert basis.n_artificial == sum(flags)
 
 
@@ -355,24 +362,32 @@ def labels(basis):
 
 
 class StrictlyCheckedBasis(_Basis):
-    """A basis that asserts after every pivot that the tree is strongly
-    feasible, that its labels equal a fresh relabel of the whole tree from
-    the root, and that its flags mark the non-causal arcs."""
+    """A basis that asserts at the start and after every pivot that the tree
+    is strongly feasible, and after every pivot that its labels equal a
+    fresh relabel of the whole tree from the root and that its flags mark
+    the non-causal arcs."""
 
     pivots = non_causal = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.check_strongly_feasible()
+
+    def check_strongly_feasible(self):
+        for x, p in enumerate(self.parent):
+            if p >= 0 and self.flow[x] == 0:
+                # a zero-flow arc must point away from the root: mu-parent, nu-child
+                assert x >= self.n, f"zero-flow arc above mu-atom {x} points to the root"
 
     def pivot(self, i, j):
         super().pivot(i, j)
         self.pivots += 1
         self.non_causal += not np.isfinite(self.C[i, j])
-        for x, p in enumerate(self.parent):
-            if p >= 0 and self.flow[x] == 0:
-                # a zero-flow arc must point away from the root: mu-parent, nu-child
-                assert x >= self.n, f"zero-flow arc above mu-atom {x} points to the root"
+        self.check_strongly_feasible()
         fresh, size = copy.copy(self), len(self.parent)
         fresh.depth, fresh.pot, fresh.art = [0] * size, [0.0] * size, [0] * size
         fresh.artificial = [False] * size
-        fresh._relabel(*self.children[0])
+        fresh._relabel(*self.children[self.root])
         assert labels(fresh) == labels(self)
         check_flags(self)
 
@@ -390,13 +405,18 @@ def hall_failing_problem(seed):
     return TransportProblem(MK1, side(0.0), side(1.0))
 
 
+def start_basis(problem, basis=_Basis):
+    """The start of the solve of ``problem``, as an instance of ``basis``."""
+    supplies, demands, _ = _integer_marginals(problem.mu.weights, problem.nu.weights)
+    return basis(problem.cost_matrix(), supplies, demands)
+
+
 def checked_optimize(problem):
     """Pivots of the solve of ``problem`` on a :class:`StrictlyCheckedBasis`,
     and how many of them bring in a non-causal arc, which only the
     stranded-mass pass offers."""
-    C = problem.cost_matrix()
-    supplies, demands, _ = _integer_marginals(problem.mu.weights, problem.nu.weights)
-    basis = StrictlyCheckedBasis(C, supplies, demands)
+    basis = start_basis(problem, StrictlyCheckedBasis)
+    C = basis.C
     finite = np.isfinite(C)
     _optimize(basis, finite, PRICE_TOL * (1.0 + np.max(np.abs(C[finite]))))
     return basis.pivots, basis.non_causal
@@ -410,8 +430,7 @@ class TestBasis:
                     *(random_weighted_causal_problem(rng) for _ in range(10))]
         artificial = 0
         for problem in problems:
-            supplies, demands, _ = _integer_marginals(problem.mu.weights, problem.nu.weights)
-            basis = _Basis(problem.cost_matrix(), supplies, demands)
+            basis = start_basis(problem)
             check_flags(basis)
             artificial += basis.n_artificial
         assert artificial > 0
@@ -432,6 +451,48 @@ class TestBasis:
         # in the stranded pass non-causal arcs enter as artificial arcs
         problems = [partially_reachable_problem(), *(hall_failing_problem(s) for s in range(10))]
         assert sum(checked_optimize(problem)[1] for problem in problems) > 10
+
+
+class TestStartRule:
+    """The staircase walked back from the far corner, or the north-west walk
+    when fewer of its zero-flow cells are non-causal."""
+
+    def test_rays_start_at_the_optimum(self, pivots):
+        # the north-west start pivoted 166 times here, and 157 times mirrored
+        for seed in range(50):
+            solve(separated_rays_problem(seed))
+            solve(mirrored(separated_rays_problem(seed)))
+        assert pivots == []
+
+    @pytest.mark.parametrize("n", [25, 50, 100, 200, 400])
+    def test_line_starts_without_artificial_arcs(self, n, pivots):
+        # the far corner on the line, the north-west corner mirrored; the
+        # north-west start on the line had n - 1 artificial arcs
+        for problem, root in ((line_blowup_problem(n), n - 1),
+                              (mirrored(line_blowup_problem(n)), 0)):
+            basis = start_basis(problem)
+            assert (basis.root, basis.n_artificial) == (root, 0)
+            solve(problem)
+        assert pivots == []
+
+    def test_strict_instances_start_at_the_optimum(self, pivots):
+        for seed in range(20):
+            solve(random_strict_problem(seed))
+        assert pivots == []
+
+    @pytest.mark.parametrize("seed, dead, root", [(0, (1, 3), 4), (1, (1, 0), 0),
+                                                  (26, (1, 1), 4)])
+    def test_the_walk_with_fewer_non_causal_ties_is_laid(self, seed, dead, root):
+        # dead: non-causal zero-flow cells of the far-corner and north-west
+        # walks; the far corner wins a tie
+        problem = hall_failing_problem(seed)
+        supplies, demands, _ = _integer_marginals(problem.mu.weights, problem.nu.weights)
+        walks = [_staircase(problem.cost_matrix(), supplies, demands, step) for step in (-1, 1)]
+        assert tuple(walk[-1] for walk in walks) == dead
+        basis = start_basis(problem, StrictlyCheckedBasis)
+        assert basis.root == root
+        assert basis.parent == walks[root == 0][1]
+        check_flags(basis)
 
 
 def fraction_marginals(wa, wb):

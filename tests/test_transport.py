@@ -8,7 +8,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from conftest import random_weighted_causal_problem, two_by_two_problem
+from conftest import mirrored, random_weighted_causal_problem, two_by_two_problem
 from lorot.diagnostics import lightlike_fraction
 from lorot.dual import DualPotential, chain_potential, dkp_verify
 from lorot.errors import MonotonicityViolation, NotCausalPair
@@ -517,15 +517,6 @@ def across_the_seam(problem):
         return DiscreteMeasure.from_arrays(coords, measure.weights_array())[0]
 
     return TransportProblem(cyl, moved(problem.mu), moved(problem.nu))
-
-
-def mirrored(problem):
-    """The problem reflected in space, x -> -x (0.0 becomes -0.0)."""
-    flip = np.array([-1.0, 1.0])
-    return TransportProblem(*[problem.model] + [
-        DiscreteMeasure.from_arrays(m.coords_array() * flip, m.weights_array())[0]
-        for m in (problem.mu, problem.nu)
-    ])
 
 
 def outcome(f, *args):
