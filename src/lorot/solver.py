@@ -6,20 +6,17 @@ solved by the transportation network simplex (Ahuja, Magnanti and Orlin,
 *Network Flows*, ch. 11; the exact solver behind POT's ``ot.emd``, Bonneel
 et al. 2011):
 
-* The basis is a spanning tree over the n + m atoms, rooted at a mu-atom.
+* The basis is a spanning tree over the n + m atoms, rooted at mu-atom n - 1.
   Its arcs carry exact integer flows; the potentials are read off the tree.
 * The start is a staircase in the canonical atom order, walked back from the
-  far corner (mu-atom n - 1, nu-atom m - 1) and rooted at mu-atom n - 1. Its
-  positive flows are the monotone coupling, the same as the north-west
-  corner's. On a tie the column moves, so each zero-flow cell hangs its
-  nu-atom below its mu-atom: every zero-flow arc points away from the root
-  and the tree is strongly feasible (Cunningham 1976). The north-west walk,
-  rooted at mu-atom 0 and strongly feasible by the same argument, is taken
-  instead only when fewer of its zero-flow cells are non-causal pairs. On
-  the paper's line every north-west tie is non-causal and no far-corner tie
-  is (mirrored x -> -x, the reverse). On separated rays a north-west tie
-  joins two rays through their worst cross pair, a far-corner tie through
-  their best, and on seeds 0-49 and their mirrors it needs no pivot.
+  far corner (mu-atom n - 1, nu-atom m - 1). Its positive flows are the
+  monotone coupling, the same as the north-west corner's. On a tie the
+  column moves, so each zero-flow cell hangs its nu-atom below its mu-atom:
+  every zero-flow arc points away from the root and the tree is strongly
+  feasible (Cunningham 1976). On the paper's line no tie is non-causal
+  (mirrored x -> -x, every tie is). On separated rays a tie joins two rays
+  through their best cross pair, and on seeds 0-49 and their mirrors the
+  start is optimal.
 * Each pivot prices every finite arc, walking the rows in blocks; the most
   negative reduced cost ``C + u - v`` enters, the lowest flat index winning
   ties. One call prices, runs the stranded-mass pass and lifts the duals
@@ -269,45 +266,9 @@ def _integer_marginals(wa, wb):
     return [q // g for q in a], [q // g for q in b], denom // g
 
 
-def _staircase(C, supplies, demands, step):
-    """The staircase tree ``(root, parent, flow, children, dead)``, walked
-    from the first atoms (``step`` 1, rooted at mu-atom 0) or from the last
-    (``step`` -1, rooted at mu-atom n - 1). Each cell ships what is left of
-    row i or of column j, whichever is less, and brings one atom into the
-    tree: nu-atom j below mu-atom i when the column moved, mu-atom i below
-    nu-atom j when the row did. On a tie the column moves, so each zero-flow
-    cell hangs a nu-atom below its mu-atom; ``dead`` counts those cells
-    whose pair is not causal."""
-    n, m = len(supplies), len(demands)
-    i, j = (0, 0) if step > 0 else (n - 1, m - 1)
-    root = i
-    parent, flow = [-1] * (n + m), [0] * (n + m)
-    children = [[] for _ in range(n + m)]
-    a, b = supplies[i], demands[j]
-    x, p, dead = n + j, i, 0
-    while True:
-        q = a if a < b else b
-        parent[x], flow[x] = p, q
-        children[p].append(x)
-        a -= q
-        b -= q
-        if b == 0 and 0 <= j + step < m:
-            j += step
-            b = demands[j]
-            x, p = n + j, i
-            if not a:
-                dead += not isfinite(C.item(i, j))
-        elif 0 <= i + step < n:
-            i += step
-            a = supplies[i]
-            x, p = i, n + j
-        else:
-            return root, parent, flow, children, dead
-
-
 class _Basis:
     """Spanning-tree basis over the atoms: node i is mu-atom i, node n + j is
-    nu-atom j, and the root is the mu-atom ``root`` the start walk begins at.
+    nu-atom j, and the root is mu-atom ``root`` = n - 1.
 
     Every other node x stores the arc between it and ``parent[x]``: its
     integer flow and whether it is artificial (its pair is not causal).
@@ -321,26 +282,42 @@ class _Basis:
     """
 
     def __init__(self, C, supplies, demands):
-        """The staircase walked back from the far corner, rooted at mu-atom
-        n - 1. Only when that walk puts a zero-flow cell on a non-causal pair
-        is the north-west walk, rooted at mu-atom 0, laid out too; it is
-        taken when it has fewer such cells. Both walks ship the same positive
-        flows, and both hang every zero-flow nu-atom below its mu-atom, so
-        either start is strongly feasible."""
+        """The staircase walked back from the far corner: each cell ships
+        what is left of row i or of column j, whichever is less. On a tie
+        the column moves back, so the zero-flow cell that follows joins
+        mu-atom i to the nu-atom before."""
         self.C = C
         n = self.n = len(supplies)
         m = len(demands)
-        start = _staircase(C, supplies, demands, -1)
-        if start[-1]:
-            # the north-west walk may tie on fewer, as on a line mirrored x -> -x
-            forward = _staircase(C, supplies, demands, 1)
-            if forward[-1] < start[-1]:
-                start = forward
-        self.root, self.parent, self.flow, self.children, _ = start
+        parent = self.parent = [-1] * (n + m)
+        flow = self.flow = [0] * (n + m)
+        children = self.children = [[] for _ in range(n + m)]
         # the root's labels; _relabel sets every other node's
         self.depth, self.pot, self.art = [0] * (n + m), [0.0] * (n + m), [0] * (n + m)
         self.artificial = [False] * (n + m)
-        self._relabel(*self.children[self.root])
+        i = self.root = n - 1
+        j = m - 1
+        a, b = supplies[i], demands[j]
+        # each cell brings in one atom x below a node p already in the tree:
+        # nu-atom j when the column moved, mu-atom i when the row did
+        x, p = n + j, i
+        while True:
+            q = a if a < b else b
+            parent[x], flow[x] = p, q
+            children[p].append(x)
+            a -= q
+            b -= q
+            if b == 0 and j:
+                j -= 1
+                b = demands[j]
+                x, p = n + j, i
+            elif i:
+                i -= 1
+                a = supplies[i]
+                x, p = i, n + j
+            else:
+                break
+        self._relabel(*children[self.root])
         self.n_artificial = sum(self.artificial)
 
     def potentials(self, art=False):

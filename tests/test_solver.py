@@ -18,7 +18,7 @@ from conftest import (
     random_weighted_causal_problem,
     two_by_two_problem,
 )
-from lorot import spacetime
+from lorot import solver, spacetime
 from lorot.diagnostics import audit
 from lorot.dual import DualPotential, PositiveCycle, c_transform, chain_potential, dkp_verify
 from lorot.errors import Infeasible, SchemaError, TooLarge
@@ -38,7 +38,6 @@ from lorot.solver import (
     _Basis,
     _integer_marginals,
     _optimize,
-    _staircase,
     brute_force_oracle,
     dual_objective,
     problem_from_json,
@@ -246,7 +245,7 @@ def cylinder_field_problem(N):
     """The cylinder field as a discrete instance: N cell-centred sources at
     t = 0, each matched to its target y_theta at t = 1 (eps 0.25), all with
     weight 1 / N. The optimum is the sorted order shifted cyclically (by 18
-    at N = 100), and both staircases cross non-causal pairs, so the solve
+    at N = 100), and the staircase crosses non-causal pairs, so the solve
     starts on artificial arcs."""
     thetas, _, u, skipped = subdifferential_field(build_profile(0.25), 1.0, N)
     assert skipped == 0
@@ -264,7 +263,7 @@ DIFFERENTIAL_FAMILIES = {
     "strict": lambda: [random_strict_problem(seed) for seed in range(5)],
     "rays": lambda: [separated_rays_problem(seed) for seed in range(5)],
     "weighted": lambda: [plane_problem(n, 0, weighted=True) for n in (50, 100)],
-    # the far-corner start on the rays, the north-west start on the line
+    # mirrored, the line starts on artificial arcs and lifts its duals
     "mirrored": lambda: [mirrored(line_blowup_problem(100)),
                          *(mirrored(separated_rays_problem(seed)) for seed in range(5))],
 }
@@ -330,19 +329,20 @@ class TestDuals:
 
     def test_line_dual_spread(self):
         # every optimal arc is lightlike (cost 0): the spread of the LP duals
-        # is sqrt(2n-3), set by the steepest finite arc alone
+        # is sqrt(2n-3), set by the steepest finite arc alone; mirrored, the
+        # line starts on artificial arcs and its duals are lifted
         n = 400
-        problem = line_blowup_problem(n)
-        coupling, (u, v) = solve(problem)
-        assert float(np.ptp(-u)) == pytest.approx(math.sqrt(2 * n - 3), abs=1e-9)
-        self.check_duals(problem, coupling, (u, v))
+        for problem in (line_blowup_problem(n), mirrored(line_blowup_problem(n))):
+            coupling, (u, v) = solve(problem)
+            assert float(np.ptp(-u)) == pytest.approx(math.sqrt(2 * n - 3), abs=1e-9)
+            self.check_duals(problem, coupling, (u, v))
 
     def test_on_line_grid(self):
         mu = grid_segment(MK1, pt(0, 0), pt(1, 0), 30)
         nu = grid_segment(MK1, pt(1, 1), pt(2, 1), 30)
-        problem = TransportProblem(MK1, mu, nu)
-        coupling, duals = solve(problem)
-        self.check_duals(problem, coupling, duals)
+        for problem in (TransportProblem(MK1, mu, nu), mirrored(TransportProblem(MK1, mu, nu))):
+            coupling, duals = solve(problem)
+            self.check_duals(problem, coupling, duals)
 
 
 def check_flags(basis):
@@ -425,7 +425,7 @@ def checked_optimize(problem):
 class TestBasis:
     def test_setup_flags_mark_the_non_causal_arcs(self):
         rng = np.random.default_rng(7)
-        problems = [line_blowup_problem(60), partially_reachable_problem(),
+        problems = [mirrored(line_blowup_problem(60)), partially_reachable_problem(),
                     *(random_strict_problem(seed) for seed in range(4)),
                     *(random_weighted_causal_problem(rng) for _ in range(10))]
         artificial = 0
@@ -454,8 +454,7 @@ class TestBasis:
 
 
 class TestStartRule:
-    """The staircase walked back from the far corner, or the north-west walk
-    when fewer of its zero-flow cells are non-causal."""
+    """The staircase walked back from the far corner, rooted at mu-atom n - 1."""
 
     def test_rays_start_at_the_optimum(self, pivots):
         # the north-west start pivoted 166 times here, and 157 times mirrored
@@ -465,34 +464,27 @@ class TestStartRule:
         assert pivots == []
 
     @pytest.mark.parametrize("n", [25, 50, 100, 200, 400])
-    def test_line_starts_without_artificial_arcs(self, n, pivots):
-        # the far corner on the line, the north-west corner mirrored; the
-        # north-west start on the line had n - 1 artificial arcs
-        for problem, root in ((line_blowup_problem(n), n - 1),
-                              (mirrored(line_blowup_problem(n)), 0)):
-            basis = start_basis(problem)
-            assert (basis.root, basis.n_artificial) == (root, 0)
-            solve(problem)
-        assert pivots == []
+    def test_line_starts_without_artificial_arcs(self, n, pivots, lifted):
+        # the north-west start on the line had n - 1 artificial arcs
+        problem = line_blowup_problem(n)
+        basis = start_basis(problem)
+        assert (basis.root, basis.n_artificial) == (n - 1, 0)
+        solve(problem)
+        assert pivots == [] and lifted == [False]
+
+    @pytest.mark.parametrize("n", [25, 50, 100, 200, 400])
+    def test_mirrored_line_lifts_its_artificial_start(self, n, pivots, lifted):
+        # mirrored x -> -x, every tie of the walk is non-causal; its zero-flow
+        # artificial arcs stay in the basis, so the duals need the lift
+        basis = start_basis(mirrored(line_blowup_problem(n)), StrictlyCheckedBasis)
+        assert (basis.root, basis.n_artificial) == (n - 1, n - 1)
+        solve(mirrored(line_blowup_problem(n)))
+        assert pivots == [] and lifted == [True]
 
     def test_strict_instances_start_at_the_optimum(self, pivots):
         for seed in range(20):
             solve(random_strict_problem(seed))
         assert pivots == []
-
-    @pytest.mark.parametrize("seed, dead, root", [(0, (1, 3), 4), (1, (1, 0), 0),
-                                                  (26, (1, 1), 4)])
-    def test_the_walk_with_fewer_non_causal_ties_is_laid(self, seed, dead, root):
-        # dead: non-causal zero-flow cells of the far-corner and north-west
-        # walks; the far corner wins a tie
-        problem = hall_failing_problem(seed)
-        supplies, demands, _ = _integer_marginals(problem.mu.weights, problem.nu.weights)
-        walks = [_staircase(problem.cost_matrix(), supplies, demands, step) for step in (-1, 1)]
-        assert tuple(walk[-1] for walk in walks) == dead
-        basis = start_basis(problem, StrictlyCheckedBasis)
-        assert basis.root == root
-        assert basis.parent == walks[root == 0][1]
-        check_flags(basis)
 
 
 def fraction_marginals(wa, wb):
@@ -839,15 +831,32 @@ def pivots(monkeypatch):
     return made
 
 
+@pytest.fixture
+def lifted(monkeypatch):
+    """For every ``_optimize`` call made while the test runs, whether the
+    lift moved the duals off the tree's potentials."""
+    made = []
+
+    def counted(basis, *args):
+        u, v = _optimize(basis, *args)
+        made.append(not np.array_equal(u, basis.potentials()[0]))
+        return u, v
+
+    monkeypatch.setattr(solver, "_optimize", counted)
+    return made
+
+
 class TestRowBlocks:
     PROBLEMS = {
         "line-50": lambda: line_blowup_problem(50),
+        # its duals are lifted
+        "mirrored-line-50": lambda: mirrored(line_blowup_problem(50)),
         "strict-3": lambda: random_strict_problem(3),
         "pivoting-2d": lambda: pivoting_problem(30, 1),
         "infeasible": partially_reachable_problem,
     }
 
-    def check_same_bits(self, name, block_pairs, pivots, monkeypatch):
+    def check_same_bits(self, name, block_pairs, pivots, lifted, monkeypatch):
         def run():
             # a fresh problem, so its cost matrix is built under the block size
             try:
@@ -866,18 +875,21 @@ class TestRowBlocks:
             assert len(pivots) > 10
         if name == "infeasible":
             assert default.startswith("mu-atom 0 cannot place mass 1/2: ")
+        if name == "mirrored-line-50":
+            assert lifted == [True, True]
 
     @pytest.mark.parametrize("name", PROBLEMS)
-    def test_one_row_blocks_give_the_same_bits(self, name, pivots, monkeypatch):
-        self.check_same_bits(name, 1, pivots, monkeypatch)
+    def test_one_row_blocks_give_the_same_bits(self, name, pivots, lifted, monkeypatch):
+        self.check_same_bits(name, 1, pivots, lifted, monkeypatch)
 
     @pytest.mark.parametrize("name", PROBLEMS)
-    def test_uneven_blocks_give_the_same_bits(self, name, pivots, monkeypatch):
+    def test_uneven_blocks_give_the_same_bits(self, name, pivots, lifted, monkeypatch):
         # 2999 pairs cut line-50's two-plane blocks unevenly, into 29 and 21 rows
-        self.check_same_bits(name, 2999, pivots, monkeypatch)
+        self.check_same_bits(name, 2999, pivots, lifted, monkeypatch)
 
-    def test_solve_holds_less_than_one_more_dense_array(self):
-        problem = line_blowup_problem(400)
+    def test_solve_holds_less_than_one_more_dense_array(self, lifted):
+        # mirrored, so the lift runs while the pricing buffers are live
+        problem = mirrored(line_blowup_problem(400))
         C = problem.cost_matrix()
         tracemalloc.start()
         try:
@@ -886,6 +898,7 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < C.nbytes, f"solve peaked at {peak} bytes beside a {C.nbytes}-byte matrix"
+        assert lifted == [True]
 
 
 class TestDeterminism:
