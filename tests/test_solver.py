@@ -457,7 +457,7 @@ class TestStartRule:
     """The staircase walked back from the far corner, rooted at mu-atom n - 1."""
 
     def test_rays_start_at_the_optimum(self, pivots):
-        # the north-west start pivoted 166 times here, and 157 times mirrored
+        # a north-west start pivots 166 times here, and 157 times mirrored
         for seed in range(50):
             solve(separated_rays_problem(seed))
             solve(mirrored(separated_rays_problem(seed)))
@@ -465,7 +465,7 @@ class TestStartRule:
 
     @pytest.mark.parametrize("n", [25, 50, 100, 200, 400])
     def test_line_starts_without_artificial_arcs(self, n, pivots, lifted):
-        # the north-west start on the line had n - 1 artificial arcs
+        # a north-west start on the line has n - 1 artificial arcs
         problem = line_blowup_problem(n)
         basis = start_basis(problem)
         assert (basis.root, basis.n_artificial) == (n - 1, 0)
