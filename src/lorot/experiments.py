@@ -26,11 +26,11 @@ import numpy as np
 
 from ._csv import _CHUNK  # one block of the cylinder field is one chunk of CSV rows
 from .diagnostics import audit
-from .dual import chain_potential, PositiveCycle
+from .dual import _column_infima, chain_potential, PositiveCycle
 from .errors import ExperimentCheckFailed, ValidationFailed
 from .measures import DiscreteMeasure, grid_segment, strictify
 from .solver import TransportProblem, solve
-from .spacetime import Cylinder, Minkowski
+from .spacetime import COST_WORK, Cylinder, Minkowski
 
 
 @dataclass(frozen=True)
@@ -348,11 +348,11 @@ def cylinder_potential(profile: ProfileFunction, ys, theta_grid: int = 100000) -
 
     ``ys`` is a finite (k, 2) array of targets at times >= 0, time last, as
     for :meth:`SpacetimeModel.cost_matrix` (a ``ValueError`` names the first
-    bad row); returns the k values. Each infimum is taken over theta_grid
-    equispaced angles plus the target's own angle (the only causal source when
-    y lies on the slice t=0), then refined by ternary search around the grid
-    argmin to width 1e-10. All k searches run in lockstep, each until its own
-    width is reached.
+    bad row); returns the k values. Each infimum is the least of the
+    c-transform of the profile over theta_grid equispaced angles on the
+    slice t=0, whose costs are built one row block at a time, and of the
+    target's own angle, the only causal source when y lies on that slice.
+    No target's value depends on the others.
     """
     theta_grid = _grid_size(theta_grid)
     ys = np.asarray(ys, dtype=float)
@@ -362,31 +362,14 @@ def cylinder_potential(profile: ProfileFunction, ys, theta_grid: int = 100000) -
     if len(bad):
         raise ValueError(f"target row {bad[0]} must be finite at time >= 0, got {ys[bad[0]].tolist()}")
     model = Cylinder(5.0)
-
-    def objective(thetas, targets):
-        # +inf outside the causal past; sources are reduced onto the circle
-        xs = np.stack([model.normalize(thetas), np.zeros_like(thetas)], axis=-1)
-        return profile(thetas) + model.costs(xs, targets)
-
-    h = 5.0 / theta_grid
-    grid = np.arange(theta_grid) * h
-    vals = np.vstack([objective(grid[:, None], ys), objective(ys[:, 0], ys)])
-    best = np.argmin(vals, axis=0)
-    phi = vals[best, np.arange(len(ys))]
-    theta = np.where(best < theta_grid, grid[best % theta_grid], ys[:, 0])
-    lo, hi = theta - h, theta + h
-    active = np.flatnonzero(np.isfinite(phi) & (hi - lo > 1e-10))
-    while len(active):
-        a, b = lo[active], hi[active]
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        f1, f2 = objective(np.stack([m1, m2]), ys[active])
-        left = f1 <= f2
-        hi[active] = np.where(left, m2, b)
-        lo[active] = np.where(left, a, m1)
-        active = active[hi[active] - lo[active] > 1e-10]
-    mid = objective((lo + hi) / 2.0, ys)
-    return np.where(np.isfinite(phi) & (mid < phi), mid, phi)
+    grid = np.arange(theta_grid) * (5.0 / theta_grid)  # already on [0, 5)
+    xs = np.column_stack([grid, np.zeros(theta_grid)])
+    # a target with no causal grid source gets None, read here as NaN, which fmin passes over
+    infima = np.array(_column_infima(profile(grid), len(ys),
+                                     lambda rows, out, work: model.costs(xs[rows, None], ys[None], out, work),
+                                     COST_WORK), dtype=float)
+    own = np.column_stack([model.normalize(ys[:, 0]), np.zeros(len(ys))])
+    return np.fmin(infima, profile(ys[:, 0]) + model.costs(own, ys))
 
 
 def _slope(s):

@@ -17,7 +17,7 @@ from lorot.experiments import (
     run_line_counterexample,
     subdifferential_field,
 )
-from lorot.spacetime import Cylinder
+from lorot.spacetime import BLOCK_PAIRS, Cylinder
 
 CYL = Cylinder(5.0)
 
@@ -215,32 +215,29 @@ class TestCylinderPotential:
         assert cylinder_potential(f, ys, 4000).tobytes() == expected.tobytes()
         assert cylinder_potential(f, ys[:1], 4000).tobytes() == expected[:1].tobytes()
 
+    def test_memory_holds_the_grid_and_four_blocks(self):
+        # the 16 cusp targets of run_cylinder_example at t = 1; a (grid, 16)
+        # float64 temporary at 200,000 angles takes 25.6 MB on its own
+        f = build_profile(0.25)
+        hs = 2.0 ** -np.arange(3, 11)
+        ys = np.column_stack([np.concatenate([2.0 + hs, 2.0 - hs]), np.full(16, 1.0)])
+        cylinder_potential(f, ys, 1000)  # numpy imports some code lazily
+        tracemalloc.start()
+        try:
+            cylinder_potential(f, ys, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 200_000 + 4 * BLOCK_PAIRS * 8
+
 
 def reference_potential(profile, y, theta_grid):
-    """One target's potential by its own grid pass and ternary search: the
-    per-target loop the batched :func:`cylinder_potential` replaced."""
-    target = np.array([y])
-
-    def objective(thetas):
-        xs = np.column_stack([CYL.normalize(thetas), np.zeros_like(thetas)])
-        return profile(thetas) + CYL.cost_matrix(xs, target)[:, 0]
-
+    """One target's potential by its own minimum over the grid angles and its
+    own angle: the per-target pass the batched :func:`cylinder_potential`
+    replaces by row blocks."""
     thetas = np.concatenate([np.arange(theta_grid) * (5.0 / theta_grid), [y[0]]])
-    vals = objective(thetas)
-    best = int(np.argmin(vals))
-    if not np.isfinite(vals[best]):
-        return math.inf
-    h = 5.0 / theta_grid
-    lo, hi = thetas[best] - h, thetas[best] + h
-    while hi - lo > 1e-10:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        f1, f2 = objective(np.array([m1, m2]))
-        if f1 <= f2:
-            hi = m2
-        else:
-            lo = m1
-    return float(min(vals[best], objective(np.array([(lo + hi) / 2.0]))[0]))
+    xs = np.column_stack([CYL.normalize(thetas), np.zeros_like(thetas)])
+    return float(np.min(profile(thetas) + CYL.cost_matrix(xs, np.array([y]))[:, 0]))
 
 
 def dense_grid_oracle(profile, y, n):

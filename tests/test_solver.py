@@ -131,6 +131,19 @@ class TestSolveExamples:
         with pytest.raises(Infeasible, match="^mu-atom 0 cannot place mass 1/2: "):
             solve(problem)
 
+    @pytest.mark.xfail(strict=True, raises=Infeasible,
+                       reason="the exact totals differ by 2**-55, and balancing them "
+                              "strands 1/72057594037927936 at mu-atom 2")
+    def test_hall_tight_weights_that_do_not_sum_to_one(self):
+        # the weights (1, 2, 3)/6 sum to 1 - 2**-55 in floats; the oracle
+        # couples (0, 0, 1/6), (1, 0, 1/3) and (2, 1, 1/2)
+        mu = DiscreteMeasure.from_atoms([(pt(-1, 0), 1 / 6), (pt(0, 0), 2 / 6), (pt(1, 0), 3 / 6)])
+        nu = DiscreteMeasure.from_atoms([(pt(-1, 1), 0.5), (pt(1, 1), 0.5)])
+        problem = TransportProblem(MK1, mu, nu)
+        oracle = brute_force_oracle(problem)
+        coupling, _ = solve(problem)
+        assert coupling.total_cost == pytest.approx(oracle.total_cost, abs=1e-12)
+
     def test_cylinder_wraps_through_the_seam(self):
         from lorot.spacetime import Cylinder
 
