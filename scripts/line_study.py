@@ -25,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from lorot.experiments import run_line_counterexample  # noqa: E402
 
 BASE, LEVELS = 400, 4
-PEAK_CAP_MB = 150.0
+PEAK_CAP_MB = 135.0
 
 
 def peak_rss_mb():

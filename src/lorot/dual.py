@@ -108,15 +108,13 @@ def _per_atom(name, values, n, side) -> np.ndarray:
 
 def _column_infima(psi, m, costs_of, scratch=()):
     """Per column, the least finite ``psi[i] + costs_of(rows, out, work)[i, j]``;
-    None where there is none. ``costs_of`` gives the cost rows of a row slice,
-    written into ``out`` or not; ``work`` holds one block array per dtype of
-    ``scratch``."""
-    low = np.full(m, np.inf)
-    least = np.empty(m)
-    for rows, (vals, finite, *work) in row_block_buffers(len(psi), m, float, bool, *scratch):
+    None where there is none. ``costs_of`` gives the finite or +inf cost rows
+    of a row slice, written into ``out`` or not (psi is finite, so +inf marks
+    a non-causal pair); ``work`` holds one block array per dtype of ``scratch``."""
+    low, least = np.full(m, np.inf), np.empty(m)
+    for rows, (vals, *work) in row_block_buffers(len(psi), m, float, *scratch):
         np.add(psi[rows, None], costs_of(rows, vals, work), out=vals)
-        np.min(vals, axis=0, initial=np.inf, where=np.isfinite(vals, out=finite), out=least)
-        np.minimum(low, least, out=low)
+        np.minimum(low, np.min(vals, axis=0, out=least), out=low)
     return [float(v) if v < np.inf else None for v in low]
 
 
@@ -225,12 +223,11 @@ def dkp_verify(model: SpacetimeModel, coupling: Coupling, potential: DualPotenti
     C = coupling.cost_matrix(model)
     psi = _per_atom("psi", potential.psi, C.shape[0], "mu")
     phi = _per_atom("phi", potential.phi, C.shape[1], "nu")
-    # -inf when no arc is finite: then nothing is infeasible
+    # -inf on non-causal pairs, so -inf when no arc is finite: nothing is infeasible
     worst_feas = -np.inf
-    for rows, (slack, finite) in row_block_buffers(*C.shape, float, bool):
+    for rows, (slack,) in row_block_buffers(*C.shape, float):
         np.subtract(np.subtract(phi, psi[rows, None], out=slack), C[rows], out=slack)
-        worst_feas = max(worst_feas, float(np.max(slack, initial=-np.inf,
-                                                  where=np.isfinite(C[rows], out=finite))))
+        worst_feas = max(worst_feas, float(np.max(slack)))
     ii, jj, _ = coupling.index_arrays()
     support_res = np.abs(phi[jj] - psi[ii] - C[ii, jj])
     worst_support = float(np.max(support_res))

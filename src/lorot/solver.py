@@ -17,10 +17,10 @@ et al. 2011):
   (mirrored x -> -x, every tie is). On separated rays a tie joins two rays
   through their best cross pair, and on seeds 0-49 and their mirrors the
   start is optimal.
-* Each pivot prices every finite arc, walking the rows in blocks; the most
-  negative reduced cost ``C + u - v`` enters, the lowest flat index winning
-  ties. One call prices, runs the stranded-mass pass and lifts the duals
-  (both below), all over one list of blocks.
+* Each pivot prices every arc, walking the rows in blocks; the most negative
+  reduced cost ``C + u - v`` enters, the lowest flat index winning ties. A
+  non-causal pair's +inf never does. One call prices, runs the stranded-mass
+  pass and lifts the duals (both below), all over one list of blocks.
 * The leaving arc is the last blocking arc met going round the cycle from
   its apex down to the entering arc's nu-atom, across the entering arc and
   back up. This keeps the tree strongly feasible, so the method cannot cycle.
@@ -31,6 +31,8 @@ et al. 2011):
   mass: every non-causal pair is then priced as an artificial arc, so that
   the least mass stays stranded, and :class:`Infeasible` names the lowest
   mu-atom that still ships on an artificial arc and its exact mass there.
+  Only these read a mask of the causal pairs, built when the start holds
+  one (none enters a tree without one), else no n x m array but C is held.
 * The returned duals are the real potentials plus lambda times the
   artificial ones, with lambda the smallest value that makes every finite
   arc dual feasible; lambda is 0 when no artificial arc stays in the basis.
@@ -38,7 +40,8 @@ et al. 2011):
 Marginal weights are rescaled to a common integer denominator (every
 binary64 weight is an exact dyadic rational), so row and column sums of the
 returned coupling match the input weights exactly in rational arithmetic.
-Costs stay in binary64.
+Costs stay in binary64; each is finite and <= 0 or exactly +inf, so max |C|
+over the finite arcs, the price scale, is ``-C.min()``.
 """
 
 from __future__ import annotations
@@ -412,7 +415,7 @@ class _Basis:
         self._relabel(top)
 
 
-def _optimize(basis, finite, tol):
+def _optimize(basis, tol):
     """Pivot until no arc prices below ``-tol``; return the final ``(u, v)``.
 
     The artificial cost (1 on non-causal pairs) is compared first, the real
@@ -420,14 +423,17 @@ def _optimize(basis, finite, tol):
     Finite arcs are priced at their cost; once no arc enters while mass is
     stranded, so are the non-causal ones, at real cost 0. Artificial arcs
     left with no mass stranded lift ``(u, v)`` along the artificial duals by
-    the least lam >= 0 that makes every finite arc dual feasible. All three
-    walk one list of row blocks, each with two float planes (the pricing
-    keys; the lift's artificial and real reduced costs) and one of flags.
+    the least lam >= 0 that makes every finite arc dual feasible; +inf never
+    enters and never raises lam. All three walk one list of row blocks, each
+    with two float planes (the pricing keys; the lift's artificial and real
+    reduced costs) and one of flags. The artificial key and the stranded
+    pass read a causal-pair mask, built if the start holds an artificial arc.
     """
     C = basis.C
     m = C.shape[1]
-    blocks = [(rows.start * m, rows, C[rows], finite[rows], *pair.reshape(2, -1, m),
-               flags.reshape(2, -1, m)[0])
+    finite = np.isfinite(C) if basis.n_artificial else None
+    blocks = [(rows.start * m, rows, C[rows], None if finite is None else finite[rows],
+               *pair.reshape(2, -1, m), flags.reshape(2, -1, m)[0])
               for rows, (pair, flags) in row_block_buffers(C.shape[0], 2 * m, float, bool)]
     stranded = False
     while True:
@@ -449,7 +455,10 @@ def _optimize(basis, finite, tol):
                     k = first + int(np.argmax(flags))
                     break
                 np.greater(block, 0, out=flags)  # these never enter
-            np.add(np.where(fin, cost, 0.0) if stranded else cost, u[rows, None], out=block)
+            if stranded:  # the real costs, 0 on the non-causal pairs
+                np.copyto(block, 0.0)
+                np.copyto(block, cost, where=fin)
+            np.add(block if stranded else cost, u[rows, None], out=block)
             block -= v
             if ua is not None:
                 block[flags] = np.inf
@@ -467,11 +476,9 @@ def _optimize(basis, finite, tol):
     if stranded or not basis.n_artificial:
         return u, v
     lam = 0.0
-    for _, rows, cost, fin, ra, rc, flags in blocks:
+    for _, rows, cost, _, ra, rc, flags in blocks:
         np.subtract(ua[rows, None], va, out=ra)
-        np.greater(ra, 0, out=flags)
-        flags &= fin
-        if flags.any():
+        if np.greater(ra, 0, out=flags).any():
             np.add(cost, u[rows, None], out=rc)
             rc -= v
             np.negative(rc, out=rc)
@@ -487,7 +494,11 @@ def solve(problem: TransportProblem):
     over all couplings supported on finite-cost arcs and the LP duals
     satisfy ``v[j] - u[i] <= cost(i, j)`` on every finite arc with equality
     on the support. The duals are read-only arrays. Raises
-    :class:`Infeasible` when no causal coupling exists.
+    :class:`Infeasible` when no causal coupling exists, or when nu's rescaling
+    to mu's exact total leaves a Hall-tight set a rounding unit short (strict
+    xfail ``test_hall_tight_weights_that_do_not_sum_to_one``). Reachability
+    and the price scale read +inf through ``C.min()``; the finite-arc mask
+    waits for an artificial arc (module notes).
 
     The problem holds its optimum weakly: while any caller still holds the
     returned coupling, a later call on the same problem object returns that
@@ -500,28 +511,21 @@ def solve(problem: TransportProblem):
         coupling = held[0]()
         if coupling is not None:
             return coupling, held[1]
-    mu, nu = problem.mu, problem.nu
     C = problem.cost_matrix()
-    finite = np.isfinite(C)
     for side, other, axis in (("mu", "nu", 1), ("nu", "mu", 0)):
-        reached = finite.any(axis=axis)
+        reached = C.min(axis=axis) < np.inf
         if not reached.all():
             raise Infeasible(f"{side}-atom {int(reached.argmin())} has no causal partner "
                              f"among the {other}-atoms")
 
-    supplies, demands, denom = _integer_marginals(mu.weights, nu.weights)
+    supplies, demands, denom = _integer_marginals(problem.mu.weights, problem.nu.weights)
     basis = _Basis(C, supplies, demands)
-    # max |C| over the finite arcs, read in place
-    top = C.max(where=finite, initial=-np.inf)
-    bottom = C.min(where=finite, initial=np.inf)
-    tol = PRICE_TOL * (1.0 + float(max(top, -bottom)))
-    u, v = _optimize(basis, finite, tol)
+    tol = PRICE_TOL * (1.0 - float(C.min()))
+    u, v = _optimize(basis, tol)
     if basis.n_artificial and basis.stranded():
         i, q = min(basis.stranded().items())
-        raise Infeasible(
-            f"mu-atom {i} cannot place mass {Fraction(q, denom)}: "
-            "no causal coupling carries all of mu"
-        )
+        raise Infeasible(f"mu-atom {i} cannot place mass {Fraction(q, denom)}: "
+                         "no causal coupling carries all of mu")
     ii, jj, exact = basis.support()
     coupling = Coupling.from_columns(problem, ii, jj, np.array([q / denom for q in exact]),
                                      exact_masses=exact, exact_denominator=denom)

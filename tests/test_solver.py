@@ -302,6 +302,13 @@ class TestDifferential:
             scale = 1e-12 * (1.0 + abs(oracle.total_cost))
             assert abs(dual_objective(coupling, duals) - oracle.total_cost) <= scale, k
 
+    def test_least_cost_is_the_price_scale(self, differential):
+        # solve scales its pricing tolerance by -C.min(), which is max |C|
+        # over the finite arcs because every finite cost is <= 0
+        for k, ((coupling, _), _) in enumerate(differential):
+            C = coupling.problem.cost_matrix()
+            assert -C.min() == np.max(np.abs(C[np.isfinite(C)])), k
+
 
 class TestDuals:
     @staticmethod
@@ -430,8 +437,7 @@ def checked_optimize(problem):
     stranded-mass pass offers."""
     basis = start_basis(problem, StrictlyCheckedBasis)
     C = basis.C
-    finite = np.isfinite(C)
-    _optimize(basis, finite, PRICE_TOL * (1.0 + np.max(np.abs(C[finite]))))
+    _optimize(basis, PRICE_TOL * (1.0 + np.max(np.abs(C[np.isfinite(C)]))))
     return basis.pivots, basis.non_causal
 
 
@@ -912,6 +918,20 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert peak < C.nbytes, f"solve peaked at {peak} bytes beside a {C.nbytes}-byte matrix"
         assert lifted == [True]
+
+    def test_solve_without_artificial_arcs_holds_no_mask(self, lifted):
+        # the line never holds an artificial arc, so no finite-arc mask, one
+        # bool per pair, is built beside C
+        problem = line_blowup_problem(1600)
+        C = problem.cost_matrix()
+        tracemalloc.start()
+        try:
+            solve(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < C.size, f"solve peaked at {peak} bytes beside a {C.size}-pair matrix"
+        assert lifted == [False]
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lorot import spacetime
 from lorot.diagnostics import class_fractions
@@ -71,6 +72,48 @@ class TestCost:
     def test_spacelike_infinite(self):
         assert not math.isfinite(MK1.cost(pt(MK1, 0, 0), pt(MK1, 2, 1)))
         assert not math.isfinite(MK1.cost(pt(MK1, 0, 0), pt(MK1, 0, -1)))
+
+
+#: dyadic coordinates: shifted by an integer such as 1e8 they stay exact,
+#: and so do their differences
+QUARTERS = st.integers(-40, 40).map(lambda k: k / 4)
+
+
+class TestCostInvariants:
+    """Every cost is finite and <= 0 or exactly +inf, never NaN or -inf: the
+    solver, the c-transform and the feasibility check let +inf mark the
+    non-causal pairs in their reductions."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from((MK1, MK2, CYL)), st.sampled_from(("any", "lightlike", "seam")),
+           st.sampled_from((0.0, 1e8, -1e8)) | st.floats(-1e8, 1e8), st.data())
+    def test_costs_are_nonpositive_or_plus_infinity(self, model, kind, shift, data):
+        d = model.spatial_dim
+        x = np.array(data.draw(st.lists(QUARTERS, min_size=d + 1, max_size=d + 1)))
+        if kind == "any":
+            step = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=d + 1, max_size=d + 1)))
+        elif kind == "seam":
+            # across the cylinder's seam at 0, either way: lightlike, or
+            # timelike by late
+            a, b, late, way = data.draw(st.tuples(*[st.integers(1, 8).map(lambda k: k / 8)] * 2,
+                                                  st.sampled_from((0.0, 0.25)),
+                                                  st.sampled_from((1, -1))))
+            x[0] = 5.0 - a if way > 0 else a
+            step = np.zeros(d + 1)
+            step[0], step[-1] = way * (a + b), a + b + late
+        else:
+            k = data.draw(QUARTERS.filter(lambda k: abs(k) <= 2.5))
+            step = np.array([k, abs(k)] if d == 1 else [3 * k, -4 * k, 5 * abs(k)])
+        xs, ys = x + shift, x + shift + step
+        xs[:-1], ys[:-1] = model.normalize(xs[:-1]), model.normalize(ys[:-1])
+        both = np.stack((xs, ys))
+        for C in (model.costs(both[:, None], both[None]), model.cost_matrix(both, both)):
+            assert not np.isnan(C).any() and not (C == -np.inf).any()
+            assert (C[np.isfinite(C)] <= 0).all()
+        lightlike = kind == "lightlike" or (kind == "seam" and step[-1] == abs(step[0]))
+        if lightlike and shift in (0.0, 1e8, -1e8):
+            # the shift keeps the pair exactly lightlike, and its cost is 0
+            assert C[0, 1] == 0.0
 
 
 class TestCausalClass:
