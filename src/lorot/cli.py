@@ -13,6 +13,7 @@ failed experiment check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -43,7 +44,8 @@ def _sanitize(obj):
 
 
 def _write_json(path: Path, obj):
-    text = json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False)
+    """Write ``obj``, whose floats are all finite, as standard JSON."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -77,8 +79,8 @@ def _validate_payload(obj: dict):
             violations.append(f"{side}: missing")
             continue
         try:
-            measure_from_json(model, obj[side])
-        except SchemaError as exc:
+            model.check_measures(**{side: measure_from_json(model, obj[side])})
+        except (SchemaError, ValueError) as exc:
             msg = str(exc)
             tag = "mass" if "sum to 1" in msg else "schema"
             violations.append(f"{side}: {tag}: {msg}")
@@ -86,10 +88,8 @@ def _validate_payload(obj: dict):
 
 
 def _cmd_validate(args, out_dir):
-    obj = _load_input(args.input)
-    violations = _validate_payload(obj)
-    result = {"ok": not violations, "violations": violations}
-    return result, (0 if not violations else 3)
+    violations = _validate_payload(_load_input(args.input))
+    return {"ok": not violations, "violations": violations}, (3 if violations else 0)
 
 
 def _solve_from_args(args):
@@ -104,12 +104,7 @@ def _cmd_solve(args, out_dir):
     table = np.rec.fromarrays([ii, jj, mass, problem.cost_matrix()[ii, jj]], names="i,j,mass,cost")
     _write_csv(out_dir / "coupling.csv", table)
     gap = abs(coupling.total_cost - dual_objective(coupling, duals))
-    result = {
-        "cost": coupling.total_cost,
-        "dual_gap": gap,
-        "n_arcs": coupling.n_entries,
-    }
-    return result, 0
+    return {"cost": coupling.total_cost, "dual_gap": gap, "n_arcs": coupling.n_entries}, 0
 
 
 def _cmd_dual(args, out_dir):
@@ -155,10 +150,7 @@ def _cmd_monge(args, out_dir):
     problem = problem_from_json(_load_input(args.input))
     outcome = monge_map(problem.model, problem)
     if isinstance(outcome, AtomSplit):
-        result = {
-            "atom_split": {"mu_index": outcome.mu_index, "detail": outcome.detail}
-        }
-        return result, 0
+        return {"atom_split": {"mu_index": outcome.mu_index, "detail": outcome.detail}}, 0
     nu_index = np.array(outcome.assignment, dtype=np.int64)
     table = np.rec.fromarrays([np.arange(len(nu_index)), nu_index], names="mu_index,nu_index")
     _write_csv(out_dir / "monge.csv", table)
@@ -222,6 +214,7 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message)
 
 
+@functools.cache  # one parser a process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lorot",
@@ -246,11 +239,12 @@ def run(args) -> int:
         except Infeasible as exc:
             summary["error"] = {"kind": "infeasible", "message": str(exc)}
             code = 2
+        summary = _sanitize(summary)
         _write_json(out_dir / "result.json", summary)
     except OSError as exc:  # inputs that cannot be read raise SchemaError
         where = exc.filename or out_dir
         raise LorotError(f"cannot write output: {where}: {exc.strerror or exc}") from exc
-    print(json.dumps(_sanitize(summary), sort_keys=True, allow_nan=False))
+    print(json.dumps(summary, sort_keys=True, allow_nan=False))
     if "error" in summary:
         print(f"lorot: infeasible: {summary['error']['message']}", file=sys.stderr)
     return code

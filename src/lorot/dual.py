@@ -43,7 +43,7 @@ class DualPotential:
         if None in phi:
             j = list(phi).index(None)
             raise ValueError(f"nu-atom {j} has no causal source; phi is +inf there")
-        return cls(tuple(float(x) for x in psi), tuple(float(x) for x in phi))
+        return cls(*(tuple(np.asarray(x, dtype=float).tolist()) for x in (psi, phi)))
 
     @classmethod
     def from_psi(cls, model, mu, psi, nu) -> "DualPotential":
@@ -81,7 +81,7 @@ def c_transform(model: SpacetimeModel, mu, psi, nu):
     Raises ``ValueError`` unless psi has one finite value per mu-atom and
     each measure has the model's spatial dimension.
     """
-    model.check_measures(mu, nu)
+    model.check_measures(mu=mu, nu=nu)
     xs, ys = mu.coords_array(), nu.coords_array()
     return _column_infima(_per_atom("psi", psi, len(xs), "mu"), len(ys),
                           lambda rows, out, work: model.costs(xs[rows, None], ys[None], out, work),
@@ -115,7 +115,7 @@ def _column_infima(psi, m, costs_of, scratch=()):
     for rows, (vals, *work) in row_block_buffers(len(psi), m, float, *scratch):
         np.add(psi[rows, None], costs_of(rows, vals, work), out=vals)
         np.minimum(low, np.min(vals, axis=0, out=least), out=low)
-    return [float(v) if v < np.inf else None for v in low]
+    return [v if v < math.inf else None for v in low.tolist()]
 
 
 def _longest_paths(C: np.ndarray, ii: np.ndarray, jj: np.ndarray, root: int):

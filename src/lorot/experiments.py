@@ -30,7 +30,7 @@ from .dual import _column_infima, chain_potential, PositiveCycle
 from .errors import ExperimentCheckFailed, ValidationFailed
 from .measures import DiscreteMeasure, grid_segment, strictify
 from .solver import TransportProblem, solve
-from .spacetime import COST_WORK, Cylinder, Minkowski
+from .spacetime import COORD_BOUND, COST_WORK, Cylinder, Minkowski
 
 
 @dataclass(frozen=True)
@@ -346,9 +346,9 @@ def _grid_size(n) -> int:
 def cylinder_potential(profile: ProfileFunction, ys, theta_grid: int = 100000) -> np.ndarray:
     """inf over the circle of profile(theta) + cost((theta, 0), y), per target.
 
-    ``ys`` is a finite (k, 2) array of targets at times >= 0, time last, as
-    for :meth:`SpacetimeModel.cost_matrix` (a ``ValueError`` names the first
-    bad row); returns the k values. Each infimum is the least of the
+    ``ys`` is a (k, 2) array of targets within ``COORD_BOUND``, at times >= 0,
+    time last, as for :meth:`SpacetimeModel.cost_matrix` (a ``ValueError``
+    names the first bad row); returns the k values. Each infimum is the least of the
     c-transform of the profile over theta_grid equispaced angles on the
     slice t=0, whose costs are built one row block at a time, and of the
     target's own angle, the only causal source when y lies on that slice.
@@ -358,9 +358,10 @@ def cylinder_potential(profile: ProfileFunction, ys, theta_grid: int = 100000) -
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 2 or ys.shape[1] != 2:
         raise ValueError(f"targets must form a (k, 2) array, got shape {ys.shape}")
-    bad = np.flatnonzero(~np.isfinite(ys).all(axis=1) | (ys[:, 1] < 0))
+    bad = np.flatnonzero(~(np.abs(ys) <= COORD_BOUND).all(axis=1) | (ys[:, 1] < 0))
     if len(bad):
-        raise ValueError(f"target row {bad[0]} must be finite at time >= 0, got {ys[bad[0]].tolist()}")
+        raise ValueError(f"target row {bad[0]} must be finite, within 2**500 in "
+                         f"magnitude and at time >= 0, got {ys[bad[0]].tolist()}")
     model = Cylinder(5.0)
     grid = np.arange(theta_grid) * (5.0 / theta_grid)  # already on [0, 5)
     xs = np.column_stack([grid, np.zeros(theta_grid)])

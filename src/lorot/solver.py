@@ -71,7 +71,7 @@ class TransportProblem:
     nu: DiscreteMeasure
 
     def __post_init__(self):
-        self.model.check_measures(self.mu, self.nu)
+        self.model.check_measures(mu=self.mu, nu=self.nu)
 
     def cost_matrix(self) -> np.ndarray:
         """The n x m costs of mu against nu, +inf on non-causal pairs.
@@ -250,23 +250,24 @@ def _integer_marginals(wa, wb):
     """
     ra = [w.as_integer_ratio() for w in wa]
     rb = [w.as_integer_ratio() for w in wb]
-    # every denominator is a power of two, so their lcm is the largest; the
-    # weight with that denominator has an odd numerator (unless the
-    # denominator is 1), so a, b and denom share no factor
+    # every denominator is a power of two, so their lcm is the largest and a
+    # shift puts each weight on it; the weight with that denominator has an
+    # odd numerator (unless it is 1), so a, b and denom share no factor
     denom = max(d for _, d in ra + rb)
-    a = [p * (denom // d) for p, d in ra]
-    b = [p * (denom // d) for p, d in rb]
+    k = denom.bit_length()
+    a = [p << (k - d.bit_length()) for p, d in ra]
+    b = [p << (k - d.bit_length()) for p, d in rb]
     sa, sb = sum(a), sum(b)
     if sa == sb:
         return a, b, denom
-    # b scaled by sa / sb, with a and b over denom * (sb / g)
+    # b scaled by sa / sb over denom * fa; h is all that a, b and denom share
     g = gcd(sa, sb)
-    a = [q * (sb // g) for q in a]
-    b = [q * (sa // g) for q in b]
-    denom *= sb // g
+    fa, fb = sb // g, sa // g
+    h = gcd(fa * gcd(denom, *a), fb * gcd(*b))
+    a = [q * fa // h for q in a]
+    b = [q * fb // h for q in b]
     assert sum(a) == sum(b)
-    g = gcd(denom, *a, *b)
-    return [q // g for q in a], [q // g for q in b], denom // g
+    return a, b, denom * fa // h
 
 
 class _Basis:
@@ -497,8 +498,9 @@ def solve(problem: TransportProblem):
     :class:`Infeasible` when no causal coupling exists, or when nu's rescaling
     to mu's exact total leaves a Hall-tight set a rounding unit short (strict
     xfail ``test_hall_tight_weights_that_do_not_sum_to_one``). Reachability
-    and the price scale read +inf through ``C.min()``; the finite-arc mask
-    waits for an artificial arc (module notes).
+    reads +inf through the row and column minima, the price scale is the
+    least row minimum (``C.min()``), and the finite-arc mask waits for an
+    artificial arc (module notes).
 
     The problem holds its optimum weakly: while any caller still holds the
     returned coupling, a later call on the same problem object returns that
@@ -512,15 +514,16 @@ def solve(problem: TransportProblem):
         if coupling is not None:
             return coupling, held[1]
     C = problem.cost_matrix()
-    for side, other, axis in (("mu", "nu", 1), ("nu", "mu", 0)):
-        reached = C.min(axis=axis) < np.inf
+    row_least = C.min(axis=1)
+    for side, other, least in (("mu", "nu", row_least), ("nu", "mu", C.min(axis=0))):
+        reached = least < np.inf
         if not reached.all():
             raise Infeasible(f"{side}-atom {int(reached.argmin())} has no causal partner "
                              f"among the {other}-atoms")
 
     supplies, demands, denom = _integer_marginals(problem.mu.weights, problem.nu.weights)
     basis = _Basis(C, supplies, demands)
-    tol = PRICE_TOL * (1.0 - float(C.min()))
+    tol = PRICE_TOL * (1.0 - float(row_least.min()))
     u, v = _optimize(basis, tol)
     if basis.n_artificial and basis.stranded():
         i, q = min(basis.stranded().items())
@@ -616,7 +619,10 @@ def problem_from_json(obj: dict) -> TransportProblem:
     model = model_from_config(obj["model"])
     mu = measure_from_json(model, obj["mu"])
     nu = measure_from_json(model, obj["nu"])
-    return TransportProblem(model, mu, nu)
+    try:
+        return TransportProblem(model, mu, nu)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def problem_to_json(problem: TransportProblem) -> dict:

@@ -101,6 +101,9 @@ def causal_band(margin, out=None) -> np.ndarray:
     return np.subtract(band, margin < -NULL_TOL, out=band)
 
 
+# no squared separation overflows between events whose coordinates are within this
+COORD_BOUND = 2.0**500
+
 # dtypes of the scratch :meth:`SpacetimeModel.costs` works in: the time steps,
 # the distances, the band and a mask
 COST_WORK = (float, float, np.int8, bool)
@@ -146,11 +149,18 @@ class SpacetimeModel:
             raise ValueError("coordinates must be finite")
         return Point(tuple(self.normalize(np.array(spatial)).tolist()), time)
 
-    def check_measures(self, mu, nu):
-        """``ValueError`` naming the first side without ``spatial_dim`` spatial coordinates."""
-        for side, measure in (("mu", mu), ("nu", nu)):
-            if (d := measure.coords_array().shape[1] - 1) != self.spatial_dim:
+    def check_measures(self, **sides):
+        """``ValueError`` naming the first side given (``mu=``, ``nu=``) without
+        ``spatial_dim`` spatial coordinates, or its first atom with a coordinate
+        beyond ``COORD_BOUND`` in magnitude and that coordinate."""
+        for side, measure in sides.items():
+            coords = measure.coords_array()
+            if (d := coords.shape[1] - 1) != self.spatial_dim:
                 raise ValueError(f"{side} has {d} spatial coordinates; {self!r} has {self.spatial_dim}")
+            if np.abs(coords).max(initial=0.0) > COORD_BOUND:
+                atom, k = divmod(int(np.argmax(np.abs(coords) > COORD_BOUND)), d + 1)
+                raise ValueError(f"{side}-atom {atom} has coordinate {coords.item(atom, k)!r} "
+                                 "beyond 2**500 in magnitude")
 
     # -- the kernel -------------------------------------------------------
 

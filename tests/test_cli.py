@@ -190,6 +190,19 @@ class TestFlags:
             assert set(read_result(out)["config"]) == {"command", "out"} | {f[2:] for f in flags}
 
 
+class TestParserOnce:
+    def test_one_parser_serves_every_call(self, problem_file, tmp_path):
+        """A usage error leaves the one cached parser as it was for the next call."""
+        assert build_parser() is build_parser()
+        assert main(["audit", "--input", str(problem_file), "--seed", "x", "--out", str(tmp_path)]) == 3
+        for seed in ("7", None):
+            out = tmp_path / f"seed-{seed}"
+            flags = ["--seed", seed] if seed else []
+            assert main(["audit", "--input", str(problem_file), *flags, "--out", str(out)]) == 0
+            assert read_result(out)["config"] == {
+                "command": "audit", "input": str(problem_file), "out": str(out), "seed": int(seed or 0)}
+
+
 class TestOtherCommands:
     def test_dual(self, problem_file, tmp_path):
         out = tmp_path / "out"
@@ -549,6 +562,18 @@ class TestValidateCommand:
         assert read_result(out)["result"]["violations"] == [
             "mu: schema: atom coordinates and weight must be finite"]
         assert main(["solve", "--input", text, "--out", str(tmp_path / "solve")]) == 3
+
+    def test_coordinate_beyond_bound_violation(self, tmp_path, capsys):
+        # a causal pair, but dtau**2 would overflow: refused as input, not Infeasible
+        text = json.dumps(dict(PROBLEM, mu={"atoms": [{"x": [0.0], "t": 0.0, "w": 1.0}]},
+                               nu={"atoms": [{"x": [0.0], "t": 1e300, "w": 1.0}]}))
+        message = "nu-atom 0 has coordinate 1e+300 beyond 2**500 in magnitude"
+        out = tmp_path / "out"
+        assert main(["validate", "--input", text, "--out", str(out)]) == 3
+        assert read_result(out)["result"]["violations"] == [f"nu: schema: {message}"]
+        capsys.readouterr()
+        assert main(["solve", "--input", text, "--out", str(tmp_path / "solve")]) == 3
+        assert capsys.readouterr().err == f"lorot: invalid input: {message}\n"
 
     def test_empty_measure_violation(self, tmp_path):
         bad = dict(PROBLEM)

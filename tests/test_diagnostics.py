@@ -3,14 +3,25 @@ import math
 import pytest
 
 from conftest import two_by_two_problem
+import numpy as np
+
+from lorot import diagnostics
 from lorot.diagnostics import (
+    TWO_CYCLE_TOL,
+    _two_cycle_violations,
     audit,
     class_fractions,
+    count_monotonicity_violations,
     lightlike_fraction,
     strict_margin,
 )
 from lorot.dual import chain_potential
-from lorot.experiments import line_blowup_problem, separated_rays_problem, strictified_line_problem
+from lorot.experiments import (
+    line_blowup_problem,
+    random_strict_problem,
+    separated_rays_problem,
+    strictified_line_problem,
+)
 from lorot.measures import DiscreteMeasure
 from lorot.solver import Coupling, TransportProblem, solve
 from lorot.spacetime import CausalClass, Cylinder, Minkowski
@@ -125,6 +136,63 @@ class TestAudit:
         problem, coupling, duals = solved(separated_rays_problem(0))
         with pytest.raises(ValueError, match=r"Minkowski\(d=1\), not Minkowski\(d=2\)"):
             audit(Minkowski(2), problem, coupling, duals)
+
+
+def indexed_two_cycles(C, ii, jj, e, f):
+    """``_two_cycle_violations`` read with 2-D fancy indexing, as it once was."""
+    own = C[ii, jj]
+    lhs = own[e] + own[f]
+    rhs = C[ii[e], jj[f]] + C[ii[f], jj[e]]
+    return lhs > rhs + TWO_CYCLE_TOL, lhs, rhs
+
+
+class TestAuditDraws:
+    """The audit draws both index rows in one call and reads C at flat
+    indices; both must match the two-draw, fancy-indexed reference."""
+
+    @pytest.mark.parametrize("k", [17, 100, 139, 2**33])
+    def test_one_draw_is_the_two_draw_stream(self, k):
+        for samples in (1, 37, 999, 1000):
+            for seed in (0, 5):
+                rng = np.random.default_rng(seed)
+                first, second = rng.integers(0, k, size=samples), rng.integers(0, k, size=samples)
+                both = np.random.default_rng(seed).integers(0, k, size=(2, samples))
+                assert (both[0] == first).all() and (both[1] == second).all()
+
+    @pytest.mark.parametrize("samples, seed", [(1, 0), (37, 5), (999, 1), (1000, 0)])
+    def test_count_matches_two_draws(self, samples, seed, monkeypatch):
+        # the anti-diagonal coupling of the 2 x 2 problem: every pair of distinct entries violates
+        problem = two_by_two_problem()
+        anti = Coupling.from_entries(problem, [(0, 1, 0.5), (1, 0, 0.5)])
+        drawn = []
+        monkeypatch.setattr(diagnostics, "_two_cycle_violations",
+                            lambda *args: drawn.append(args[3:]) or _two_cycle_violations(*args))
+        for coupling in (anti, solve(random_strict_problem(3))[0], solve(line_blowup_problem(40))[0]):
+            C = coupling.problem.cost_matrix()
+            ii, jj, _ = coupling.index_arrays()
+            rng = np.random.default_rng(seed)
+            e1 = rng.integers(0, len(ii), size=samples)
+            e2 = rng.integers(0, len(ii), size=samples)
+            count = count_monotonicity_violations(coupling.problem.model, coupling, samples, seed)
+            assert count == np.count_nonzero(indexed_two_cycles(C, ii, jj, e1, e2)[0])
+            e, f = drawn.pop()
+            assert (e == e1).all() and (f == e2).all()
+        e1, e2 = np.random.default_rng(seed).integers(0, 2, size=(2, samples))
+        assert count_monotonicity_violations(MK1, anti, samples, seed) == np.count_nonzero(e1 != e2)
+
+    @pytest.mark.parametrize("problem", [line_blowup_problem(60), random_strict_problem(0),
+                                         random_strict_problem(7), separated_rays_problem(2)],
+                             ids=["line", "strict-0", "strict-7", "rays"])
+    def test_flat_reads_match_fancy_indexing(self, problem):
+        coupling, _ = solve(problem)
+        C = problem.cost_matrix()
+        ii, jj, _ = coupling.index_arrays()
+        k = np.arange(len(ii))
+        e, f = np.random.default_rng(1).integers(0, len(ii), size=(2, 500))
+        for pair in ((e, f), (k[:, None], k[None, :])):
+            for got, want in zip(_two_cycle_violations(C, ii, jj, *pair),
+                                 indexed_two_cycles(C, ii, jj, *pair)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestForeignModel:

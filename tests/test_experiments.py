@@ -187,9 +187,10 @@ class TestCylinderPotential:
         ([[1.0, np.nan]], r"target row 0 .* got \[1.0, nan\]$"),
         ([[np.inf, 0.5]], r"target row 0 .* got \[inf, 0.5\]$"),
         ([[1.0, 0.5], [2.0, -1e-300], [1.0, np.nan]], r"target row 1 .* got \[2.0, -1e-300\]$"),
+        ([[1.0, 0.5], [1.0, 1e300]], r"target row 1 .* got \[1.0, 1e\+300\]$"),
         ([[1.0, 0.2, 0.5]], r"got shape \(1, 3\)$"),
         ([1.0, 0.5], r"got shape \(2,\)$"),
-    ], ids=["nan-time", "inf-angle", "first-bad-row", "three-columns", "one-target-flat"])
+    ], ids=["nan-time", "inf-angle", "first-bad-row", "beyond-bound", "three-columns", "one-target-flat"])
     def test_malformed_targets_rejected(self, ys, message):
         with pytest.raises(ValueError, match=message):
             cylinder_potential(build_profile(0.25), ys, 1000)

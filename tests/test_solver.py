@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     mirrored,
@@ -534,11 +534,58 @@ def weight_vectors(draw):
     return [1.0 - sum(tiny), *tiny]
 
 
+def division_marginals(wa, wb):
+    """``_integer_marginals`` as it was before its shifts and its one reduced
+    gcd, kept verbatim (docstring and comments aside): a division and a
+    product per weight, and one gcd over every value."""
+    ra = [w.as_integer_ratio() for w in wa]
+    rb = [w.as_integer_ratio() for w in wb]
+    denom = max(d for _, d in ra + rb)
+    a = [p * (denom // d) for p, d in ra]
+    b = [p * (denom // d) for p, d in rb]
+    sa, sb = sum(a), sum(b)
+    if sa == sb:
+        return a, b, denom
+    g = math.gcd(sa, sb)
+    a = [q * (sb // g) for q in a]
+    b = [q * (sa // g) for q in b]
+    denom *= sb // g
+    assert sum(a) == sum(b)
+    g = math.gcd(denom, *a, *b)
+    return [q // g for q in a], [q // g for q in b], denom // g
+
+
+# positive weights with no unit total: the least subnormal, other subnormals,
+# 2**-1000, 1/3 and 1.0 among arbitrary ones
+edge_weights = st.lists(st.one_of(st.sampled_from([5e-324, 3e-320, 2.0**-1000, 1 / 3, 1.0]),
+                                  st.floats(5e-324, 1.0)), min_size=1, max_size=12)
+
+
 class TestMarginals:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(weight_vectors(), weight_vectors())
     def test_integer_marginals_match_fraction_reference(self, wa, wb):
         assert _integer_marginals(wa, wb) == fraction_marginals(wa, wb)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(edge_weights, edge_weights, st.booleans())
+    @example([5e-324], [5e-324], False)
+    @example([1.0], [5e-324], False)
+    @example([5e-324], [1.0, 5e-324], False)
+    @example([1.0], [0.5, 0.25, 0.25], False)
+    @example([0.1, 0.2], [0.3], False)
+    def test_integer_marginals_on_edge_weights(self, wa, wb, equal_totals):
+        """mu is put over denom exactly and nu rescaled by the ratio of exact
+        totals, in lowest terms; the values are the division formula's. With
+        ``equal_totals`` nu is mu reversed, whose exact total is mu's."""
+        if equal_totals:
+            wb = wa[::-1]
+        a, b, denom = _integer_marginals(wa, wb)
+        fa, fb = [Fraction(w) for w in wa], [Fraction(w) for w in wb]
+        assert [Fraction(q, denom) for q in a] == fa
+        assert [Fraction(q, denom) for q in b] == [w * sum(fa) / sum(fb) for w in fb]
+        assert math.gcd(denom, *a, *b) == 1
+        assert (a, b, denom) == division_marginals(wa, wb)
 
     def test_row_col_sums(self):
         rng = np.random.default_rng(43)
@@ -1080,3 +1127,39 @@ class TestSpatialDimension:
             TransportProblem(model, mu, nu)
         with pytest.raises(ValueError, match=re.escape(message)):
             c_transform(model, mu, [0.0], nu)
+
+
+class TestCoordinateBound:
+    """A problem refuses any coordinate beyond 2**500 in magnitude, naming the
+    side, the atom and the value: past about 1.3e154 a squared separation
+    overflows, and a causal pair would cost -inf or read as non-causal.
+    Measures alone stay permissive."""
+
+    @pytest.mark.parametrize("model, mu_rows, nu_rows, message", [
+        (MK1, [[0.0, 0.0]], [[0.0, 1e300]], "nu-atom 0 has coordinate 1e+300"),
+        (MK1, [[0.0, 0.0], [1e160, 0.0]], [[0.0, 1.0]], "mu-atom 1 has coordinate 1e+160"),
+        (Minkowski(2), [[0.0, 0.0, 0.0]], [[1.0, -1e200, 5.0]], "nu-atom 0 has coordinate -1e+200"),
+        (Cylinder(5.0), [[1.0, -2.0**501]], [[1.0, 0.0]],
+         f"mu-atom 0 has coordinate {-2.0**501!r}"),
+    ], ids=["time", "second-atom", "second-axis", "cylinder"])
+    def test_refused(self, model, mu_rows, nu_rows, message):
+        mu = DiscreteMeasure.from_arrays(mu_rows, [1.0 / len(mu_rows)] * len(mu_rows))[0]
+        nu = DiscreteMeasure.from_arrays(nu_rows, [1.0 / len(nu_rows)] * len(nu_rows))[0]
+        message = re.escape(message + " beyond 2**500 in magnitude")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TransportProblem(model, mu, nu)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            c_transform(model, mu, [0.0] * mu.n_atoms, nu)
+        obj = {"model": model.to_config(), "mu": mu.to_json_obj(), "nu": nu.to_json_obj()}
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            problem_from_json(obj)
+
+    def test_the_bound_itself_solves(self):
+        # (0; 0) -> (0; 2**500): dtau**2 = 2**1000 is finite, so the cost is exact
+        mu = DiscreteMeasure.from_arrays([[0.0, 0.0]], [1.0])[0]
+        nu = DiscreteMeasure.from_arrays([[-2.0**500, 2.0**500]], [1.0])[0]
+        coupling, _ = solve(TransportProblem(MK1, mu, nu))
+        assert coupling.total_cost == 0.0  # lightlike
+        nu = DiscreteMeasure.from_arrays([[0.0, 2.0**500]], [1.0])[0]
+        coupling, _ = solve(TransportProblem(MK1, mu, nu))
+        assert coupling.total_cost == -2.0**500
