@@ -14,7 +14,9 @@ class BadGrid(LorotError):
 
 
 class Infeasible(LorotError):
-    """No coupling supported on causal pairs exists for the given marginals."""
+    """No coupling supported on causal pairs exists for the given marginals.
+    The message names an atom with no causal partner, or a Hall set: mu-atoms
+    that outweigh the nu-atoms they reach, with both exact masses."""
 
 
 class TooLarge(LorotError):

@@ -17,22 +17,20 @@ et al. 2011):
   (mirrored x -> -x, every tie is). On separated rays a tie joins two rays
   through their best cross pair, and on seeds 0-49 and their mirrors the
   start is optimal.
-* Each pivot prices every arc, walking the rows in blocks; the most negative
-  reduced cost ``C + u - v`` enters, the lowest flat index winning ties. A
-  non-causal pair's +inf never does. One call prices, runs the stranded-mass
-  pass and lifts the duals (both below), all over one list of blocks.
+* Each pivot prices every finite arc, walking the rows in blocks; the most
+  negative reduced cost ``C + u - v`` enters, the lowest flat index winning
+  ties.
 * The leaving arc is the last blocking arc met going round the cycle from
   its apex down to the entering arc's nu-atom, across the entering arc and
   back up. This keeps the tree strongly feasible, so the method cannot cycle.
 * Staircase cells whose pair is not causal are artificial arcs. They cost 1
   in a second, artificial cost that is compared before the real one, so no
-  big-M constant enters float arithmetic; other non-causal pairs are not
-  priced. An artificial arc still carrying flow at the optimum is stranded
-  mass: every non-causal pair is then priced as an artificial arc, so that
-  the least mass stays stranded, and :class:`Infeasible` names the lowest
-  mu-atom that still ships on an artificial arc and its exact mass there.
-  Only these read a mask of the causal pairs, built when the start holds
-  one (none enters a tree without one), else no n x m array but C is held.
+  big-M constant enters float arithmetic. A feasible problem has a flow
+  over the finite arcs alone, so this phase 1 ends with no artificial flow;
+  flow left on one proves that none exists, and :class:`Infeasible` names a
+  Hall set read off the artificial potentials (:func:`_hall_violation`).
+  Only the artificial key reads a mask of the causal pairs, built when the
+  start holds an artificial arc.
 * The returned duals are the real potentials plus lambda times the
   artificial ones, with lambda the smallest value that makes every finite
   arc dual feasible; lambda is 0 when no artificial arc stays in the basis.
@@ -48,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import fsum, gcd, isfinite
 from weakref import ref
 
@@ -330,11 +329,11 @@ class _Basis:
         return pot[: self.n], pot[self.n:]
 
     def support(self):
-        """``(ii, jj, flows)`` of the real tree arcs that carry flow, in node
-        order: two index arrays and the exact flows as a list."""
+        """``(ii, jj, flows)`` of the tree arcs that carry flow (real arcs
+        unless :meth:`stranded`), in node order: index arrays and a list."""
         n, ii, jj, flows = self.n, [], [], []
-        for x, (p, q, artificial) in enumerate(zip(self.parent, self.flow, self.artificial)):
-            if q and not artificial:
+        for x, (p, q) in enumerate(zip(self.parent, self.flow)):
+            if q:
                 i, j = (x, p - n) if x < n else (p, x - n)
                 ii.append(i)
                 jj.append(j)
@@ -342,13 +341,8 @@ class _Basis:
         return np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64), flows
 
     def stranded(self):
-        """Mass each mu-atom ships on artificial arcs, where it is nonzero."""
-        out = {}
-        for x, p in enumerate(self.parent):
-            if self.artificial[x] and self.flow[x]:
-                i = x if x < self.n else p
-                out[i] = out.get(i, 0) + self.flow[x]
-        return out
+        """Whether an artificial arc carries flow."""
+        return any(q and artificial for q, artificial in zip(self.flow, self.artificial))
 
     def _relabel(self, *tops):
         """Label ``tops`` and their subtrees from their parents and arc costs:
@@ -405,8 +399,8 @@ class _Basis:
         # hang the subtree cut off by the leaving arc from the entering arc,
         # reversing the tree path in between
         top, side, p = (i, side_i, n + j) if leave in side_i else (n + j, side_j, i)
-        # the relabel below sets the flag of every arc on the reversed path
-        self.n_artificial += (not isfinite(self.C.item(i, j))) - self.artificial[leave]
+        # the entering arc is causal; _relabel sets the flags on the reversed path
+        self.n_artificial -= self.artificial[leave]
         q = delta
         for x in side[: side.index(leave) + 1]:
             self.children[parent[x]].remove(x)
@@ -417,64 +411,45 @@ class _Basis:
 
 
 def _optimize(basis, tol):
-    """Pivot until no arc prices below ``-tol``; return the final ``(u, v)``.
-
-    The artificial cost (1 on non-causal pairs) is compared first, the real
-    cost second; the most negative arc with the lowest flat index enters.
-    Finite arcs are priced at their cost; once no arc enters while mass is
-    stranded, so are the non-causal ones, at real cost 0. Artificial arcs
-    left with no mass stranded lift ``(u, v)`` along the artificial duals by
-    the least lam >= 0 that makes every finite arc dual feasible; +inf never
-    enters and never raises lam. All three walk one list of row blocks, each
-    with two float planes (the pricing keys; the lift's artificial and real
-    reduced costs) and one of flags. The artificial key and the stranded
-    pass read a causal-pair mask, built if the start holds an artificial arc.
-    """
+    """Pivot until no finite arc prices below ``-tol``, the artificial
+    reduced cost compared first; return ``(u, v)``, lifted along the
+    artificial duals by the least lam >= 0 that makes every finite arc dual
+    feasible. Pricing and lift walk one list of row blocks, each with two
+    float planes (the pricing keys; the lift's artificial and real reduced
+    costs) and one of flags."""
     C = basis.C
     m = C.shape[1]
     finite = np.isfinite(C) if basis.n_artificial else None
     blocks = [(rows.start * m, rows, C[rows], None if finite is None else finite[rows],
                *pair.reshape(2, -1, m), flags.reshape(2, -1, m)[0])
               for rows, (pair, flags) in row_block_buffers(C.shape[0], 2 * m, float, bool)]
-    stranded = False
     while True:
         u, v = basis.potentials()
         ua, va = basis.potentials(art=True) if basis.n_artificial else (None, None)
         best, k = -tol, None
         for first, rows, cost, fin, block, _, flags in blocks:
             if ua is not None:
-                # the artificial reduced costs ua - va + (1 if not causal) are
+                # the artificial reduced costs ua - va of the finite arcs are
                 # small integers, exact in the block
-                np.copyto(block, ua[rows, None] + 1.0)
-                block -= va
-                block -= fin
+                np.subtract(ua[rows, None], va, out=block)
                 np.less(block, 0, out=flags)
-                if not stranded:
-                    flags &= fin
+                flags &= fin
                 if flags.any():
-                    # a priced arc below zero there beats every real cost
+                    # a finite arc below zero there beats every real cost
                     k = first + int(np.argmax(flags))
                     break
                 np.greater(block, 0, out=flags)  # these never enter
-            if stranded:  # the real costs, 0 on the non-causal pairs
-                np.copyto(block, 0.0)
-                np.copyto(block, cost, where=fin)
-            np.add(block if stranded else cost, u[rows, None], out=block)
+            np.add(cost, u[rows, None], out=block)
             block -= v
             if ua is not None:
                 block[flags] = np.inf
             b = int(block.argmin())
             if block.item(b) < best:
                 best, k = block.item(b), first + b
-        if k is not None:
-            basis.pivot(*divmod(k, m))
-        elif not stranded and basis.n_artificial and basis.stranded():
-            # so far only staircase cells could hold the stranded mass; offer it
-            # every non-causal pair, so that what stays stranded is the least
-            stranded = True
-        else:
+        if k is None:
             break
-    if stranded or not basis.n_artificial:
+        basis.pivot(*divmod(k, m))
+    if not basis.n_artificial:
         return u, v
     lam = 0.0
     for _, rows, cost, _, ra, rc, flags in blocks:
@@ -488,6 +463,31 @@ def _optimize(basis, tol):
     return u + lam * ua, v + lam * va
 
 
+def _hall_violation(C, ua, va, supplies, demands, denom):
+    """:class:`Infeasible` naming mu-atoms S that outweigh the nu-atoms N(S)
+    they reach, read off the integer artificial potentials phase 1 ends on
+    with artificial flow. There ``va[j] <= ua[i]`` on causal pairs, so
+    {ua < c} reaches only {va < c}, and the excesses mu(ua < c) - nu(va < c)
+    over the levels c sum to that flow. S lies below the level, one of the
+    x + 1 for x in ua, of greatest excess (in exact integers); N(S) and both
+    masses are then read from C and the weights alone and checked again."""
+    levels = np.unique(ua) + 1
+    excess = [0] * (len(levels) + 1)
+    for pot, weights, sign in ((ua, supplies, 1), (va, demands, -1)):
+        # an atom at potential x counts at every level above x
+        for k, q in zip(np.searchsorted(levels, pot, side="right").tolist(), weights):
+            excess[k] += sign * q
+    excess = list(accumulate(excess[:-1]))
+    S = np.flatnonzero(ua < levels[excess.index(max(excess))])
+    N = np.flatnonzero(np.isfinite(C[S]).any(axis=0))
+    held, reached = sum(supplies[i] for i in S.tolist()), sum(demands[j] for j in N.tolist())
+    if held <= reached:
+        raise RuntimeError(f"mu-atoms {S.tolist()} do not violate Hall's condition")
+    return Infeasible(f"mu-atoms {S.tolist()} hold mass {Fraction(held, denom)} but reach only "
+                      f"nu-atoms {N.tolist()}, of mass {Fraction(reached, denom)}: "
+                      "no causal coupling carries all of mu")
+
+
 def solve(problem: TransportProblem):
     """Minimize the Lorentzian cost over couplings of (mu, nu).
 
@@ -495,12 +495,11 @@ def solve(problem: TransportProblem):
     over all couplings supported on finite-cost arcs and the LP duals
     satisfy ``v[j] - u[i] <= cost(i, j)`` on every finite arc with equality
     on the support. The duals are read-only arrays. Raises
-    :class:`Infeasible` when no causal coupling exists, or when nu's rescaling
-    to mu's exact total leaves a Hall-tight set a rounding unit short (strict
-    xfail ``test_hall_tight_weights_that_do_not_sum_to_one``). Reachability
-    reads +inf through the row and column minima, the price scale is the
-    least row minimum (``C.min()``), and the finite-arc mask waits for an
-    artificial arc (module notes).
+    :class:`Infeasible` naming an atom with no causal partner (from the row
+    and column minima, before any pivot) or else a Hall set, also when nu's
+    rescaling to mu's exact total leaves a Hall-tight set a rounding unit
+    short (strict xfail ``test_hall_tight_weights_that_do_not_sum_to_one``).
+    The price scale is the least row minimum, ``C.min()``.
 
     The problem holds its optimum weakly: while any caller still holds the
     returned coupling, a later call on the same problem object returns that
@@ -526,9 +525,7 @@ def solve(problem: TransportProblem):
     tol = PRICE_TOL * (1.0 - float(row_least.min()))
     u, v = _optimize(basis, tol)
     if basis.n_artificial and basis.stranded():
-        i, q = min(basis.stranded().items())
-        raise Infeasible(f"mu-atom {i} cannot place mass {Fraction(q, denom)}: "
-                         "no causal coupling carries all of mu")
+        raise _hall_violation(C, *basis.potentials(art=True), supplies, demands, denom)
     ii, jj, exact = basis.support()
     coupling = Coupling.from_columns(problem, ii, jj, np.array([q / denom for q in exact]),
                                      exact_masses=exact, exact_denominator=denom)

@@ -17,7 +17,12 @@ from lorot.dual import (
     dkp_verify,
 )
 from lorot.errors import UnreachableAtom
-from lorot.experiments import line_blowup_problem, random_strict_problem, separated_rays_problem
+from lorot.experiments import (
+    line_blowup_problem,
+    random_strict_problem,
+    separated_rays_problem,
+    strictified_line_problem,
+)
 from lorot.measures import DiscreteMeasure
 from lorot.solver import Coupling, TransportProblem, solve
 from lorot.spacetime import Minkowski
@@ -336,6 +341,25 @@ class TestTwoDuals:
             root = coupling.entries[0][0]
             excess = np.max(psi - (u - u[root]))
             assert excess <= 1e-12 * (1.0 + np.max(np.abs(u))), (coupling.mu.n_atoms, excess)
+
+    @pytest.mark.parametrize("family", ["line", "strictified", "strict", "rays"])
+    def test_solver_dual_is_the_chain_potential(self, family):
+        """u - u[root] = psi to n * CYCLE_TOL: the network simplex and the
+        longest-path kernel reach the same potential on these families (the
+        largest gaps are about 9e-14 on the line, 0 on strict and 3e-16 on
+        the strictified line and the rays)."""
+        problems = {
+            "line": lambda: [line_blowup_problem(n) for n in (25, 100, 400)],
+            "strictified": lambda: [strictified_line_problem(n) for n in (25, 100, 400)],
+            "strict": lambda: [random_strict_problem(seed) for seed in range(20)],
+            "rays": lambda: [separated_rays_problem(seed) for seed in range(50)],
+        }[family]()
+        for problem in problems:
+            coupling, (u, _) = solve(problem)
+            psi = chain_potential(problem.model, coupling)
+            root = coupling.entries[0][0]
+            gap = np.max(np.abs(u - u[root] - psi))
+            assert gap <= len(u) * CYCLE_TOL, (problem.mu.n_atoms, gap)
 
 
 class TestPotentialLengths:
