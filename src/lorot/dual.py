@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import UnreachableAtom
-from .solver import Coupling
+from .solver import Coupling, held_cost_matrix
 from .spacetime import COST_WORK, SpacetimeModel, row_block_buffers
 
 # A rise of a chain label, or the gain of a chain cycle, of at most this is
@@ -76,23 +76,23 @@ def c_transform(model: SpacetimeModel, mu, psi, nu):
 
     Returns one value per nu-atom; ``None`` marks atoms with no causal
     source at all, where every cost and so the infimum is +inf. The sentinel
-    is an explicit tagged value so it never enters float arithmetic. The costs
-    are evaluated one row block at a time, so the full matrix is never held.
-    Raises ``ValueError`` unless psi has one finite value per mu-atom and
-    each measure has the model's spatial dimension.
+    is an explicit tagged value so it never enters float arithmetic. When a
+    live :class:`~lorot.solver.TransportProblem` holds the cost matrix of
+    these very measure objects under an equal model (see
+    :func:`~lorot.solver.held_cost_matrix`), its rows are read; otherwise the
+    costs are evaluated one row block at a time and no matrix is built. Both
+    give the same bits. Raises ``ValueError`` unless psi has one finite value
+    per mu-atom and each measure has the model's spatial dimension.
     """
     model.check_measures(mu=mu, nu=nu)
     xs, ys = mu.coords_array(), nu.coords_array()
-    return _column_infima(_per_atom("psi", psi, len(xs), "mu"), len(ys),
+    psi = _per_atom("psi", psi, len(xs), "mu")
+    C = held_cost_matrix(model, mu, nu)
+    if C is not None:
+        return _column_infima(psi, len(ys), lambda rows, out, work: C[rows])
+    return _column_infima(psi, len(ys),
                           lambda rows, out, work: model.costs(xs[rows, None], ys[None], out, work),
                           COST_WORK)
-
-
-def c_transform_costs(psi, C):
-    """:func:`c_transform` over a built cost matrix, e.g. ``problem.cost_matrix()``;
-    psi needs one finite value per row."""
-    return _column_infima(_per_atom("psi", psi, C.shape[0], "mu"), C.shape[1],
-                          lambda rows, out, work: C[rows])
 
 
 def _per_atom(name, values, n, side) -> np.ndarray:

@@ -48,7 +48,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import fsum, gcd, isfinite
-from weakref import ref
+from weakref import WeakValueDictionary, ref
 
 import numpy as np
 
@@ -61,6 +61,11 @@ ORACLE_CAP = 200
 #: an arc enters the basis when its reduced cost is below -PRICE_TOL * (1 + max |C|)
 PRICE_TOL = 1e-11
 PROBLEM_FIELDS = ("model", "mu", "nu")
+
+# (id(mu), id(nu), model) -> the live problem on exactly those measure objects
+# that has built its cost matrix; weak, so an entry goes with its problem, and
+# the problem's measures and matrix live no longer than they would without it
+_PRICED = WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -76,16 +81,27 @@ class TransportProblem:
         """The n x m costs of mu against nu, +inf on non-causal pairs.
 
         Computed on the first call; every later call returns the same
-        read-only array, so every layer prices this problem alike.
+        read-only array, so every layer prices this problem alike; while the
+        problem lives, :func:`held_cost_matrix` finds the array by its measures.
         """
         if "_cost" not in self.__dict__:
             C = self.model.cost_matrix(self.mu.coords_array(), self.nu.coords_array())
             C.setflags(write=False)
             object.__setattr__(self, "_cost", C)
+            _PRICED[id(self.mu), id(self.nu), self.model] = self
         return self._cost
 
     def __reduce__(self):  # the cached costs and the held optimum are derived state
         return TransportProblem, (self.model, self.mu, self.nu)
+
+
+def held_cost_matrix(model, mu, nu):
+    """The cost matrix a live :class:`TransportProblem` has built for exactly
+    the objects ``mu`` and ``nu`` under a model equal to ``model``, or None.
+
+    A value-equal copy of a measure, or another model, finds none."""
+    problem = _PRICED.get((id(mu), id(nu), model))
+    return None if problem is None else problem.cost_matrix()
 
 
 @dataclass(frozen=True)

@@ -87,3 +87,32 @@ def cost_matrix_calls(monkeypatch):
 
     monkeypatch.setattr(SpacetimeModel, "cost_matrix", counted)
     return calls
+
+
+def value_copy(measure):
+    """A distinct measure object with the same atoms and weights."""
+    return DiscreteMeasure(measure.coords_array(), measure.weights_array())
+
+
+@pytest.fixture
+def stray_costs_calls(monkeypatch):
+    """Shapes of every ``SpacetimeModel.costs`` call made outside
+    ``SpacetimeModel.cost_matrix`` while the test runs."""
+    calls, building = [], []
+    costs, build = SpacetimeModel.costs, SpacetimeModel.cost_matrix
+
+    def counted(self, xs, ys, *args, **kwargs):
+        if not building:
+            calls.append(np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1]))
+        return costs(self, xs, ys, *args, **kwargs)
+
+    def flagged(self, xs, ys):
+        building.append(True)
+        try:
+            return build(self, xs, ys)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(SpacetimeModel, "costs", counted)
+    monkeypatch.setattr(SpacetimeModel, "cost_matrix", flagged)
+    return calls

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import two_by_two_problem
+from conftest import two_by_two_problem, value_copy
 from lorot import spacetime
 from lorot.dual import (
     CYCLE_TOL,
@@ -12,7 +12,6 @@ from lorot.dual import (
     PositiveCycle,
     _longest_paths,
     c_transform,
-    c_transform_costs,
     chain_potential,
     dkp_verify,
 )
@@ -24,7 +23,7 @@ from lorot.experiments import (
     strictified_line_problem,
 )
 from lorot.measures import DiscreteMeasure
-from lorot.solver import Coupling, TransportProblem, solve
+from lorot.solver import Coupling, TransportProblem, held_cost_matrix, solve
 from lorot.spacetime import Minkowski
 
 MK1 = Minkowski(1)
@@ -367,16 +366,15 @@ class TestPotentialLengths:
     lengths, not read short or broadcast."""
 
     def test_c_transforms_refuse_a_short_psi(self):
+        # over the live problem's held matrix and streamed over copies
         problem = random_strict_problem(0)
         C = problem.cost_matrix()
-        assert C.shape == (70, 54)
-        message = "psi has 1 values for 70 mu-atoms"
-        with pytest.raises(ValueError, match=message):
-            c_transform_costs([0.0], C)
-        with pytest.raises(ValueError, match=message):
-            c_transform(MK1, problem.mu, [0.0], problem.nu)
-        with pytest.raises(ValueError, match="psi has 71 values for 70 mu-atoms"):
-            c_transform(MK1, problem.mu, np.zeros(71), problem.nu)
+        assert C.shape == (70, 54) and held_cost_matrix(MK1, problem.mu, problem.nu) is C
+        for mu, nu in ((problem.mu, problem.nu), (value_copy(problem.mu), value_copy(problem.nu))):
+            with pytest.raises(ValueError, match="psi has 1 values for 70 mu-atoms"):
+                c_transform(MK1, mu, [0.0], nu)
+            with pytest.raises(ValueError, match="psi has 71 values for 70 mu-atoms"):
+                c_transform(MK1, mu, np.zeros(71), nu)
 
     def test_dkp_verify_refuses_a_short_potential(self):
         problem = random_strict_problem(0)
@@ -403,14 +401,16 @@ class TestPotentialNan:
     and maximum, an infinity with an ``inf - inf`` warning beside it."""
 
     def test_c_transforms_refuse_a_nan_psi(self):
+        # over the live problem's held matrix and streamed over copies
         problem = random_strict_problem(0)
+        C = problem.cost_matrix()
+        assert held_cost_matrix(MK1, problem.mu, problem.nu) is C
         for bad in (np.nan, np.inf, -np.inf):
             psi = np.zeros(70)
             psi[[3, 5]] = bad
-            with pytest.raises(ValueError, match=rf"psi\[3\] is {bad}$"):
-                c_transform_costs(psi, problem.cost_matrix())
-            with pytest.raises(ValueError, match=rf"psi\[3\] is {bad}$"):
-                c_transform(MK1, problem.mu, psi, problem.nu)
+            for mu, nu in ((problem.mu, problem.nu), (value_copy(problem.mu), value_copy(problem.nu))):
+                with pytest.raises(ValueError, match=rf"psi\[3\] is {bad}$"):
+                    c_transform(MK1, mu, psi, nu)
 
     def test_dkp_verify_refuses_a_nan_potential(self):
         problem = random_strict_problem(0)
@@ -458,8 +458,17 @@ class TestBlockBuffers:
         assert peak < problem.cost_matrix().nbytes + 3 * self.BLOCK
 
     def test_c_transform_holds_four_blocks(self, line400):
+        # value-equal copies of the measures, so the costs are streamed
         problem, _, psi, _ = line400
-        assert traced_peak(lambda: c_transform(MK1, problem.mu, psi, problem.nu)) < 4 * self.BLOCK
+        mu, nu = value_copy(problem.mu), value_copy(problem.nu)
+        assert held_cost_matrix(MK1, mu, nu) is None
+        assert traced_peak(lambda: c_transform(MK1, mu, psi, nu)) < 4 * self.BLOCK
+
+    def test_held_c_transform_holds_under_two_blocks(self, line400):
+        # the live problem's own measures, so the rows of its matrix are read
+        problem, _, psi, _ = line400
+        assert held_cost_matrix(MK1, problem.mu, problem.nu) is problem.cost_matrix()
+        assert traced_peak(lambda: c_transform(MK1, problem.mu, psi, problem.nu)) < 2 * self.BLOCK
 
     def test_dkp_verify_holds_two_blocks(self, line400):
         _, coupling, _, potential = line400
@@ -516,10 +525,12 @@ class TestRowBlocks:
         coords = np.vstack([problem.nu.coords_array(), [[9.0, 1.0]]])
         nu = DiscreteMeasure.from_arrays(coords, np.full(len(coords), 1.0 / len(coords)))[0]
 
-        def run():
+        assert held_cost_matrix(MK1, problem.mu, nu) is None
+
+        def run():  # phi streams its costs; the transform of u reads the held matrix
             phi = c_transform(MK1, problem.mu, psi, nu)
             potential = DualPotential.from_psi(MK1, problem.mu, psi, problem.nu)
-            return (phi, c_transform_costs(u, problem.cost_matrix()),
+            return (phi, c_transform(MK1, problem.mu, u, problem.nu),
                     dkp_verify(MK1, coupling, potential),
                     dkp_verify(MK1, coupling, DualPotential.from_arrays(u, v)))
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import math
 import pickle
@@ -17,6 +18,7 @@ from conftest import (
     random_uniform_causal_problem,
     random_weighted_causal_problem,
     two_by_two_problem,
+    value_copy,
 )
 from lorot import solver, spacetime
 from lorot.diagnostics import audit
@@ -40,6 +42,7 @@ from lorot.solver import (
     _optimize,
     brute_force_oracle,
     dual_objective,
+    held_cost_matrix,
     problem_from_json,
     problem_to_json,
     solve,
@@ -825,6 +828,100 @@ class TestOneCostMatrix:
         for layer in layers:
             with pytest.raises(ValueError, match=r"Minkowski\(d=1\), not Cylinder\("):
                 layer(Cylinder(5.0))
+
+
+def unreachable_target_problem():
+    """Line-60 with one more nu-atom that no mu-atom reaches, and the line's
+    chain potential as psi: the transform reads None at that atom."""
+    line = line_blowup_problem(60)
+    psi = chain_potential(MK1, solve(line)[0])
+    coords = np.vstack([line.nu.coords_array(), [[9.0, 1.0]]])
+    nu = DiscreteMeasure.from_arrays(coords, np.full(len(coords), 1.0 / len(coords)))[0]
+    return TransportProblem(MK1, line.mu, nu), psi
+
+
+LINE_SIZES = (25, 50, 100, 200, 400)
+#: (problem, psi) per instance; psi is solve's mu-side dual
+HELD_FAMILIES = {
+    "line": lambda: [line_blowup_problem(n) for n in LINE_SIZES],
+    "mirrored": lambda: [mirrored(line_blowup_problem(n)) for n in LINE_SIZES],
+    "strict": lambda: [random_strict_problem(seed) for seed in range(20)],
+    "rays": lambda: [separated_rays_problem(seed) for seed in range(50)],
+    "weighted": lambda: [plane_problem(100, 0, weighted=True)],
+    "cylinder": lambda: [cylinder_field_problem(N) for N in (40, 100)],
+}
+
+
+@pytest.fixture(scope="module", params=list(HELD_FAMILIES))
+def priced(request):
+    return [(p, solve(p)[1][0]) for p in HELD_FAMILIES[request.param]()]
+
+
+def held_and_streamed(problem, psi):
+    """c_transform of psi over the problem's own measures, which reads the
+    matrix it holds, and over value-equal copies of them, which streams."""
+    model, mu, nu = problem.model, problem.mu, problem.nu
+    C = problem.cost_matrix()
+    assert held_cost_matrix(model, mu, nu) is C
+    copies = value_copy(mu), value_copy(nu)
+    assert held_cost_matrix(model, *copies) is None
+    return c_transform(model, mu, psi, nu), c_transform(model, copies[0], psi, copies[1])
+
+
+class TestHeldCostMatrix:
+    """c_transform reads the matrix a live problem holds for exactly its
+    measure objects under an equal model, and streams the costs otherwise."""
+
+    @pytest.mark.parametrize("block_pairs", [spacetime.BLOCK_PAIRS, 1])
+    def test_held_equals_streamed(self, priced, block_pairs, monkeypatch):
+        monkeypatch.setattr(spacetime, "BLOCK_PAIRS", block_pairs)
+        for k, (problem, psi) in enumerate(priced):
+            held, streamed = held_and_streamed(problem, psi)
+            assert repr(held) == repr(streamed), k
+
+    @pytest.mark.parametrize("block_pairs", [spacetime.BLOCK_PAIRS, 1])
+    def test_an_unreachable_target_reads_none_on_both_paths(self, block_pairs, monkeypatch):
+        monkeypatch.setattr(spacetime, "BLOCK_PAIRS", block_pairs)
+        held, streamed = held_and_streamed(*unreachable_target_problem())
+        assert repr(held) == repr(streamed)
+        assert held[-1] is None and None not in held[:-1]
+
+    def test_no_entry_outlives_its_problem(self):
+        problem = random_strict_problem(0)
+        key = (id(problem.mu), id(problem.nu), problem.model)
+        held = [weakref.ref(x) for x in (problem.cost_matrix(), problem.mu, problem.nu)]
+        assert key in solver._PRICED.data
+        del problem
+        gc.collect()
+        assert [r() for r in held] == [None] * 3
+        assert key not in solver._PRICED.data
+
+    def test_copies_and_other_models_stream(self, stray_costs_calls):
+        problem = random_strict_problem(0)
+        psi = np.zeros(70)
+        mu, nu = problem.mu, problem.nu
+        problem.cost_matrix()
+        c_transform(MK1, mu, psi, nu)
+        c_transform(Minkowski(1), mu, psi, nu)  # an equal model finds the matrix
+        assert stray_costs_calls == []
+        c_transform(MK1, value_copy(mu), psi, value_copy(nu))
+        c_transform(MK1, mu, psi, value_copy(nu))
+        c_transform(Cylinder(5.0), mu, psi, nu)
+        assert stray_costs_calls == [(70, 54)] * 3  # one row block each
+
+    @pytest.mark.parametrize("make", [lambda: random_strict_problem(0),
+                                      lambda: line_blowup_problem(400)], ids=["strict-0", "line-400"])
+    def test_the_dual_flow_builds_one_matrix_and_streams_none(self, make, cost_matrix_calls,
+                                                               stray_costs_calls):
+        problem = make()
+        model = problem.model
+        coupling, duals = solve(problem)
+        psi = chain_potential(model, coupling)
+        potential = DualPotential.from_psi(model, problem.mu, psi, problem.nu)
+        assert dkp_verify(model, coupling, potential, tol=1e-8).support_tight
+        assert audit(model, problem, coupling, duals, samples=1000, seed=0).monotonicity_violations == 0
+        assert cost_matrix_calls == [(problem.mu.n_atoms, problem.nu.n_atoms)]
+        assert stray_costs_calls == []
 
 
 class TestIndexArrays:
