@@ -4,7 +4,8 @@ Reads a problem or experiment specification, runs it, and writes
 machine-readable results: a summary ``result.json`` (always) plus CSV tables
 per command. Outputs are byte-identical for identical (config, input, seed).
 
-Exit codes: 0 success, 2 infeasible transport, 3 invalid input (a schema or
+Exit codes: 0 success (``dual`` reports a positive cycle or an atom no chain
+reaches as its result), 2 infeasible transport, 3 invalid input (a schema or
 validation error, a bad or unknown command-line flag, or an ``--out`` that
 cannot be created or written) or any other :class:`LorotError`, such as a
 failed experiment check.
@@ -25,7 +26,7 @@ from . import __version__
 from ._csv import CsvWriter, write_csv as _write_csv
 from .diagnostics import audit
 from .dual import DualPotential, PositiveCycle, chain_potential, dkp_verify
-from .errors import Infeasible, LorotError, SchemaError
+from .errors import Infeasible, LorotError, SchemaError, UnreachableAtom
 from .experiments import run_cylinder_example, run_line_counterexample
 from .measures import measure_from_json
 from .solver import check_problem_fields, dual_objective, problem_from_json, solve
@@ -111,7 +112,10 @@ def _cmd_dual(args, out_dir):
     if not 0.0 < args.tol < math.inf:
         raise SchemaError(f"--tol must be positive and finite, got {args.tol!r}")
     problem, coupling, duals = _solve_from_args(args)
-    psi = chain_potential(problem.model, coupling)
+    try:
+        psi = chain_potential(problem.model, coupling)
+    except UnreachableAtom as exc:  # the support falls into causally separate islands
+        return {"unreachable_atom": exc.atom_index}, 0
     if isinstance(psi, PositiveCycle):
         result = {"positive_cycle": {"atoms": list(psi.atoms), "gain": psi.gain}}
         return result, 0

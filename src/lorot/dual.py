@@ -138,52 +138,82 @@ def _longest_paths(C: np.ndarray, ii: np.ndarray, jj: np.ndarray, root: int):
     than CYCLE_TOL, so the cycle gains more than CYCLE_TOL. When the queue
     empties, every atom's final label has been relaxed, so each chain
     inequality holds to within CYCLE_TOL, and the root's label stays 0.
+
+    A pop costs its numpy calls more than their arithmetic, so it makes few:
+    each support entry's own cost is read once per call, the bar
+    ``dist + CYCLE_TOL`` is refreshed beside the labels, and no predecessor
+    is recorded. Predecessors are recorded only on the re-run that reports a
+    cycle: when labels still rise in pass n, the same loop runs again, which
+    repeats every rise exactly, and records each risen atom's last popper.
     """
     n = C.shape[0]
+    own = C[ii, jj].tolist()
     cols = jj.tolist()
     first = np.searchsorted(ii, np.arange(n + 1)).tolist()
-    step = np.empty(n)
+    add, subtract, maximum, greater, copyto = (
+        np.add, np.subtract, np.maximum, np.greater, np.copyto)
+    tol = np.array(CYCLE_TOL)  # a 0-d operand costs a ufunc less than a Python float
 
-    def gains(u, out):
-        """The gains of the arcs out of u, written into ``out``; u has a support
-        entry, as every atom of a coupling does."""
-        ys = cols[first[u]:first[u + 1]]
-        np.subtract(C[u, ys[0]], C[:, ys[0]], out=out)
-        for y in ys[1:]:
-            np.maximum(np.subtract(C[u, y], C[:, y], out=step), out, out=out)
-        return out
+    def relax(pred):
+        """Run the FIFO passes; returns the labels and the atoms still queued
+        after them, none unless pass n raised a label. ``pred``, when given,
+        gets each risen atom's last popper."""
+        dist = np.full(n, -np.inf)
+        dist[root] = 0.0
+        bar = dist + CYCLE_TOL
+        queued = np.zeros(n, dtype=bool)
+        queued[root] = True
+        cand, step = np.empty((2, n))
+        up, fresh = np.empty((2, n), dtype=bool)
+        batch = [root]
+        for _ in range(n):
+            following = []
+            for u in batch:
+                queued[u] = False
+                # cand = dist[u] + the gains of the arcs out of u; u has a
+                # support entry, as every atom of a coupling does
+                e = first[u]
+                subtract(own[e], C[:, cols[e]], out=cand)
+                for e in range(e + 1, first[u + 1]):
+                    maximum(subtract(own[e], C[:, cols[e]], out=step), cand, out=cand)
+                add(dist.item(u), cand, out=cand)
+                greater(cand, bar, out=up)
+                copyto(dist, cand, where=up)
+                add(dist, tol, out=bar)
+                if pred is not None:
+                    copyto(pred, u, where=up)
+                greater(up, queued, out=fresh)  # risen and not yet queued
+                queued |= up
+                following += fresh.nonzero()[0].tolist()
+            batch = following
+            if not batch:
+                break
+        return dist, batch
 
-    dist = np.full(n, -np.inf)
-    dist[root] = 0.0
-    pred = np.full(n, -1)
-    queued = np.zeros(n, dtype=bool)
-    queued[root] = True
-    cand = np.empty(n)
-    up, fresh = np.empty((2, n), dtype=bool)
-    batch = [root]
-    for _ in range(n):
-        following = []
-        for u in batch:
-            queued[u] = False
-            np.add(dist[u], gains(u, cand), out=cand)
-            np.greater(cand, np.add(dist, CYCLE_TOL, out=step), out=up)
-            np.copyto(dist, cand, where=up)
-            np.copyto(pred, u, where=up)
-            np.greater(up, queued, out=fresh)  # risen and not yet queued
-            queued |= up
-            following += fresh.nonzero()[0].tolist()
-        batch = following
-        if not batch:
-            return dist, None
+    dist, batch = relax(None)
+    if not batch:
+        return dist, None
 
     # Labels still rose in pass n. Such an atom has a predecessor walk of n
     # steps, each going back at most one pass, so the walk repeats an atom
     # before it could reach a root that never rose.
-    walk = [batch[0]]
-    while walk.count(walk[-1]) == 1:
-        walk.append(int(pred[walk[-1]]))
-    atoms = walk[walk.index(walk[-1]):-1][::-1]
-    gain = float(sum(gains(a, cand)[b] for a, b in zip(atoms, atoms[1:] + atoms[:1])))
+    pred = np.full(n, -1)
+    _, batch = relax(pred)
+    pred = pred.tolist()
+    walk, at = [batch[0]], {}
+    while walk[-1] not in at:
+        at[walk[-1]] = len(walk) - 1
+        walk.append(pred[walk[-1]])
+    atoms = walk[at[walk[-1]]:-1][::-1]
+
+    def arc(a, b):
+        """The gain of the arc from atom a to atom b, as the pop of a built it."""
+        gain = own[first[a]] - C[b, cols[first[a]]]
+        for e in range(first[a] + 1, first[a + 1]):
+            gain = max(own[e] - C[b, cols[e]], gain)
+        return gain
+
+    gain = float(sum(arc(a, b) for a, b in zip(atoms, atoms[1:] + atoms[:1])))
     return None, PositiveCycle(tuple(atoms), gain)
 
 

@@ -211,6 +211,19 @@ class TestOtherCommands:
         assert result["feasible"] and result["support_tight"]
         assert (out / "psi.csv").exists() and (out / "phi.csv").exists()
 
+    def test_dual_reports_a_split_support_as_a_result(self, tmp_path, capsys):
+        # two causal islands, x = 0 and x = 10: no chain from the root reaches mu-atom 1
+        split = {
+            "model": {"kind": "minkowski", "d": 1},
+            "mu": {"atoms": [{"x": [0.0], "t": 0.0, "w": 0.5}, {"x": [10.0], "t": 0.0, "w": 0.5}]},
+            "nu": {"atoms": [{"x": [0.0], "t": 1.0, "w": 0.5}, {"x": [10.0], "t": 1.0, "w": 0.5}]},
+        }
+        out = tmp_path / "out"
+        assert main(["dual", "--input", json.dumps(split), "--out", str(out)]) == 0
+        assert read_result(out)["result"] == {"unreachable_atom": 1}
+        assert sorted(p.name for p in out.iterdir()) == ["result.json"]
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
     def test_dual_refuses_a_tolerance_not_positive_and_finite(self, tol, problem_file,
                                                              tmp_path, capsys):

@@ -9,7 +9,8 @@ import pytest
 
 import lorot
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def loaded_modules(code, prefix):
@@ -77,3 +78,15 @@ def test_no_module_imports_a_name_it_never_reads():
     found = {p.name: unused_imports(p.read_text(encoding="utf-8"))
              for p in Path(lorot.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py"}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def test_every_mutant_edits_one_text_of_the_library():
+    # scripts/mutants.py runs the mutants against the tests; this checks only
+    # that each entry still names one text and existing test files, so a
+    # refactor that moves a guarded line shows here
+    mutants = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))["MUTANTS"]
+    src = Path(lorot.__file__).resolve().parent.parent
+    assert len(mutants) >= 15
+    for mutant in mutants:
+        assert (src / mutant.path).read_text(encoding="utf-8").count(mutant.old) == 1, mutant.name
+        assert all((ROOT / test.split("::")[0]).is_file() for test in mutant.tests), mutant.name
